@@ -6,7 +6,8 @@ Everything here is available in closed form:
 
 * the shrunk center ``mu_kappa = x / (1 + kappa)`` and the scale statistic
   ``beta_kappa = (s + kappa/(1+kappa) ||x||^2) / 2``,
-* the posterior marginals of lambda and mu given (x, s),
+* the posterior marginals of lambda and mu given (x, s); the mu marginal
+  also over an array of squared distances from mu_kappa,
 * the conditional Gaussian density of mu given (x, s, lambda), written as a
   function ``r_kappa`` of the squared distance from mu_kappa,
 * the un-normed (improper) prior ``q = K * p`` whose kappa -> 0 limit is
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ntg import LocationScale, NtGParams
-from .specfun import log_gamma, upper_incomplete_gamma
+from .specfun import log_gamma, upper_incomplete_gamma, upper_incomplete_gamma_array
 
 __all__ = [
     "Observation",
@@ -35,6 +36,7 @@ __all__ = [
     "cond_mu_density",
     "lambda_posterior_density",
     "mu_posterior_density",
+    "mu_posterior_density_sqdist",
     "q_joint",
     "q_obs",
     "likelihood",
@@ -168,6 +170,18 @@ def lambda_posterior_density(ctx: BlythContext, obs: Observation, lam: float) ->
     )
 
 
+def _mu_posterior_prefactor(ctx: BlythContext, obs: Observation) -> tuple[float, float]:
+    # ((1+kappa)/(2 pi))^{p/2} beta_kappa^{m/2} / Gamma(m/2, eps beta_kappa),
+    # in Python floats so that overflow raises, and beta_kappa.
+    bk = beta_kappa(obs, ctx.kappa)
+    pref = (
+        ((1.0 + ctx.kappa) / (2.0 * math.pi)) ** (0.5 * ctx.p)
+        * bk ** (0.5 * ctx.m)
+        / upper_incomplete_gamma(0.5 * ctx.m, ctx.eps * bk)
+    )
+    return pref, bk
+
+
 def mu_posterior_density(ctx: BlythContext, obs: Observation, mu: np.ndarray) -> float:
     """Posterior marginal of mu given (x, s).
 
@@ -176,17 +190,21 @@ def mu_posterior_density(ctx: BlythContext, obs: Observation, mu: np.ndarray) ->
     with b = beta_kappa + (1+kappa) ||mu - mu_kappa||^2 / 2.
     """
     mu = np.asarray(mu, dtype=float)
-    bk = beta_kappa(obs, ctx.kappa)
+    pref, bk = _mu_posterior_prefactor(ctx, obs)
     k1 = 1.0 + ctx.kappa
     b = bk + 0.5 * k1 * float(np.sum((mu - mu_kappa(obs.x, ctx.kappa)) ** 2))
     shape = 0.5 * (ctx.m + ctx.p)
-    return (
-        (k1 / (2.0 * math.pi)) ** (0.5 * ctx.p)
-        * bk ** (0.5 * ctx.m)
-        / upper_incomplete_gamma(0.5 * ctx.m, ctx.eps * bk)
-        * upper_incomplete_gamma(shape, ctx.eps * b)
-        / b ** shape
-    )
+    return pref * upper_incomplete_gamma(shape, ctx.eps * b) / b ** shape
+
+
+def mu_posterior_density_sqdist(ctx: BlythContext, obs: Observation, t) -> np.ndarray:
+    """``mu_posterior_density`` over an array of squared distances
+    t = ||mu - mu_kappa||^2, elementwise; the density depends on mu only
+    through t."""
+    pref, bk = _mu_posterior_prefactor(ctx, obs)
+    b = bk + 0.5 * (1.0 + ctx.kappa) * np.asarray(t, dtype=float)
+    shape = 0.5 * (ctx.m + ctx.p)
+    return pref * upper_incomplete_gamma_array(shape, ctx.eps * b) / b ** shape
 
 
 def q_joint(ctx: BlythContext, mu: np.ndarray, lam: float) -> float:

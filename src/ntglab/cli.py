@@ -23,10 +23,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import regress, verify
-from .blyth import BlythContext, big_K
+from .blyth import BlythContext
 from .risk import blyth_scaling, default_c, risk_difference_closed, risk_difference_mc
 from .specfun import Tolerance
 
@@ -130,7 +128,13 @@ def cmd_risk_diff(args) -> int:
         ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps)
         closed = risk_difference_closed(ctx)
         mc = risk_difference_mc(ctx, n=config.mc_n, seed=config.seed)
-        z = (mc.value - closed) / mc.error if mc.error > 0 else 0.0
+        if mc.error > 0 and math.isfinite(mc.error):
+            z = (mc.value - closed) / mc.error
+        elif ctx.kappa == 0.0 and mc.error == 0.0 and mc.value == closed:
+            # At kappa = 0 both sides are exactly 0, so a zero error is right.
+            z = 0.0
+        else:
+            z = math.inf  # no usable standard error: fail
         rows.append(
             {
                 "eps": eps,

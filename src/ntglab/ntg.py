@@ -15,7 +15,7 @@ Gaussian location-scale model (``x | mu, lambda ~ N(mu, I_p/lambda)``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

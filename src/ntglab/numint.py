@@ -399,8 +399,7 @@ def mc_estimate(
     values (pass None if the sampler already returns values).  The work is
     split into fixed-size chunks, each driven by its own spawned seed
     sequence, so the result is bit-identical for any worker count.
-    ``integrand`` may also return a 2-D array of shape (size, k) for paired
-    estimands differenced by the caller; the estimate is then of column 0.
+    The values must be one-dimensional, one per draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -414,7 +413,10 @@ def mc_estimate(
         if integrand is not None:
             vals = integrand(vals)
         vals = np.asarray(vals, dtype=float)
-        return float(vals.sum()), float(np.square(vals).sum())
+        if vals.ndim != 1:
+            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
+        mean = float(vals.sum()) / vals.size
+        return vals.size, mean, float(np.square(vals - mean).sum())
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -424,13 +426,16 @@ def mc_estimate(
     else:
         results = [run_chunk(i) for i in range(n_chunks)]
 
-    # Combine in chunk order so floating-point sums do not depend on timing.
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in results:
-        total += s1
-        total_sq += s2
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
+    # Merge per-chunk (count, mean, sum of squared deviations) in chunk
+    # order, so the result does not depend on timing (Chan, Golub and
+    # LeVeque 1983); unlike sum(x^2)/n - mean^2 this does not cancel when
+    # the mean dwarfs the spread.
+    count, mean, m2 = results[0]
+    for nb, mean_b, m2_b in results[1:]:
+        delta = mean_b - mean
+        total = count + nb
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * count * nb / total
+        count = total
+    se = math.sqrt(m2 / count / count)
     return EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo")

@@ -1,30 +1,30 @@
 """Confidence procedures, the recentered-ball loss, and risk evaluation.
 
-A procedure maps ``(x, s, mu, lambda)`` to an inclusion weight in [0, 1].
-The loss of a procedure is its confidence-set volume weighted by the
-conditional location density evaluated at the ball threshold, minus the
-coverage indicator:
+A procedure maps ``(x, s, mu)`` to an inclusion weight in [0, 1]; it never
+reads the unknown precision lambda.  Its loss at the true (mu, lambda) is
+the set volume weighted by the conditional location density at the ball
+threshold, minus the coverage indicator:
 
-    L(phi) = r_kappa(c s / m | lambda) * volume(phi(x, s, ., lambda))
-             - phi(x, s, mu, lambda).
+    L(phi) = r_kappa(c s / m | lambda) * volume(phi(x, s, .)) - phi(x, s, mu).
 
-Under the hierarchical prior the posterior risk of this loss is minimized
-by the equal-radius ball recentered at the shrunk point ``mu_kappa``, and
-the prior risk difference between the standard ball and the recentered one
-has the closed form ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
+As phi does not depend on lambda, conjugacy integrates lambda out of the
+posterior risk, leaving one mu-integral against the posterior density of
+mu.  The risk is minimized by the equal-radius ball recentered at
+``mu_kappa``; the prior risk difference between the standard and the
+recentered ball is ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import blyth
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, integrate_1d, integrate_nd, mc_estimate
+from .numint import EstimateWithError, integrate_nd, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -46,17 +46,21 @@ __all__ = [
     "risk_report",
 ]
 
+_GRID_CHUNK = 1 << 13  # grid nodes per array-density call in posterior_risk
+
 
 @dataclass(frozen=True)
 class Procedure:
     """A (possibly randomized) confidence procedure.
 
-    ``eval(x, s, mu, lam)`` returns inclusion weights in [0, 1] and must
+    ``eval(x, s, mu)`` returns inclusion weights in [0, 1] and must
     broadcast over leading batch axes of ``x``/``mu`` (shape (n, p)) and
-    ``s`` (shape (n,)).  ``closed_form_measure(x, s, lam)``, when present,
-    gives the Lebesgue volume of the confidence set.  ``support(x, s)``
-    returns a (center, radius) ball guaranteed to contain every point where
-    ``eval`` is nonzero; numeric integration routines rely on it.
+    ``s`` (shape (n,)).  It takes no precision: a procedure cannot depend
+    on the unknown lambda, and ``posterior_risk`` relies on that.
+    ``closed_form_measure(x, s)``, when present, gives the Lebesgue volume
+    of the confidence set.  ``support(x, s)`` returns a (center, radius)
+    ball guaranteed to contain every point where ``eval`` is nonzero;
+    numeric integration routines rely on it.
     """
 
     eval: Callable[..., np.ndarray]
@@ -71,27 +75,18 @@ def ball_volume(p: int, radius2) -> np.ndarray:
     return (math.pi * radius2) ** (0.5 * p) / math.exp(log_gamma(0.5 * p + 1.0))
 
 
-def _r_kappa_vec(t, lam, ctx: BlythContext):
-    k1 = 1.0 + ctx.kappa
-    t = np.asarray(t, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(
-        -0.5 * k1 * lam * t
-    )
-
-
 def _ball_procedure(ctx: BlythContext, shrink: float, label: str) -> Procedure:
     # Ball of squared radius c*s/m centered at x/(1+shrink).
     cm = ctx.c / ctx.m
     p = ctx.p
 
-    def ev(x, s, mu, lam=None):
+    def ev(x, s, mu):
         x = np.asarray(x, dtype=float)
         mu = np.asarray(mu, dtype=float)
         d2 = np.sum((mu - x / (1.0 + shrink)) ** 2, axis=-1)
         return (d2 < cm * np.asarray(s, dtype=float)).astype(float)
 
-    def meas(x, s, lam=None):
+    def meas(x, s):
         return ball_volume(p, cm * np.asarray(s, dtype=float))
 
     def supp(x, s):
@@ -125,15 +120,15 @@ def _support_box(proc: Procedure, x, s):
 
 
 def measure(
-    proc: Procedure, x, s: float, lam: float, tol: Tolerance | None = None
+    proc: Procedure, x, s: float, tol: Tolerance | None = None
 ) -> EstimateWithError:
-    """Lebesgue measure of the confidence set at (x, s, lambda).
+    """Lebesgue measure of the confidence set at (x, s).
 
     Uses the closed form when available, otherwise integrates ``eval`` over
     the support box.
     """
     if proc.closed_form_measure is not None:
-        val = float(proc.closed_form_measure(np.asarray(x, float), s, lam))
+        val = float(proc.closed_form_measure(np.asarray(x, float), s))
         return EstimateWithError(value=val, error=0.0, n_evals=1, method="quadrature")
     if tol is None:
         tol = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
@@ -141,7 +136,7 @@ def measure(
     x = np.asarray(x, dtype=float)
 
     def f(*mu):
-        return float(proc.eval(x, s, np.array(mu), lam))
+        return float(proc.eval(x, s, np.array(mu)))
 
     return integrate_nd(f, lo, hi, tol)
 
@@ -162,16 +157,59 @@ def coverage(
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         x = mu + rng.standard_normal((size, p)) / math.sqrt(lam)
         s = rng.chisquare(m, size) / lam
-        return np.asarray(proc.eval(x, s, mu, lam), dtype=float)
+        return np.asarray(proc.eval(x, s, mu), dtype=float)
 
     return mc_estimate(sampler, None, n, seed, workers)
 
 
 def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
     """Pointwise loss: weighted set volume minus the inclusion weight."""
-    ups = measure(proc, x, s, lam).value
+    ups = measure(proc, x, s).value
     w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
-    return w * ups - float(proc.eval(np.asarray(x, float), s, np.asarray(mu, float), lam))
+    return w * ups - float(proc.eval(np.asarray(x, float), s, np.asarray(mu, float)))
+
+
+def _grid_risk(proc: Procedure, ctx: BlythContext, obs: Observation, inner_grid: int):
+    # Midpoint rule over the support box; the densities are evaluated in
+    # fixed chunks of nodes to bound the array incomplete gamma's temporaries.
+    lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in _support_box(proc, obs.x, obs.s))
+    n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
+    axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis for j in range(ctx.p)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ctx.p)
+    cell = float(np.prod((hi - lo) / n_axis))
+    center = blyth.mu_kappa(obs.x, ctx.kappa)
+    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
+    weighted = np.empty(vals.size)
+    for i in range(0, vals.size, _GRID_CHUNK):
+        part = slice(i, i + _GRID_CHUNK)
+        t = np.sum((mesh[part] - center) ** 2, axis=-1)
+        weighted[part] = vals[part] * blyth.mu_posterior_density_sqdist(ctx, obs, t)
+    hit = float(np.sum(weighted)) * cell
+
+    # Error: a cell where eval jumps to an axis neighbour is misweighted by
+    # at most the largest density on the grid (at the node nearest
+    # mu_kappa); every cell adds the midpoint rule's h^2/24 curvature term,
+    # estimated by second differences.
+    vals, weighted = vals.reshape((n_axis,) * ctx.p), weighted.reshape((n_axis,) * ctx.p)
+    on_jump = np.zeros(vals.shape, dtype=bool)
+    curvature = 0.0
+    for ax in range(ctx.p):
+        v, mark = np.moveaxis(vals, ax, 0), np.moveaxis(on_jump, ax, 0)  # views
+        jump = v[1:] != v[:-1]
+        mark[1:] |= jump
+        mark[:-1] |= jump
+        curvature += float(np.abs(np.diff(weighted, n=2, axis=ax)).sum())
+    t_min = sum(float(np.min((a - c) ** 2)) for a, c in zip(axes, center))
+    jump_mass = int(on_jump.sum()) * cell
+    peak = float(blyth.mu_posterior_density_sqdist(ctx, obs, t_min))
+    error = jump_mass * peak + curvature / 24.0 * cell
+    w = float(blyth.mu_posterior_density_sqdist(ctx, obs, ctx.c * obs.s / ctx.m))
+    if proc.closed_form_measure is not None:
+        ups = float(proc.closed_form_measure(obs.x, obs.s))
+    else:
+        ups = float(np.sum(vals)) * cell
+        error += w * jump_mass
+    return EstimateWithError(w * ups - hit, error, vals.size, "quadrature")
 
 
 def posterior_risk(
@@ -181,82 +219,38 @@ def posterior_risk(
     tol: Tolerance | None = None,
     inner_grid: int | None = None,
 ) -> EstimateWithError:
-    """Posterior expected loss given (x, s), by nested quadrature.
+    """Posterior expected loss given (x, s), as one integral over mu.
 
-    Integrates, over lambda > eps against the posterior marginal of lambda,
-    the weighted set volume minus the integral of ``eval`` against the
-    conditional Gaussian of mu.
+    Procedures do not depend on lambda, so conjugacy closes the
+    lambda-integral: the posterior mean of ``r_kappa(t | lambda)`` is the
+    posterior density ``pi_kappa`` of mu at squared distance t from
+    mu_kappa (``blyth.mu_posterior_density``), and the risk is
 
-    ``inner_grid`` trades accuracy for speed: instead of adaptive nested
-    quadrature, the mu-integral uses a vectorized midpoint rule with about
-    that many nodes over the support box (error is O(1/n) per axis at the
-    set boundary, which is ample for comparing procedures whose risks differ
-    at the 1e-3 scale).
+        pi_kappa(c s / m) * volume(phi) - integral of phi(mu) pi_kappa(mu) dmu.
+
+    By default the mu-integral is adaptive quadrature over the support box
+    to ``tol``, with error (weight * measure error + quadrature error).
+    ``inner_grid`` selects instead a vectorized midpoint rule with about
+    that many nodes (``tol`` unused), whose error counts the cells where
+    ``eval`` jumps, at the largest density on the grid, plus the midpoint
+    curvature term; ample for comparing risks that differ at the 1e-3 scale.
     """
+    if inner_grid is not None:
+        return _grid_risk(proc, ctx, obs, inner_grid)
     if tol is None:
         tol = Tolerance(rel=1e-9, abs=1e-11, max_iter=200)
-    inner_tol = Tolerance(
-        rel=max(1e-10, 0.01 * tol.rel), abs=max(1e-13, 0.01 * tol.abs),
-        max_iter=tol.max_iter,
-    )
     center = blyth.mu_kappa(obs.x, ctx.kappa)
-    n_evals = [0]
+    edge = center + math.sqrt(ctx.c * obs.s / ctx.m) * np.eye(ctx.p)[0]
+    w = blyth.mu_posterior_density(ctx, obs, edge)
+    ups = measure(proc, obs.x, obs.s, tol)
 
-    if inner_grid is not None:
-        lo, hi = _support_box(proc, obs.x, obs.s)
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
-        axes = [
-            lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis
-            for j in range(ctx.p)
-        ]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-            -1, ctx.p
-        )
-        cell = float(np.prod((hi - lo) / n_axis))
-        d2 = np.sum((mesh - center) ** 2, axis=-1)
-        s_batch = np.full(mesh.shape[0], obs.s)
+    def g(*mu):
+        muv = np.array(mu)
+        return float(proc.eval(obs.x, obs.s, muv)) * blyth.mu_posterior_density(ctx, obs, muv)
 
-        def inner(lam: float) -> float:
-            vals = np.asarray(proc.eval(obs.x, s_batch, mesh, lam), dtype=float)
-            n_evals[0] += vals.size
-            if proc.closed_form_measure is not None:
-                ups = float(proc.closed_form_measure(obs.x, obs.s, lam))
-            else:
-                ups = float(np.sum(vals)) * cell
-            w = blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx)
-            hit = float(np.sum(vals * _r_kappa_vec(d2, lam, ctx))) * cell
-            return w * ups - hit
-
-    else:
-        def inner(lam: float) -> float:
-            ups = measure(proc, obs.x, obs.s, lam, inner_tol)
-            n_evals[0] += ups.n_evals
-            w = blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx)
-            lo, hi = _support_box(proc, obs.x, obs.s)
-
-            def g(*mu):
-                n_evals[0] += 1
-                muv = np.array(mu)
-                d2 = float(np.sum((muv - center) ** 2))
-                return float(proc.eval(obs.x, obs.s, muv, lam)) * blyth.r_kappa(
-                    d2, lam, ctx
-                )
-
-            hit = integrate_nd(g, lo, hi, inner_tol)
-            return w * ups.value - hit.value
-
-    def outer(lam: float) -> float:
-        return blyth.lambda_posterior_density(ctx, obs, lam) * inner(lam)
-
-    est = integrate_1d(outer, ctx.eps, math.inf, tol)
-    return EstimateWithError(
-        value=est.value,
-        error=est.error + tol.abs,
-        n_evals=est.n_evals + n_evals[0],
-        method="quadrature",
-    )
+    hit = integrate_nd(g, *_support_box(proc, obs.x, obs.s), tol)
+    return EstimateWithError(w * ups.value - hit.value, w * ups.error + hit.error,
+                             ups.n_evals + hit.n_evals, "quadrature")
 
 
 def _prior_model_draw(ctx: BlythContext, rng: np.random.Generator, size: int):
@@ -294,9 +288,10 @@ def bayes_risk(
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         mu, lam, x, s = _prior_model_draw(ctx, rng, size)
-        w = _r_kappa_vec(ctx.c * s / ctx.m, lam, ctx)
-        vol = np.asarray(proc.closed_form_measure(x, s, lam), dtype=float)
-        cov = np.asarray(proc.eval(x, s, mu, lam), dtype=float)
+        k1, t = 1.0 + ctx.kappa, ctx.c * s / ctx.m
+        w = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
+        vol = np.asarray(proc.closed_form_measure(x, s), dtype=float)
+        cov = np.asarray(proc.eval(x, s, mu), dtype=float)
         return w * vol - cov
 
     return mc_estimate(sampler, None, n, seed, workers)
@@ -389,10 +384,10 @@ def perturb(proc: Procedure, seed: int) -> Procedure:
             rng.uniform(0.7, 0.95)
         )
 
-        def ev(x, s, mu, lam=None):
+        def ev(x, s, mu):
             center, _ = base_support(x, s)
             mu = np.asarray(mu, dtype=float)
-            return proc.eval(x, s, center + (mu - center) / f, lam)
+            return proc.eval(x, s, center + (mu - center) / f)
 
         def supp(x, s):
             center, radius = base_support(x, s)
@@ -403,11 +398,11 @@ def perturb(proc: Procedure, seed: int) -> Procedure:
     if family == 1:
         frac = float(rng.uniform(0.1, 0.5))
 
-        def ev(x, s, mu, lam=None):
+        def ev(x, s, mu):
             _, radius = base_support(x, s)
             shifted = np.array(mu, dtype=float)
             shifted[..., 0] -= frac * radius
-            return proc.eval(x, s, shifted, lam)
+            return proc.eval(x, s, shifted)
 
         def supp(x, s):
             center, radius = base_support(x, s)
@@ -419,11 +414,11 @@ def perturb(proc: Procedure, seed: int) -> Procedure:
 
     width = float(rng.uniform(0.05, 0.2))
 
-    def ev(x, s, mu, lam=None):
+    def ev(x, s, mu):
         center, radius = base_support(x, s)
         mu = np.asarray(mu, dtype=float)
         dist = np.sqrt(np.sum((mu - center) ** 2, axis=-1))
-        base = np.asarray(proc.eval(x, s, mu, lam), dtype=float)
+        base = np.asarray(proc.eval(x, s, mu), dtype=float)
         in_band = (dist >= radius * (1.0 - width)) & (dist <= radius * (1.0 + width))
         return np.where(in_band, 0.5, base)
 

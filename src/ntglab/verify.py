@@ -158,7 +158,10 @@ def check_lemma_d(rel_tol: float = 0.05) -> list[dict]:
 
 def check_lemma_smoments(seed: int, n: int) -> dict:
     mc, closed = lemma_smoments_check(2, 2, kappa=0.5, eps=1.0, n=n, seed=seed)
-    z = abs(mc.value - closed) / mc.error if mc.error > 0 else 0.0
+    if mc.error > 0 and math.isfinite(mc.error):
+        z = abs(mc.value - closed) / mc.error
+    else:
+        z = math.inf  # no usable standard error: fail
     return _row("lemma_smoments", closed, mc.value, mc.error, z <= 4.0)
 
 

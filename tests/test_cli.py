@@ -6,6 +6,8 @@ import pytest
 
 from ntglab import cli
 from ntglab.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, main
+from ntglab.numint import EstimateWithError
+from ntglab.risk import risk_difference_closed
 
 
 class TestRunConfig:
@@ -64,6 +66,14 @@ class TestVerify:
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out.read_text())["pass"] is False
 
+    @pytest.mark.parametrize("error", [0.0, math.nan])
+    def test_smoments_without_standard_error_fails(self, monkeypatch, error):
+        def degenerate(p, m, kappa, eps, n, seed):
+            return EstimateWithError(1.0, error, n, "monte_carlo"), 1.0
+
+        monkeypatch.setattr(cli.verify, "lemma_smoments_check", degenerate)
+        assert cli.verify.check_lemma_smoments(0, 1000)["pass"] is False
+
     def test_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NTGLAB_SEED", "99")
         out = tmp_path / "e.json"
@@ -84,6 +94,35 @@ class TestRiskDiff:
         assert row["closed"] == 0.0
         assert row["mc"] == 0.0
         assert payload["max_abs_z"] == 0.0
+
+    @pytest.mark.parametrize("error", [0.0, math.nan])
+    def test_missing_standard_error_fails(self, tmp_path, monkeypatch, error):
+        # Only the kappa = 0 short-circuit may report a zero error.
+        def degenerate(ctx, n, seed):
+            return EstimateWithError(risk_difference_closed(ctx), error, n, "monte_carlo")
+
+        monkeypatch.setattr(cli, "risk_difference_mc", degenerate)
+        out = tmp_path / "rd.json"
+        code = main([
+            "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "1",
+            "--mc-n", "10000", "--output", str(out),
+        ])
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out.read_text())["pass"] is False
+
+    def test_kappa_zero_wrong_value_fails(self, tmp_path, monkeypatch):
+        # A zero error passes at kappa = 0 only when the estimate is exactly 0.
+        def wrong(ctx, n, seed):
+            return EstimateWithError(1e-3, 0.0, n, "monte_carlo")
+
+        monkeypatch.setattr(cli, "risk_difference_mc", wrong)
+        out = tmp_path / "rd.json"
+        code = main([
+            "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "0",
+            "--mc-n", "10000", "--output", str(out),
+        ])
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out.read_text())["pass"] is False
 
     def test_closed_vs_mc_with_sweep(self, tmp_path):
         out = tmp_path / "rd.json"

@@ -213,6 +213,17 @@ class TestMcEstimate:
         assert one.value == four.value
         assert one.error == four.error
 
+    def test_variance_does_not_cancel(self):
+        # A mean far above the spread: sum(x^2)/n - mean^2 loses every digit.
+        est = mc_estimate(
+            lambda rng, n: 1e8 + rng.standard_normal(n), None, 10 ** 6, seed=5
+        )
+        assert est.error == pytest.approx(1e-3, rel=0.01)
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError):
+            mc_estimate(lambda rng, n: np.ones((n, 2)), None, 1000, seed=0)
+
     def test_seed_determinism(self):
         a = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)
         b = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)

@@ -11,6 +11,7 @@ from ntglab.specfun import (
     f_quantile,
     log_gamma,
     upper_incomplete_gamma,
+    upper_incomplete_gamma_array,
 )
 
 # Independent oracle value for Gamma(-1, 1), frozen from high-precision
@@ -126,6 +127,52 @@ class TestUpperIncompleteGamma:
                     continue
                 got = upper_incomplete_gamma(a, x)
                 assert got == pytest.approx(truth, rel=1e-10)
+
+
+class TestUpperIncompleteGammaArray:
+    SHAPES = (0.5, 1.0, 1.5, 2.5, 7.0, 50.5)
+
+    @staticmethod
+    def _grid(a):
+        # Both sides of the series / continued-fraction split at x = a + 1.
+        return np.concatenate([
+            np.geomspace(1e-6, a + 1.0, 40, endpoint=False),
+            [a + 1.0],
+            np.linspace(a + 1.0, 3.0 * a + 40.0, 40)[1:],
+        ])
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_matches_scalar(self, a):
+        x = self._grid(a)
+        got = upper_incomplete_gamma_array(a, x)
+        want = np.array([upper_incomplete_gamma(a, float(v)) for v in x])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_matches_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        x = self._grid(a)
+        got = upper_incomplete_gamma_array(a, x)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.gammainc(a, float(v))) for v in x])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    def test_keeps_shape(self):
+        scalar = upper_incomplete_gamma_array(1.5, 2.0)
+        assert scalar.shape == ()
+        assert float(scalar) == upper_incomplete_gamma(1.5, 2.0)
+        x = np.array([[0.5, 2.0, 3.0], [4.0, 0.1, 10.0]])
+        out = upper_incomplete_gamma_array(1.5, x)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == upper_incomplete_gamma(1.5, 10.0)
+
+    def test_domain(self):
+        for a in (0.49, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                upper_incomplete_gamma_array(a, np.array([1.0]))
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                upper_incomplete_gamma_array(1.5, np.array([1.0, bad]))
 
 
 class TestFCdf:
