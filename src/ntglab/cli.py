@@ -20,20 +20,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import regress, verify
 from .blyth import BlythContext
 from .risk import blyth_scaling, default_c, risk_difference_closed, risk_difference_mc
-from .specfun import Tolerance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
-SCHEMA = "ntg-lab/1"
+SCHEMA = "ntg-lab/2"
 
 __all__ = ["main", "RunConfig"]
 
@@ -53,9 +52,6 @@ class RunConfig:
 
     seed: int
     mc_n: int
-    tolerances: Tolerance = field(default_factory=Tolerance)
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2 ** 64):
@@ -64,22 +60,9 @@ class RunConfig:
             raise ValueError(
                 "mc_n below 1000 would make Monte Carlo results meaningless; refusing"
             )
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def to_dict(self) -> dict:
-        # The output path is deliberately left out: reports must be
-        # byte-identical for a given seed regardless of where they land.
-        return {
-            "seed": self.seed,
-            "mc_n": self.mc_n,
-            "tolerances": {
-                "rel": self.tolerances.rel,
-                "abs": self.tolerances.abs,
-                "max_iter": self.tolerances.max_iter,
-            },
-            "output_format": self.output_format,
-        }
+        return {"seed": self.seed, "mc_n": self.mc_n}
 
 
 def _default_seed() -> int:
@@ -99,7 +82,7 @@ def _report_json(payload: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(seed=args.seed, mc_n=args.mc_n, output_path=args.output)
+    config = RunConfig(seed=args.seed, mc_n=args.mc_n)
     checks = verify.run_all(config.seed, config.mc_n)
     all_pass = all(c["pass"] for c in checks)
     payload = {
@@ -120,7 +103,7 @@ def _resolve_c(args) -> float:
 
 
 def cmd_risk_diff(args) -> int:
-    config = RunConfig(seed=args.seed, mc_n=args.mc_n, output_path=args.output)
+    config = RunConfig(seed=args.seed, mc_n=args.mc_n)
     c = _resolve_c(args)
     eps_values = [0.5, 1.0, 2.0] if args.eps_sweep else [args.eps]
     rows = []

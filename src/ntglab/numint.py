@@ -1,15 +1,20 @@
 """Numerical integration and Monte Carlo engine.
 
-Also hosts the spherical change of variables used to flatten the
-``(t, z)``-integrals that appear in the appendix-style integral identities,
-plus numeric checks for those identities:
+* ``integrate_1d``: adaptive 1-D quadrature on finite, semi-infinite and
+  doubly infinite intervals, raising ``QuadratureError`` when it misses
+  its tolerance;
+* ``mc_estimate``: chunked Monte Carlo with a standard error, bit-identical
+  for any worker count;
+* numeric checks of the appendix-style integral identities, each reduced
+  to 1-D radial and angular quadratures by the quadratic spherical
+  parameterization ``t = r^2 cos^2(theta)``, ``||z|| = r sin(theta)``:
 
-* a weighted integral of ``t^a ||z||^{2b} Gamma(g, t+||z||^2)/(t+||z||^2)^g``
-  with a closed-form value (``lemma_bigint_check``),
-* a small-``delta`` limit of the same kind of integral restricted to the
-  cone ``||z||^2 delta > t`` (``lemma_d_check``), and
-* a closed-form moment of the scale statistic under the hierarchical prior
-  (``lemma_smoments_check``).
+  - a weighted integral of ``t^a ||z||^{2b} Gamma(g, t+||z||^2)/(t+||z||^2)^g``
+    with a closed-form value (``lemma_bigint_check``),
+  - a small-``delta`` limit of the same kind of integral restricted to the
+    cone ``||z||^2 delta > t`` (``lemma_d_check``), and
+  - a closed-form moment of the scale statistic under the hierarchical
+    prior, by Monte Carlo (``lemma_smoments_check``).
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ __all__ = [
     "EstimateWithError",
     "QuadratureError",
     "integrate_1d",
-    "integrate_nd",
-    "spherical_map",
     "lemma_bigint_check",
     "lemma_d_check",
     "lemma_smoments_check",
@@ -141,74 +144,6 @@ def integrate_1d(
             partial=(val, err),
         )
     return EstimateWithError(value=val, error=err, n_evals=neval, method="quadrature")
-
-
-def integrate_nd(
-    f: Callable[..., float],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    tol: Tolerance | None = None,
-) -> EstimateWithError:
-    """Iterated adaptive quadrature over a box; inner dimensions last."""
-    if tol is None:
-        tol = Tolerance(rel=1e-8, abs=1e-10, max_iter=100)
-    lows = list(lows)
-    highs = list(highs)
-    count = [0]
-
-    def nest(args: list[float], dim: int) -> float:
-        if dim == len(lows):
-            count[0] += 1
-            return f(*args)
-        est = integrate_1d(
-            lambda u: nest(args + [u], dim + 1), lows[dim], highs[dim], tol
-        )
-        return est.value
-
-    val = nest([], 0)
-    # The outermost quad error does not account for inner-level error;
-    # report a conservative bound instead.
-    err = tol.abs + tol.rel * abs(val)
-    return EstimateWithError(
-        value=val, error=err, n_evals=max(count[0], 1), method="quadrature"
-    )
-
-
-def spherical_map(r: float, thetas: Sequence[float]):
-    """Map (r, theta_1..theta_p) to (t, z, jacobian).
-
-    The first coordinate is quadratic in r, ``t = r^2 cos^2(theta_1)``, the
-    remaining p coordinates are ordinary spherical coordinates of radius
-    ``r sin(theta_1)``, and the Jacobian determinant is
-    ``2 r^{p+1} cos(theta_1) prod_j sin^{p-j}(theta_j)``.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    p = thetas.size
-    if p < 1:
-        raise ValueError("need at least one angle")
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    if not (0.0 <= thetas[0] < 0.5 * math.pi):
-        raise ValueError("theta_1 must lie in [0, pi/2)")
-    for i in range(1, p - 1):
-        if not (0.0 <= thetas[i] < math.pi):
-            raise ValueError(f"theta_{i + 1} must lie in [0, pi)")
-    if p > 1 and not (0.0 <= thetas[-1] < 2.0 * math.pi):
-        raise ValueError(f"theta_{p} must lie in [0, 2*pi)")
-
-    t = r * r * math.cos(thetas[0]) ** 2
-    z = np.empty(p)
-    sin_prod = 1.0
-    for j in range(p - 1):
-        sin_prod *= math.sin(thetas[j])
-        z[j] = r * sin_prod * math.cos(thetas[j + 1])
-    sin_prod *= math.sin(thetas[-1])
-    z[p - 1] = r * sin_prod
-
-    jac = 2.0 * r ** (p + 1) * math.cos(thetas[0])
-    for j in range(p):
-        jac *= math.sin(thetas[j]) ** (p - 1 - j)
-    return t, z, jac
 
 
 def _sphere_area(p: int) -> float:

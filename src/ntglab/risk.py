@@ -9,9 +9,10 @@ threshold, minus the coverage indicator:
 
 As phi does not depend on lambda, conjugacy integrates lambda out of the
 posterior risk, leaving one mu-integral against the posterior density of
-mu.  The risk is minimized by the equal-radius ball recentered at
-``mu_kappa``; the prior risk difference between the standard and the
-recentered ball is ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
+mu, which ``posterior_risk`` sums on a midpoint grid.  The risk is
+minimized by the equal-radius ball recentered at ``mu_kappa``; the prior
+risk difference between the standard and the recentered ball is
+``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ import numpy as np
 
 from . import blyth
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, integrate_nd, mc_estimate
+from .numint import EstimateWithError, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
     "Procedure",
-    "RiskReport",
     "ball_volume",
     "phi0",
     "phi_kappa",
-    "measure",
     "coverage",
     "loss",
     "posterior_risk",
@@ -43,10 +42,10 @@ __all__ = [
     "blyth_scaling",
     "perturb",
     "default_c",
-    "risk_report",
 ]
 
 _GRID_CHUNK = 1 << 13  # grid nodes per array-density call in posterior_risk
+_DEFAULT_GRID = 1 << 12  # posterior_risk nodes when inner_grid is None
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,10 @@ class Procedure:
     ``s`` (shape (n,)).  It takes no precision: a procedure cannot depend
     on the unknown lambda, and ``posterior_risk`` relies on that.
     ``closed_form_measure(x, s)``, when present, gives the Lebesgue volume
-    of the confidence set.  ``support(x, s)`` returns a (center, radius)
-    ball guaranteed to contain every point where ``eval`` is nonzero;
-    numeric integration routines rely on it.
+    of the confidence set; ``loss`` and ``bayes_risk`` need it.
+    ``support(x, s)`` returns a (center, radius) ball guaranteed to contain
+    every point where ``eval`` is nonzero; ``posterior_risk`` and
+    ``perturb`` need it.
     """
 
     eval: Callable[..., np.ndarray]
@@ -108,39 +108,6 @@ def phi_kappa(ctx: BlythContext) -> Procedure:
     return _ball_procedure(ctx, ctx.kappa, f"phi_kappa[{ctx.kappa}]")
 
 
-def _support_box(proc: Procedure, x, s):
-    if proc.support is None:
-        raise ValueError(
-            f"procedure {proc.label!r} has neither a closed-form measure nor "
-            "a support hint; numeric integration needs one"
-        )
-    center, radius = proc.support(x, s)
-    center = np.asarray(center, dtype=float)
-    return center - radius, center + radius
-
-
-def measure(
-    proc: Procedure, x, s: float, tol: Tolerance | None = None
-) -> EstimateWithError:
-    """Lebesgue measure of the confidence set at (x, s).
-
-    Uses the closed form when available, otherwise integrates ``eval`` over
-    the support box.
-    """
-    if proc.closed_form_measure is not None:
-        val = float(proc.closed_form_measure(np.asarray(x, float), s))
-        return EstimateWithError(value=val, error=0.0, n_evals=1, method="quadrature")
-    if tol is None:
-        tol = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
-    lo, hi = _support_box(proc, x, s)
-    x = np.asarray(x, dtype=float)
-
-    def f(*mu):
-        return float(proc.eval(x, s, np.array(mu)))
-
-    return integrate_nd(f, lo, hi, tol)
-
-
 def coverage(
     proc: Procedure,
     mu,
@@ -163,53 +130,15 @@ def coverage(
 
 
 def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
-    """Pointwise loss: weighted set volume minus the inclusion weight."""
-    ups = measure(proc, x, s).value
+    """Pointwise loss: weighted set volume minus the inclusion weight.
+
+    Needs the procedure's closed-form measure.
+    """
+    if proc.closed_form_measure is None:
+        raise ValueError(f"loss needs a closed-form measure; {proc.label!r} has none")
+    ups = float(proc.closed_form_measure(np.asarray(x, float), s))
     w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
     return w * ups - float(proc.eval(np.asarray(x, float), s, np.asarray(mu, float)))
-
-
-def _grid_risk(proc: Procedure, ctx: BlythContext, obs: Observation, inner_grid: int):
-    # Midpoint rule over the support box; the densities are evaluated in
-    # fixed chunks of nodes to bound the array incomplete gamma's temporaries.
-    lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in _support_box(proc, obs.x, obs.s))
-    n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
-    axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis for j in range(ctx.p)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ctx.p)
-    cell = float(np.prod((hi - lo) / n_axis))
-    center = blyth.mu_kappa(obs.x, ctx.kappa)
-    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
-    weighted = np.empty(vals.size)
-    for i in range(0, vals.size, _GRID_CHUNK):
-        part = slice(i, i + _GRID_CHUNK)
-        t = np.sum((mesh[part] - center) ** 2, axis=-1)
-        weighted[part] = vals[part] * blyth.mu_posterior_density_sqdist(ctx, obs, t)
-    hit = float(np.sum(weighted)) * cell
-
-    # Error: a cell where eval jumps to an axis neighbour is misweighted by
-    # at most the largest density on the grid (at the node nearest
-    # mu_kappa); every cell adds the midpoint rule's h^2/24 curvature term,
-    # estimated by second differences.
-    vals, weighted = vals.reshape((n_axis,) * ctx.p), weighted.reshape((n_axis,) * ctx.p)
-    on_jump = np.zeros(vals.shape, dtype=bool)
-    curvature = 0.0
-    for ax in range(ctx.p):
-        v, mark = np.moveaxis(vals, ax, 0), np.moveaxis(on_jump, ax, 0)  # views
-        jump = v[1:] != v[:-1]
-        mark[1:] |= jump
-        mark[:-1] |= jump
-        curvature += float(np.abs(np.diff(weighted, n=2, axis=ax)).sum())
-    t_min = sum(float(np.min((a - c) ** 2)) for a, c in zip(axes, center))
-    jump_mass = int(on_jump.sum()) * cell
-    peak = float(blyth.mu_posterior_density_sqdist(ctx, obs, t_min))
-    error = jump_mass * peak + curvature / 24.0 * cell
-    w = float(blyth.mu_posterior_density_sqdist(ctx, obs, ctx.c * obs.s / ctx.m))
-    if proc.closed_form_measure is not None:
-        ups = float(proc.closed_form_measure(obs.x, obs.s))
-    else:
-        ups = float(np.sum(vals)) * cell
-        error += w * jump_mass
-    return EstimateWithError(w * ups - hit, error, vals.size, "quadrature")
 
 
 def posterior_risk(
@@ -219,38 +148,72 @@ def posterior_risk(
     tol: Tolerance | None = None,
     inner_grid: int | None = None,
 ) -> EstimateWithError:
-    """Posterior expected loss given (x, s), as one integral over mu.
+    """Posterior expected loss given (x, s), as one midpoint sum over mu.
 
     Procedures do not depend on lambda, so conjugacy closes the
     lambda-integral: the posterior mean of ``r_kappa(t | lambda)`` is the
     posterior density ``pi_kappa`` of mu at squared distance t from
     mu_kappa (``blyth.mu_posterior_density``), and the risk is
 
-        pi_kappa(c s / m) * volume(phi) - integral of phi(mu) pi_kappa(mu) dmu.
+        integral of phi(mu) (w - pi_kappa(mu)) dmu,   w = pi_kappa at c s / m,
 
-    By default the mu-integral is adaptive quadrature over the support box
-    to ``tol``, with error (weight * measure error + quadrature error).
-    ``inner_grid`` selects instead a vectorized midpoint rule with about
-    that many nodes (``tol`` unused), whose error counts the cells where
-    ``eval`` jumps, at the largest density on the grid, plus the midpoint
-    curvature term; ample for comparing risks that differ at the 1e-3 scale.
+    which is the weighted volume minus the posterior coverage.  It is summed
+    by the midpoint rule on about ``inner_grid`` nodes (``_DEFAULT_GRID``
+    when None) over the support box, so the volume comes from the same grid
+    and ``closed_form_measure`` is not read.  For the recentred ball the
+    factor ``w - pi_kappa`` vanishes on the boundary, where phi jumps.
+    ``tol`` is kept for existing call sites and unused.
+
+    The error adds, for every cell where ``eval`` jumps to an axis
+    neighbour, that jump times the largest ``|w - pi_kappa|`` over the cell
+    times the cell volume, and the midpoint rule's curvature term
+    (second differences / 24) of the integrand.
     """
-    if inner_grid is not None:
-        return _grid_risk(proc, ctx, obs, inner_grid)
-    if tol is None:
-        tol = Tolerance(rel=1e-9, abs=1e-11, max_iter=200)
-    center = blyth.mu_kappa(obs.x, ctx.kappa)
-    edge = center + math.sqrt(ctx.c * obs.s / ctx.m) * np.eye(ctx.p)[0]
-    w = blyth.mu_posterior_density(ctx, obs, edge)
-    ups = measure(proc, obs.x, obs.s, tol)
+    if proc.support is None:
+        raise ValueError(f"procedure {proc.label!r} has no support hint; posterior_risk needs one")
+    box_center, radius = proc.support(obs.x, obs.s)
+    box_center = np.atleast_1d(np.asarray(box_center, float))
+    lo, hi = box_center - radius, box_center + radius
+    p = ctx.p
+    n_axis = max(2, int(round((inner_grid or _DEFAULT_GRID) ** (1.0 / p))))
+    width = (hi - lo) / n_axis
+    axes = [lo[j] + width[j] * (np.arange(n_axis) + 0.5) for j in range(p)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
+    cell = float(np.prod(width))
+    center = np.atleast_1d(blyth.mu_kappa(obs.x, ctx.kappa))
+    w = float(blyth.mu_posterior_density_sqdist(ctx, obs, ctx.c * obs.s / ctx.m))
 
-    def g(*mu):
-        muv = np.array(mu)
-        return float(proc.eval(obs.x, obs.s, muv)) * blyth.mu_posterior_density(ctx, obs, muv)
+    def excess(t):  # w - pi_kappa at squared distances t, in fixed chunks
+        out = np.empty(t.size)
+        for i in range(0, t.size, _GRID_CHUNK):
+            out[i:i + _GRID_CHUNK] = w - blyth.mu_posterior_density_sqdist(
+                ctx, obs, t[i:i + _GRID_CHUNK])
+        return out
 
-    hit = integrate_nd(g, *_support_box(proc, obs.x, obs.s), tol)
-    return EstimateWithError(w * ups.value - hit.value, w * ups.error + hit.error,
-                             ups.n_evals + hit.n_evals, "quadrature")
+    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
+    terms = vals * excess(np.sum((mesh - center) ** 2, axis=-1))
+    value = float(np.sum(terms)) * cell
+
+    # Each cell's largest jump of eval to an axis neighbour, and the
+    # integrand's second differences along every axis.
+    vals, terms = vals.reshape((n_axis,) * p), terms.reshape((n_axis,) * p)
+    jump = np.zeros(vals.shape)
+    curvature = 0.0
+    for ax in range(p):
+        v, big = np.moveaxis(vals, ax, 0), np.moveaxis(jump, ax, 0)  # views
+        step = np.abs(v[1:] - v[:-1])
+        np.maximum(big[1:], step, out=big[1:])
+        np.maximum(big[:-1], step, out=big[:-1])
+        curvature += float(np.abs(np.diff(terms, n=2, axis=ax)).sum())
+    # w - pi_kappa is monotone in the squared distance, so its extremes over
+    # a cell sit at the cell's nearest and farthest points from mu_kappa.
+    idx = np.nonzero(jump.reshape(-1))[0]
+    off = np.abs(mesh[idx] - center)
+    near = np.sum(np.maximum(off - 0.5 * width, 0.0) ** 2, axis=-1)
+    far = np.sum((off + 0.5 * width) ** 2, axis=-1)
+    reach = np.maximum(np.abs(excess(near)), np.abs(excess(far)))
+    error = (float(np.sum(jump.reshape(-1)[idx] * reach)) + curvature / 24.0) * cell
+    return EstimateWithError(value, error, vals.size, "quadrature")
 
 
 def _prior_model_draw(ctx: BlythContext, rng: np.random.Generator, size: int):
@@ -427,81 +390,3 @@ def perturb(proc: Procedure, seed: int) -> Procedure:
         return center, radius * (1.0 + width)
 
     return Procedure(eval=ev, label=f"{proc.label}+band[{width:.3f}]", support=supp)
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """A bundle of risk-study results for one context, JSON-serializable."""
-
-    context: BlythContext
-    labels: tuple[str, ...]
-    coverage_grid: tuple
-    bayes_risks: tuple
-    risk_difference_mc: EstimateWithError
-    risk_difference_closed: float
-    k_scaled_difference: float
-
-    def to_dict(self) -> dict:
-        def est(e: EstimateWithError) -> dict:
-            return {
-                "value": e.value,
-                "error": e.error,
-                "n_evals": e.n_evals,
-                "method": e.method,
-            }
-
-        return {
-            "context": {
-                "p": self.context.p,
-                "m": self.context.m,
-                "c": self.context.c,
-                "kappa": self.context.kappa,
-                "eps": self.context.eps,
-            },
-            "labels": list(self.labels),
-            "coverage_grid": [
-                {"mu": list(mu), "lambda": lam, "label": lab, "estimate": est(e)}
-                for (mu, lam, lab, e) in self.coverage_grid
-            ],
-            "bayes_risks": [
-                {"label": lab, "estimate": est(e)} for (lab, e) in self.bayes_risks
-            ],
-            "risk_difference_mc": est(self.risk_difference_mc),
-            "risk_difference_closed": self.risk_difference_closed,
-            "k_scaled_difference": self.k_scaled_difference,
-        }
-
-
-def risk_report(
-    ctx: BlythContext,
-    n: int = 10 ** 5,
-    seed: int = 0,
-    coverage_points: Sequence[tuple] | None = None,
-    workers: int = 1,
-) -> RiskReport:
-    """Run the standard risk study for one context."""
-    procs = [phi0(ctx), phi_kappa(ctx)]
-    if coverage_points is None:
-        coverage_points = [(np.zeros(ctx.p), 1.0), (np.ones(ctx.p), 2.0)]
-    grid = []
-    for i, (mu, lam) in enumerate(coverage_points):
-        for j, proc in enumerate(procs):
-            e = coverage(proc, mu, lam, ctx, n=n, seed=seed + 1000 + 10 * i + j,
-                         workers=workers)
-            grid.append((tuple(np.asarray(mu, float)), lam, proc.label, e))
-    risks = [
-        (proc.label, bayes_risk(proc, ctx, n=n, seed=seed + 2000 + j, workers=workers))
-        for j, proc in enumerate(procs)
-    ]
-    mc = risk_difference_mc(ctx, n=n, seed=seed, workers=workers)
-    closed = risk_difference_closed(ctx)
-    k_scaled = blyth.big_K(ctx) * closed if ctx.kappa > 0 else math.nan
-    return RiskReport(
-        context=ctx,
-        labels=tuple(p.label for p in procs),
-        coverage_grid=tuple(grid),
-        bayes_risks=tuple(risks),
-        risk_difference_mc=mc,
-        risk_difference_closed=closed,
-        k_scaled_difference=k_scaled,
-    )

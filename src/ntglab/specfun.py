@@ -187,8 +187,13 @@ def _small_shape_series(a: float, x: float, tol: Tolerance) -> float:
     # series as
     #   Gamma(a, x) = (expm1(lgamma(a+1)) - expm1(a ln x)) / a - x^a S,
     #   S = sum_{k>=1} (-x)^k / ((a+k) k!),
-    # whose head tends to -euler_gamma - ln x as a -> 0.
-    head = (math.expm1(_log_gamma_1p(a)) - math.expm1(a * math.log(x))) / a
+    # whose head tends to -euler_gamma - ln x as a -> 0.  For subnormal a
+    # the quotient keeps no digits; below 1e-200 the head's O(a) part is far
+    # under double resolution, so the limit is used.
+    if abs(a) < 1e-200:
+        head = -_EULER_GAMMA - math.log(x)
+    else:
+        head = (math.expm1(_log_gamma_1p(a)) - math.expm1(a * math.log(x))) / a
     term = 1.0
     s = 0.0
     for k in range(1, tol.max_iter):

@@ -6,14 +6,12 @@ import pytest
 from ntglab.numint import (
     EstimateWithError,
     integrate_1d,
-    integrate_nd,
     lemma_bigint_check,
     lemma_d_check,
     lemma_smoments_check,
     mc_estimate,
-    spherical_map,
 )
-from ntglab.specfun import Tolerance, upper_incomplete_gamma
+from ntglab.specfun import upper_incomplete_gamma
 
 
 class TestEstimateWithError:
@@ -58,70 +56,6 @@ class TestIntegrate1d:
             if abs(est.value - truth) <= max(est.error, 1e-15):
                 covered += 1
         assert covered / len(cases) >= 0.95
-
-
-class TestSphericalMap:
-    def test_p1_at_zero_angle(self):
-        t, z, jac = spherical_map(1.5, [0.0])
-        assert t == pytest.approx(1.5 ** 2)
-        assert z[0] == pytest.approx(0.0)
-        assert jac == pytest.approx(2 * 1.5 ** 2)
-
-    def test_radius_split(self):
-        # t = (r cos th)^2 and ||z|| = r sin th, so t + ||z||^2 = r^2.
-        rng = np.random.default_rng(0)
-        for p in (1, 2, 3):
-            for _ in range(20):
-                r = float(rng.uniform(0.1, 5.0))
-                thetas = [float(rng.uniform(0.0, math.pi / 2 - 1e-6))]
-                thetas += [float(rng.uniform(0, math.pi)) for _ in range(p - 2)]
-                if p > 1:
-                    thetas.append(float(rng.uniform(0, 2 * math.pi)))
-                t, z, jac = spherical_map(r, thetas)
-                assert t + np.sum(z ** 2) == pytest.approx(r * r, rel=1e-12)
-                assert t == pytest.approx((r * math.cos(thetas[0])) ** 2, rel=1e-12)
-                assert jac > 0.0
-
-    def test_angle_range_validation(self):
-        with pytest.raises(ValueError):
-            spherical_map(1.0, [2.0])  # theta_1 beyond pi/2
-        with pytest.raises(ValueError):
-            spherical_map(-1.0, [0.3])
-
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_change_of_variables_preserves_integrals(self, p):
-        # Integrate exp(-t - ||z||^2) over (0,inf) x R^p both ways; the
-        # Cartesian value is pi^{p/2}.
-        tol = Tolerance(rel=1e-10, abs=1e-13, max_iter=200)
-
-        def radial(r):
-            _, _, jac_unit = spherical_map(r, [0.1] * max(p - 1, 0) + [0.2])
-            return math.exp(-r * r)
-
-        # Factorized spherical evaluation: integrand depends on r only, the
-        # angular part integrates the Jacobian's angle factors.
-        def angular_factor() -> float:
-            dims = []
-            dims.append(integrate_1d(
-                lambda th: math.cos(th) * math.sin(th) ** (p - 1),
-                0.0, math.pi / 2, tol).value)
-            for j in range(2, p):
-                dims.append(integrate_1d(
-                    lambda th, j=j: math.sin(th) ** (p - j), 0.0, math.pi,
-                    tol).value)
-            if p > 1:
-                dims.append(2 * math.pi)
-            else:
-                # p = 1: the map covers only z > 0; the sphere S^0 has two
-                # points, so the z < 0 half-line contributes a factor 2.
-                dims.append(2.0)
-            return math.prod(dims)
-
-        rad = integrate_1d(
-            lambda r: 2.0 * r ** (p + 1) * math.exp(-r * r), 0.0, math.inf, tol
-        ).value
-        spherical_value = rad * angular_factor()
-        assert spherical_value == pytest.approx(math.pi ** (p / 2), rel=1e-8)
 
 
 class TestLemmaBigint:
@@ -228,9 +162,3 @@ class TestMcEstimate:
         a = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)
         b = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)
         assert a == b
-
-
-class TestIntegrateNd:
-    def test_product_box(self):
-        est = integrate_nd(lambda u, v: u * v, [0, 0], [1, 2], None)
-        assert est.value == pytest.approx(1.0, rel=1e-8)

@@ -1,12 +1,12 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from ntglab import blyth
 from ntglab.blyth import BlythContext, Observation
-from ntglab.numint import integrate_1d, integrate_nd
+from ntglab.numint import integrate_1d
 from ntglab.risk import (
     Procedure,
     ball_volume,
@@ -15,14 +15,12 @@ from ntglab.risk import (
     coverage,
     default_c,
     loss,
-    measure,
     perturb,
     phi0,
     phi_kappa,
     posterior_risk,
     risk_difference_closed,
     risk_difference_mc,
-    risk_report,
 )
 from ntglab.specfun import Tolerance, f_cdf
 
@@ -33,54 +31,100 @@ def _ctx(**kw):
     return BlythContext(**defaults)
 
 
-def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid=None):
+def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
     # Reference posterior risk that does not use the conjugate closed form
     # of the lambda-integral: an outer quadrature over lambda of
     #   r_kappa(c s / m | lambda) * volume - integral of eval * r_kappa(t | lambda),
-    # against the posterior density of lambda.  The mu-integral uses the
-    # same midpoint grid as posterior_risk, or adaptive quadrature.
+    # against the posterior density of lambda.  The mu-integral and the
+    # volume use the same midpoint grid as posterior_risk.
     center = blyth.mu_kappa(obs.x, ctx.kappa)
     k1 = 1.0 + ctx.kappa
     c, r = proc.support(obs.x, obs.s)
     lo, hi = np.atleast_1d(c - r), np.atleast_1d(c + r)
-    if inner_grid is not None:
-        n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
-        axes = [
-            lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis
-            for j in range(ctx.p)
-        ]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ctx.p)
-        cell = float(np.prod((hi - lo) / n_axis))
-        d2 = np.sum((mesh - center) ** 2, axis=-1)
-        vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), float)
-        if proc.closed_form_measure is not None:
-            ups = float(proc.closed_form_measure(obs.x, obs.s))
-        else:
-            ups = float(np.sum(vals)) * cell
+    n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
+    axes = [
+        lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis
+        for j in range(ctx.p)
+    ]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ctx.p)
+    cell = float(np.prod((hi - lo) / n_axis))
+    d2 = np.sum((mesh - center) ** 2, axis=-1)
+    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), float)
+    ups = float(np.sum(vals)) * cell
 
-        def inner(lam):
-            dens = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(
-                -0.5 * k1 * lam * d2
-            )
-            hit = float(np.sum(vals * dens)) * cell
-            return blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
-
-    else:
-        ups = measure(proc, obs.x, obs.s, tol).value
-
-        def inner(lam):
-            def g(*mu):
-                muv = np.array(mu)
-                d2 = float(np.sum((muv - center) ** 2))
-                return float(proc.eval(obs.x, obs.s, muv)) * blyth.r_kappa(d2, lam, ctx)
-
-            hit = integrate_nd(g, lo, hi, tol).value
-            return blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
+    def inner(lam):
+        dens = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(
+            -0.5 * k1 * lam * d2
+        )
+        hit = float(np.sum(vals * dens)) * cell
+        return blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
 
     return integrate_1d(
         lambda lam: blyth.lambda_posterior_density(ctx, obs, lam) * inner(lam),
         ctx.eps, math.inf, tol,
     ).value
+
+
+def _log_mu_posterior(ctx, obs, t):
+    # ln of the posterior density of mu at squared distance t from
+    # x / (1 + kappa), from scipy's incomplete gamma rather than specfun.
+    def log_upper_gamma(a, z):
+        return math.log(special.gammaincc(a, z)) + special.gammaln(a)
+
+    k1 = 1.0 + ctx.kappa
+    bk = 0.5 * (obs.s + ctx.kappa / k1 * float(np.sum(np.square(obs.x))))
+    a = 0.5 * (ctx.m + ctx.p)
+    b = bk + 0.5 * k1 * t
+    return (0.5 * ctx.p * math.log(k1 / (2.0 * math.pi)) + 0.5 * ctx.m * math.log(bk)
+            - log_upper_gamma(0.5 * ctx.m, ctx.eps * bk)
+            + log_upper_gamma(a, ctx.eps * b) - a * math.log(b))
+
+
+def _radial_ball_risk(ctx, obs):
+    # Posterior risk of phi_kappa: the density on the boundary times the
+    # ball's volume, minus the ball's posterior mass by radial quadrature.
+    r2 = ctx.c * obs.s / ctx.m
+    area = 2.0 * math.pi ** (0.5 * ctx.p) / math.gamma(0.5 * ctx.p)
+
+    def shell(r):
+        return area * r ** (ctx.p - 1) * math.exp(_log_mu_posterior(ctx, obs, r * r))
+
+    mass = integrate.quad(shell, 0.0, math.sqrt(r2), epsabs=1e-14, epsrel=1e-12)[0]
+    return math.exp(_log_mu_posterior(ctx, obs, r2)) * area * r2 ** (0.5 * ctx.p) / ctx.p - mass
+
+
+def _split_reference(proc, ctx, obs):
+    # p = 1 posterior risk of any procedure: locate the jumps of eval by
+    # bisection, then integrate phi * (w - pi_kappa) piece by piece, phi
+    # being constant on each piece.
+    center, radius = proc.support(obs.x, obs.s)
+    lo, hi = float(center[0] - radius), float(center[0] + radius)
+
+    def ev(u):
+        return float(proc.eval(obs.x, obs.s, np.array([u])))
+
+    coarse = np.linspace(lo, hi, 2001)
+    cuts = [lo]
+    for a, b in zip(coarse, coarse[1:]):
+        va = ev(a)
+        if ev(b) != va:
+            for _ in range(64):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if ev(mid) == va else (a, mid)
+            cuts.append(0.5 * (a + b))
+    cuts.append(hi)
+    mid_k = float(obs.x[0]) / (1.0 + ctx.kappa)
+    w = math.exp(_log_mu_posterior(ctx, obs, ctx.c * obs.s / ctx.m))
+    tight = Tolerance(rel=1e-13, abs=1e-15, max_iter=200)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        phi = ev(0.5 * (a + b))
+        if phi:
+            total += phi * integrate_1d(
+                lambda u: w - math.exp(_log_mu_posterior(ctx, obs, (u - mid_k) ** 2)),
+                a, b, tight,
+            ).value
+    return total
 
 
 def _rival(base, family):
@@ -138,47 +182,12 @@ class TestProcedures:
         ctx = _ctx(p=2, kappa=0.7)
         x = np.array([0.3, -0.8])
         for s in (0.5, 2.0):
-            v0 = measure(phi0(ctx), x, s).value
-            vk = measure(phi_kappa(ctx), x, s).value
+            v0 = phi0(ctx).closed_form_measure(x, s)
+            vk = phi_kappa(ctx).closed_form_measure(x, s)
             assert v0 == pytest.approx(vk, rel=1e-14)
             assert v0 == pytest.approx(
                 ball_volume(2, ctx.c * s / ctx.m), rel=1e-14
             )
-
-
-class TestMeasure:
-    def test_numeric_matches_closed(self):
-        ctx = _ctx(p=2)
-        base = phi0(ctx)
-        numeric_proc = Procedure(
-            eval=base.eval, label="phi0-numeric", support=base.support
-        )
-        x = np.array([0.5, -0.2])
-        s = 1.3
-        closed = measure(base, x, s).value
-        # The indicator's circular boundary limits what nested quadrature
-        # can certify; the realized error is far smaller than the bound.
-        numeric = measure(numeric_proc, x, s, Tolerance(rel=1e-3, abs=1e-6))
-        assert abs(numeric.value - closed) <= numeric.error
-        assert numeric.value == pytest.approx(closed, rel=1e-3)
-
-    def test_half_weight_halves_the_measure(self):
-        ctx = _ctx(p=1)
-        base = phi0(ctx)
-
-        def half(x, s, mu):
-            return 0.5 * np.asarray(base.eval(x, s, mu), dtype=float)
-
-        proc = Procedure(eval=half, label="half-ball", support=base.support)
-        x = np.array([0.0])
-        s = 2.0
-        full = measure(base, x, s).value
-        assert measure(proc, x, s).value == pytest.approx(0.5 * full, rel=1e-6)
-
-    def test_missing_support_rejected(self):
-        proc = Procedure(eval=lambda *a: 0.0, label="bare")
-        with pytest.raises(ValueError):
-            measure(proc, np.zeros(1), 1.0)
 
 
 class TestCoverage:
@@ -221,6 +230,13 @@ class TestLoss:
             ),
         )
         assert loss(proc, ctx, np.zeros(2), 1.0, np.zeros(2), 1.5) == 0.0
+
+    def test_requires_closed_measure(self):
+        ctx = _ctx()
+        base = phi0(ctx)
+        bare = Procedure(eval=base.eval, label="bare", support=base.support)
+        with pytest.raises(ValueError):
+            loss(bare, ctx, np.zeros(2), 1.0, np.zeros(2), 1.5)
 
     def test_hand_value(self):
         ctx = _ctx(p=2, m=2, c=2.0, kappa=1.0)
@@ -281,12 +297,21 @@ class TestPosteriorRisk:
     def test_grid_path_matches_adaptive(self):
         ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
         obs = Observation(x=np.array([1.2]), s=1.5)
-        exact = posterior_risk(phi_kappa(ctx), ctx, obs).value
         grid = posterior_risk(
             phi_kappa(ctx), ctx, obs,
             Tolerance(rel=1e-6, abs=1e-9, max_iter=200), inner_grid=65536,
         ).value
-        assert grid == pytest.approx(exact, abs=1e-8)
+        assert grid == pytest.approx(_radial_ball_risk(ctx, obs), abs=1e-8)
+
+    def test_p2_ball_matches_radial_oracle(self):
+        # phi * (w - pi_kappa) has no jump on the ball's boundary, so the
+        # midpoint sum converges at p = 2 too, and its error covers the gap.
+        ctx = _ctx(p=2, m=2, c=2.0, kappa=0.5)
+        obs = Observation(x=np.array([0.6, -0.4]), s=1.5)
+        grid = posterior_risk(phi_kappa(ctx), ctx, obs, inner_grid=65536)
+        gap = abs(grid.value - _radial_ball_risk(ctx, obs))
+        assert gap <= 1e-6
+        assert gap <= grid.error
 
     _TIGHT = Tolerance(rel=1e-12, abs=1e-14, max_iter=200)
     _PROBES = {1: np.array([1.2]), 2: np.array([0.6, -0.4])}
@@ -302,30 +327,39 @@ class TestPosteriorRisk:
         ref = _nested_posterior_risk(proc, ctx, obs, self._TIGHT, inner_grid=4096)
         assert got.value == pytest.approx(ref, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "kappa,kind",
-        [(0.0, "ball"), (0.5, "ball"), (0.0, "scale"), (0.5, "offset"), (0.5, "band")],
-    )
-    def test_adaptive_path_matches_nested_oracle(self, kappa, kind):
-        # p = 1 only: nested 2-D adaptive quadrature of an indicator does
-        # not reach these tolerances.  One band probe, because the oracle
-        # resolves the band's jumps at every lambda-node (about 10 s).
-        ctx = _ctx(p=1, m=2, c=2.0, kappa=kappa)
-        obs = Observation(x=self._PROBES[1], s=1.5)
-        proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
-        got = posterior_risk(proc, ctx, obs, self._TIGHT)
-        ref = _nested_posterior_risk(proc, ctx, obs, self._TIGHT)
-        assert got.value == pytest.approx(ref, abs=1e-10)
-        assert got.n_evals >= 1
-
     @pytest.mark.parametrize("kind", ["ball", "offset", "band"])
     def test_grid_error_covers_the_adaptive_value(self, kind):
         ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
         obs = Observation(x=self._PROBES[1], s=1.5)
         proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
-        exact = posterior_risk(proc, ctx, obs, self._TIGHT).value
+        exact = _split_reference(proc, ctx, obs)
         grid = posterior_risk(proc, ctx, obs, inner_grid=65536)
-        assert 0.0 < abs(grid.value - exact) <= grid.error
+        assert 0.0 < abs(grid.value - exact) <= grid.error <= 1e-5
+
+    def test_default_grid(self):
+        ctx = _ctx(p=2, m=2, c=2.0, kappa=0.5)
+        obs = Observation(x=self._PROBES[2], s=1.5)
+        default = posterior_risk(phi_kappa(ctx), ctx, obs)
+        assert default == posterior_risk(phi_kappa(ctx), ctx, obs, inner_grid=4096)
+
+    def test_half_weight_halves_the_risk(self):
+        # The midpoint sum is linear in phi, and halving is exact in floats.
+        ctx = _ctx(p=2, kappa=0.5)
+        base = phi_kappa(ctx)
+
+        def half(x, s, mu):
+            return 0.5 * np.asarray(base.eval(x, s, mu), dtype=float)
+
+        proc = Procedure(eval=half, label="half-ball", support=base.support)
+        obs = Observation(x=self._PROBES[2], s=1.5)
+        full = posterior_risk(base, ctx, obs).value
+        assert posterior_risk(proc, ctx, obs).value == 0.5 * full
+
+    def test_missing_support_rejected(self):
+        ctx = _ctx(p=1)
+        proc = Procedure(eval=lambda *a: 0.0, label="bare")
+        with pytest.raises(ValueError):
+            posterior_risk(proc, ctx, Observation(x=np.zeros(1), s=1.0))
 
     def test_risk_is_negative_for_sensible_balls(self):
         # A well-placed ball earns more coverage than it pays in volume.
@@ -475,20 +509,3 @@ class TestPerturb:
             )
             dist = np.sqrt(np.sum((probes - center) ** 2, axis=-1))
             assert np.all(vals[dist > radius + 1e-12] == 0.0)
-
-
-class TestRiskReport:
-    def test_serializable_and_consistent(self):
-        ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
-        report = risk_report(ctx, n=20_000, seed=7)
-        payload = report.to_dict()
-        text = json.dumps(payload, sort_keys=True)
-        assert "phi0" in payload["labels"][0]
-        assert payload["risk_difference_closed"] == risk_difference_closed(ctx)
-        assert json.loads(text)["context"]["kappa"] == 0.5
-
-    def test_deterministic(self):
-        ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
-        a = risk_report(ctx, n=10_000, seed=3).to_dict()
-        b = risk_report(ctx, n=10_000, seed=3).to_dict()
-        assert a == b

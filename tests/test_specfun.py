@@ -74,6 +74,15 @@ class TestUpperIncompleteGamma:
             )
             assert upper_incomplete_gamma(a, x) == pytest.approx(truth, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_shape_is_the_zero_shape(self, a):
+        # Gamma(a, x) is continuous in a, and at |a| < 1e-300 it equals
+        # Gamma(0, x) = E1(x) to double resolution.
+        from scipy.special import exp1
+
+        for x in (0.01, 0.75):
+            assert upper_incomplete_gamma(a, x) == pytest.approx(float(exp1(x)), rel=1e-14)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
