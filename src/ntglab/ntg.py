@@ -228,55 +228,111 @@ def marginal_obs_density(params: NtGParams, m: int, x: np.ndarray, s: float) -> 
     )
 
 
-def _lambda_survival(params: NtGParams, t: float) -> float:
-    # P(lambda > t) under the prior, for t >= eps0.
-    if params.beta0 > 0:
-        num = _upper_gamma0(params.alpha0, params.beta0 * t)
-        den = _upper_gamma0(params.alpha0, params.beta0 * params.eps0)
-        return num / den
-    return (t / params.eps0) ** params.alpha0
+# Abramowitz & Stegun 26.2.23: a rational fit to the upper standard-normal
+# quantile, good to 4.5e-4; only a Newton starting value needs it.
+_AS_NUM = (2.515517, 0.802853, 0.010328)
+_AS_DEN = (1.432788, 0.189269, 0.001308)
+_LN_HALF = -math.log(2.0)
+_NEWTON_CAP = 200
+
+
+def _normal_upper_quantile(log_q: float) -> float:
+    # z with P(Z > z) = q for a standard normal Z, from ln q < 0.
+    sign = 1.0
+    if log_q > _LN_HALF:
+        log_q = math.log(-math.expm1(log_q))
+        sign = -1.0
+    t = math.sqrt(-2.0 * log_q)
+    num = _AS_NUM[0] + t * (_AS_NUM[1] + t * _AS_NUM[2])
+    den = 1.0 + t * (_AS_DEN[0] + t * (_AS_DEN[1] + t * _AS_DEN[2]))
+    return sign * (t - num / den)
+
+
+def _gamma_quantile_start(a: float, log_q: float) -> float:
+    # y with Gamma(a, y) / Gamma(a) ~ q for a > 0 (DiDonato & Morris 1986):
+    # the Wilson-Hilferty cube, or P(a, y) ~ y^a / Gamma(a + 1) where the
+    # cube is not positive (small a, q near 1).
+    c = 1.0 / (9.0 * a)
+    w = 1.0 - c + _normal_upper_quantile(log_q) * math.sqrt(c)
+    if w > 0.0:
+        return a * w ** 3
+    return math.exp((math.log(-math.expm1(log_q)) + math.lgamma(a + 1.0)) / a)
 
 
 def _sample_lambda(params: NtGParams, u: float) -> float:
-    # Inverse-CDF draw of the precision from a uniform u in (0, 1).
+    # Inverse-CDF draw of the precision: the t >= eps0 with P(lambda > t) = u.
+    if not 0.0 < u <= 1.0:
+        raise ValueError(f"u must lie in (0, 1], got {u}")
     if params.beta0 == 0.0:
         # Closed-form inverse: survival (t/eps0)^{alpha0} with alpha0 < 0.
         return params.eps0 * u ** (1.0 / params.alpha0)
-    # Bisection on the survival function over an expanding bracket.
-    lo = params.eps0
-    hi = max(2.0 * params.eps0, params.eps0 + 1.0)
-    it = 0
-    while _lambda_survival(params, hi) > u:
-        lo, hi = hi, 2.0 * hi
-        it += 1
-        if it > 2000:
-            raise ConvergenceError(
-                "precision inverse-CDF bracket expansion failed",
-                partial=(lo, hi),
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _lambda_survival(params, mid) > u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, mid):
-            break
-    else:
-        raise ConvergenceError(
-            "precision inverse-CDF bisection did not converge",
-            partial=(lo, hi),
-        )
-    return 0.5 * (lo + hi)
+    if u == 1.0:
+        return params.eps0
+    # Safeguarded Newton on f(y) = ln(Gamma(a, y) / Gamma(a, y0)) - ln u with
+    # y = beta0 * t and y0 = beta0 * eps0.  f' = -h, h = y^{a-1} e^{-y} /
+    # Gamma(a, y) the hazard, taken in log space.  Forming the ratio before
+    # the log keeps f's rounding near that of ln u when Gamma is huge.  f is
+    # decreasing, so each evaluation narrows a bracket [lo, hi]; a step that
+    # leaves it, or that fails to halve the step before last, is replaced by
+    # bisection (by doubling while no upper end is known).
+    a, beta = params.alpha0, params.beta0
+    lo, hi = beta * params.eps0, math.inf
+    g0 = g = _upper_gamma0(a, lo)
+    if not 0.0 < g0 < math.inf:
+        raise OverflowError(f"Gamma({a}, {lo}) = {g0} is out of double range")
+    log_u = math.log(u)
+    y = lo
+    if a > 0.0:
+        log_q = min(log_u, log_u + math.log(g0) - math.lgamma(a))
+        start = _gamma_quantile_start(a, log_q)
+        if start > lo:
+            y, g = start, upper_incomplete_gamma(a, start)
+        elif lo == 0.0:  # the quantile is below the smallest double
+            return 0.0
+    older = last = math.inf
+    for _ in range(_NEWTON_CAP):
+        if g == math.inf:  # Gamma(a, y) <= Gamma(a, y0) is finite
+            raise OverflowError(f"Gamma({a}, {y}) saturated to inf")
+        if g > 0.0:
+            f = math.log(g / g0) - log_u
+            neg_log_h = math.log(g) + y - (a - 1.0) * math.log(y)
+            if neg_log_h < 700.0:
+                step = f * math.exp(neg_log_h)
+            else:
+                step = math.copysign(math.inf, f)
+        else:  # Gamma(a, y) underflowed: y lies far beyond the root.
+            f = step = -math.inf
+        if f > 0.0:
+            lo = y
+        elif f < 0.0:
+            hi = y
+        nxt = y + step
+        safe = lo < nxt < hi and not (hi < math.inf and abs(step) > 0.5 * abs(older))
+        # A converged step may round onto a bracket end; it is kept.
+        if not safe and abs(step) > 1e-14 * y:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
+        older, last = last, nxt - y
+        if abs(last) <= 1e-14 * nxt:
+            # nxt / beta may round below eps0 when u is an ulp from 1.
+            return max(nxt / beta, params.eps0)
+        y, g = nxt, upper_incomplete_gamma(a, nxt)
+    raise ConvergenceError(
+        "precision inverse-CDF Newton iteration did not converge",
+        partial=(lo / beta, hi / beta),
+    )
 
 
 def sample_prior(params: NtGParams, rng: np.random.Generator) -> LocationScale:
     """Draw (mu, lambda) from the prior; deterministic for a given generator.
 
-    The precision is drawn by inverse CDF from its marginal, then
-    ``mu | lambda ~ N(mu0, I_p / (kappa0 * lambda))``.
+    The precision is drawn by inverse CDF from its marginal (a safeguarded
+    Newton iteration on the incomplete-gamma survival function, or a closed
+    form when beta0 = 0), then ``mu | lambda ~ N(mu0, I_p / (kappa0 * lambda))``.
+    A uniform of exactly 0, which ``rng.random()`` can return, is drawn again.
     """
     u = rng.random()
+    while u == 0.0:
+        u = rng.random()
     lam = _sample_lambda(params, u)
     mu = params.mu0 + rng.standard_normal(params.p) / math.sqrt(params.kappa0 * lam)
     return LocationScale(mu=mu, lam=lam)

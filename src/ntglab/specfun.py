@@ -52,6 +52,10 @@ class Tolerance:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+# The default targets; a frozen instance is shared instead of rebuilt per call.
+_DEFAULT_TOL = Tolerance()
+
+
 class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to converge within max_iter.
 
@@ -228,14 +232,15 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
     For a <= 0 the continued fraction still applies
     when x is not small; for small x the value is obtained by running the
     recurrence ``Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a`` downward
-    from a positive (or the fractional-part) shape.  The downward direction
-    is stable there because the ``x^a e^{-x}`` term dominates.
+    from the shape in (-1/2, 1/2] that differs from a by an integer.  The
+    downward direction is stable there because the ``x^a e^{-x}`` term
+    dominates.
 
     Overflow saturates to ``inf``; results below the underflow threshold
     saturate to 0.0.
     """
     if tol is None:
-        tol = Tolerance()
+        tol = _DEFAULT_TOL
     if x == math.inf:
         return 0.0
     if not (math.isfinite(x) and x > 0):
@@ -263,15 +268,18 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
         # finish by dividing a cancelled difference by the tiny a itself.
         return _small_shape_series(a, x, tol)
 
-    # Small x: recurrence downward from a shape in (0, 1], seeded with the
-    # series (non-integer a) or with E1 (integer a).
+    # Small x: recurrence downward from a shape in (-1/2, 1/2], seeded with
+    # E1 (integer a) or the series for that shape.  Seeding from the
+    # fractional part in (1/2, 1) instead would pass through a shape near 0
+    # when a lies just below an integer, and divide a cancelled difference
+    # by it (Gamma(-1 - 2^-52, 0.5) came out 67% off).
     frac = a - math.floor(a)
     if frac == 0.0:
         g = _e1_series(x)
         cur = 0.0
     else:
-        g = upper_incomplete_gamma(frac, x, tol)
-        cur = frac
+        cur = frac if frac <= 0.5 else frac - 1.0
+        g = upper_incomplete_gamma(cur, x, tol)
     emx = math.exp(-x)
     while cur > a:
         cur -= 1.0
@@ -353,7 +361,7 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("upper_incomplete_gamma_array requires every x > 0")
-    tol = Tolerance()
+    tol = _DEFAULT_TOL
     flat = x.ravel()
     out = np.zeros(flat.shape)
     low = flat < a + 1.0
@@ -438,7 +446,7 @@ def f_cdf(d1: int, d2: int, t: float, tol: Tolerance | None = None) -> float:
     if t == math.inf:
         return 1.0
     if tol is None:
-        tol = Tolerance()
+        tol = _DEFAULT_TOL
     # I_y(d1/2, d2/2) with y = d1 t / (d1 t + d2); evaluate the smaller tail
     # to keep absolute accuracy.
     y = d1 * t / (d1 * t + d2)

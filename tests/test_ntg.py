@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ntglab import ntg
 from ntglab.blyth import likelihood
@@ -403,6 +404,105 @@ class TestSampling:
             assert (lam / params.eps0) ** params.alpha0 == pytest.approx(
                 u, rel=1e-12
             )
+
+    def test_u_outside_unit_interval_rejected(self):
+        for params in (_proper_params(alpha0=-2.5, beta0=0.0, eps0=1.3),
+                       _proper_params(alpha0=1.5, beta0=1.0, eps0=0.5)):
+            for u in (0.0, -0.25, 1.5, math.nan):
+                with pytest.raises(ValueError):
+                    ntg._sample_lambda(params, u)
+            assert ntg._sample_lambda(params, 1.0) == params.eps0
+
+    @pytest.mark.parametrize("beta0", [0.0, 1.0])
+    def test_zero_uniform_is_redrawn(self, beta0):
+        class Stub:
+            def __init__(self):
+                self.uniforms = [0.0, 0.3]
+
+            def random(self):
+                return self.uniforms.pop(0)
+
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        params = _proper_params(alpha0=-1.5, beta0=beta0, eps0=0.5)
+        stub = Stub()
+        point = sample_prior(params, stub)
+        assert stub.uniforms == []
+        assert point.lam == ntg._sample_lambda(params, 0.3)
+
+
+def _survival_check(params, u, lam):
+    # (ln S(lam) - ln u, cond) from mpmath at 30 digits, where S is the
+    # precision's survival function Gamma(a, beta0 lam) / Gamma(a, beta0 eps0)
+    # and cond = Gamma(a, y) / (y^a e^{-y}) is the relative condition number
+    # of lam as a function of u.  Their product is lam's relative error to
+    # first order.
+    mpmath = pytest.importorskip("mpmath")
+    a, beta = params.alpha0, params.beta0
+    with mpmath.workdps(30):
+        y = mpmath.mpf(beta) * mpmath.mpf(lam)
+        g = mpmath.gammainc(a, y)
+        g0 = mpmath.gammainc(a, mpmath.mpf(beta) * mpmath.mpf(params.eps0))
+        resid = mpmath.log(g / g0) - mpmath.log(mpmath.mpf(u))
+        cond = g / (y ** a * mpmath.exp(-y))
+        return float(resid), float(cond)
+
+
+class TestPrecisionInverse:
+    # A subnormal shape has Gamma(a) = inf, so no normalising constant.
+    @given(
+        alpha0=st.floats(min_value=-3.0, max_value=60.0, allow_subnormal=False),
+        beta0=st.floats(min_value=0.05, max_value=20.0),
+        eps0=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=3.0)),
+        u=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, alpha0, beta0, eps0, u):
+        assume(eps0 > 0.0 or alpha0 > 0.0)
+        params = _proper_params(alpha0=alpha0, beta0=beta0, eps0=eps0)
+        lam = ntg._sample_lambda(params, u)
+        # A shape near 0 without truncation puts the quantile below the
+        # doubles; there is nothing to compare.
+        assume(lam > 1e-300)
+        assert lam >= eps0
+        resid, cond = _survival_check(params, u, lam)
+        # Backward error: lam is the exact draw for a uniform u' with
+        # |ln u' - ln u| at the accuracy of Gamma, however ill-conditioned
+        # the inverse is, plus the 1e-14 / cond that the stopping rule's
+        # relative step of 1e-14 allows.
+        assert abs(resid) <= 5e-13 + 2e-14 / cond
+        # Forward error: to first order lam is off by resid * cond
+        # relative, so Gamma's ~1e-13 accuracy supports a 1e-11 check where
+        # cond <= 50.  Beyond that (eps0 = 0 with u near 1) the upper-Gamma
+        # equation cannot resolve lam to 1e-11.
+        if cond <= 50.0:
+            assert abs(resid) * cond <= 1e-11
+            if alpha0 > 0.0:
+                # scipy's inverse, where its argument is a normal double.
+                q = u * special.gammaincc(alpha0, beta0 * eps0)
+                if q >= 1e-300:
+                    want = special.gammainccinv(alpha0, q) / beta0
+                    assert abs(lam - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("m", [17, 97, 197])
+    def test_gamma_call_budget(self, m, monkeypatch):
+        # A regression posterior: the blyth prior updated with m residual
+        # degrees of freedom.
+        prior = NtGParams(1, np.zeros(1), 0.5, -0.5, 0.0, 0.5)
+        post = posterior_update(prior, np.array([0.3]), float(m), m)
+        calls = []
+
+        def counted(a, x, tol=None):
+            calls.append((a, x))
+            return upper_incomplete_gamma(a, x, tol)
+
+        monkeypatch.setattr(ntg, "upper_incomplete_gamma", counted)
+        rng = np.random.default_rng(m)
+        n = 200
+        for _ in range(n):
+            sample_prior(post, rng)
+        assert len(calls) / n <= 8.0
 
 
 @given(

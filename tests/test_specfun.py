@@ -83,6 +83,19 @@ class TestUpperIncompleteGamma:
         for x in (0.01, 0.75):
             assert upper_incomplete_gamma(a, x) == pytest.approx(float(exp1(x)), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "a", [-1.0 - 2.0 ** -52, -1.0 - 1e-7, -1.00390625, -2.0 - 1e-10, -3.0 - 2.0 ** -51]
+    )
+    def test_shape_just_below_a_negative_integer(self, a):
+        # The small-x downward recurrence must not pass through a shape near
+        # 0; seeded from the fractional part it did, and Gamma(-1 - 2^-52,
+        # 0.5) came out 67% off.
+        mpmath = pytest.importorskip("mpmath")
+        for x in (0.05, 0.5, 0.9):
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(a, x))
+            assert upper_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
