@@ -14,7 +14,9 @@ Example:
 import argparse
 
 from ntglab.blyth import BlythContext
-from ntglab.risk import default_c, risk_difference_closed, risk_difference_mc
+from ntglab.risk import (
+    default_c, risk_difference_closed, risk_difference_mc, risk_difference_z,
+)
 
 
 def main() -> None:
@@ -40,7 +42,7 @@ def main() -> None:
                     ctx = BlythContext(p=p, m=m, c=c, kappa=kappa, eps=eps)
                     closed = risk_difference_closed(ctx)
                     mc = risk_difference_mc(ctx, n=args.n, seed=args.seed)
-                    z = (mc.value - closed) / mc.error if mc.error else 0.0
+                    z = risk_difference_z(mc, closed, kappa)
                     print(f"{p:2d} {m:2d} {kappa:6.3f} {eps:5.2f} "
                           f"{closed:12.6g} {mc.value:12.6g} "
                           f"{mc.error:10.3g} {z:6.2f}")

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import regress, verify
+from . import regress, risk, verify
 from .blyth import BlythContext
 from .risk import blyth_scaling, default_c, risk_difference_closed, risk_difference_mc
 
@@ -111,13 +111,7 @@ def cmd_risk_diff(args) -> int:
         ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps)
         closed = risk_difference_closed(ctx)
         mc = risk_difference_mc(ctx, n=config.mc_n, seed=config.seed)
-        if mc.error > 0 and math.isfinite(mc.error):
-            z = (mc.value - closed) / mc.error
-        elif ctx.kappa == 0.0 and mc.error == 0.0 and mc.value == closed:
-            # At kappa = 0 both sides are exactly 0, so a zero error is right.
-            z = 0.0
-        else:
-            z = math.inf  # no usable standard error: fail
+        z = risk.risk_difference_z(mc, closed, ctx.kappa)
         rows.append(
             {
                 "eps": eps,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import log_gamma, upper_incomplete_gamma, ConvergenceError
+from .specfun import _newton_root, log_gamma, upper_incomplete_gamma
 
 __all__ = [
     "NtGParams",
@@ -233,7 +233,6 @@ def marginal_obs_density(params: NtGParams, m: int, x: np.ndarray, s: float) -> 
 _AS_NUM = (2.515517, 0.802853, 0.010328)
 _AS_DEN = (1.432788, 0.189269, 0.001308)
 _LN_HALF = -math.log(2.0)
-_NEWTON_CAP = 200
 
 
 def _normal_upper_quantile(log_q: float) -> float:
@@ -271,55 +270,36 @@ def _sample_lambda(params: NtGParams, u: float) -> float:
     # Safeguarded Newton on f(y) = ln(Gamma(a, y) / Gamma(a, y0)) - ln u with
     # y = beta0 * t and y0 = beta0 * eps0.  f' = -h, h = y^{a-1} e^{-y} /
     # Gamma(a, y) the hazard, taken in log space.  Forming the ratio before
-    # the log keeps f's rounding near that of ln u when Gamma is huge.  f is
-    # decreasing, so each evaluation narrows a bracket [lo, hi]; a step that
-    # leaves it, or that fails to halve the step before last, is replaced by
-    # bisection (by doubling while no upper end is known).
+    # the log keeps f's rounding near that of ln u when Gamma is huge.
     a, beta = params.alpha0, params.beta0
-    lo, hi = beta * params.eps0, math.inf
-    g0 = g = _upper_gamma0(a, lo)
+    y0 = beta * params.eps0
+    g0 = _upper_gamma0(a, y0)
     if not 0.0 < g0 < math.inf:
-        raise OverflowError(f"Gamma({a}, {lo}) = {g0} is out of double range")
+        raise OverflowError(f"Gamma({a}, {y0}) = {g0} is out of double range")
     log_u = math.log(u)
-    y = lo
+    y = y0
     if a > 0.0:
         log_q = min(log_u, log_u + math.log(g0) - math.lgamma(a))
         start = _gamma_quantile_start(a, log_q)
-        if start > lo:
-            y, g = start, upper_incomplete_gamma(a, start)
-        elif lo == 0.0:  # the quantile is below the smallest double
+        if start > y0:
+            y = start
+        elif y0 == 0.0:  # the quantile is below the smallest double
             return 0.0
-    older = last = math.inf
-    for _ in range(_NEWTON_CAP):
+
+    def newton(y: float) -> tuple[float, float]:
+        g = g0 if y == y0 else upper_incomplete_gamma(a, y)
         if g == math.inf:  # Gamma(a, y) <= Gamma(a, y0) is finite
             raise OverflowError(f"Gamma({a}, {y}) saturated to inf")
-        if g > 0.0:
-            f = math.log(g / g0) - log_u
-            neg_log_h = math.log(g) + y - (a - 1.0) * math.log(y)
-            if neg_log_h < 700.0:
-                step = f * math.exp(neg_log_h)
-            else:
-                step = math.copysign(math.inf, f)
-        else:  # Gamma(a, y) underflowed: y lies far beyond the root.
-            f = step = -math.inf
-        if f > 0.0:
-            lo = y
-        elif f < 0.0:
-            hi = y
-        nxt = y + step
-        safe = lo < nxt < hi and not (hi < math.inf and abs(step) > 0.5 * abs(older))
-        # A converged step may round onto a bracket end; it is kept.
-        if not safe and abs(step) > 1e-14 * y:
-            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
-        older, last = last, nxt - y
-        if abs(last) <= 1e-14 * nxt:
-            # nxt / beta may round below eps0 when u is an ulp from 1.
-            return max(nxt / beta, params.eps0)
-        y, g = nxt, upper_incomplete_gamma(a, nxt)
-    raise ConvergenceError(
-        "precision inverse-CDF Newton iteration did not converge",
-        partial=(lo / beta, hi / beta),
-    )
+        if not g > 0.0:  # Gamma(a, y) underflowed: y lies far beyond the root.
+            return -math.inf, -math.inf
+        f = math.log(g / g0) - log_u
+        neg_log_h = math.log(g) + y - (a - 1.0) * math.log(y)
+        if neg_log_h < 700.0:
+            return f, f * math.exp(neg_log_h)
+        return f, math.copysign(math.inf, f)
+
+    # The root / beta may round below eps0 when u is an ulp from 1.
+    return max(_newton_root(newton, y, y0) / beta, params.eps0)
 
 
 def sample_prior(params: NtGParams, rng: np.random.Generator) -> LocationScale:

@@ -91,6 +91,7 @@ def integrate_1d(
     if tol is None:
         tol = Tolerance(rel=1e-10, abs=1e-12, max_iter=200)
     limit = max(tol.max_iter, 50)
+    kwargs = {}
     if a == -math.inf and b == math.inf:
         def g(u: float) -> float:
             w = 1.0 - u * u
@@ -98,40 +99,25 @@ def integrate_1d(
                 return 0.0
             return f(u / w) * (1.0 + u * u) / (w * w)
 
-        val, err, info = quad(
-            g, -1.0, 1.0, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
-            full_output=True,
-        )[:3]
-    elif b == math.inf:
+        lo, hi = -1.0, 1.0
+    elif a == -math.inf or b == math.inf:
+        end, sign = (a, 1.0) if b == math.inf else (b, -1.0)
+
         def g(u: float) -> float:
             w = 1.0 - u
             if w <= 0.0:
                 return 0.0
-            return f(a + u / w) / (w * w)
+            return f(end + sign * u / w) / (w * w)
 
-        val, err, info = quad(
-            g, 0.0, 1.0, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
-            full_output=True,
-        )[:3]
-    elif a == -math.inf:
-        def g(u: float) -> float:
-            w = 1.0 - u
-            if w <= 0.0:
-                return 0.0
-            return f(b - u / w) / (w * w)
-
-        val, err, info = quad(
-            g, 0.0, 1.0, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
-            full_output=True,
-        )[:3]
+        lo, hi = 0.0, 1.0
     else:
-        kwargs = {}
+        g, lo, hi = f, a, b
         if points:
             kwargs["points"] = [p for p in points if a < p < b]
-        val, err, info = quad(
-            f, a, b, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
-            full_output=True, **kwargs,
-        )[:3]
+    val, err, info = quad(
+        g, lo, hi, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
+        full_output=True, **kwargs,
+    )[:3]
     neval = int(info["neval"])
     if not math.isfinite(val):
         raise QuadratureError(
@@ -151,7 +137,7 @@ def _sphere_area(p: int) -> float:
     return 2.0 * math.pi ** (0.5 * p) / math.exp(log_gamma(0.5 * p))
 
 
-def _radial_weighted(g: float, r_pow: float, tol: Tolerance) -> EstimateWithError:
+def _radial_weighted(g: float, r_pow: float) -> EstimateWithError:
     # integral over r in (0, inf) of 2 r^r_pow * Gamma(g, r^2), split at 1 to
     # isolate the possible algebraic singularity at the origin.  The factor 2
     # belongs to the Jacobian 2 r^2 cos(theta) of the (t, rho) -> (r, theta)
@@ -159,8 +145,8 @@ def _radial_weighted(g: float, r_pow: float, tol: Tolerance) -> EstimateWithErro
     def f(r: float) -> float:
         return 2.0 * r ** r_pow * upper_incomplete_gamma(g, r * r)
 
-    lo = integrate_1d(f, 0.0, 1.0, tol)
-    hi = integrate_1d(f, 1.0, math.inf, tol)
+    lo = integrate_1d(f, 0.0, 1.0)
+    hi = integrate_1d(f, 1.0, math.inf)
     return EstimateWithError(
         value=lo.value + hi.value,
         error=lo.error + hi.error,
@@ -169,9 +155,7 @@ def _radial_weighted(g: float, r_pow: float, tol: Tolerance) -> EstimateWithErro
     )
 
 
-def lemma_bigint_check(
-    p: int, alpha: float, beta: float, gamma_: float, tol: Tolerance | None = None
-):
+def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
     """Numeric vs. closed-form value of the weighted (t, z)-integral.
 
     Numeric side: the integrand ``t^alpha ||z||^{2 beta}
@@ -184,8 +168,6 @@ def lemma_bigint_check(
 
     Returns (numeric: EstimateWithError, closed: float).
     """
-    if tol is None:
-        tol = Tolerance(rel=1e-10, abs=1e-12, max_iter=200)
     denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
     if denom <= 0 or alpha + beta + 1.0 + 0.5 * p <= 0:
         raise ValueError(
@@ -199,7 +181,7 @@ def lemma_bigint_check(
     # In (r, theta) the integrand factorizes; the powers of r are combined
     # analytically so small-r probes cannot overflow.
     r_pow = 2.0 * alpha + 2.0 * beta - 2.0 * gamma_ + p + 1.0
-    radial = _radial_weighted(gamma_, r_pow, tol)
+    radial = _radial_weighted(gamma_, r_pow)
 
     def ang(th: float) -> float:
         return (
@@ -207,7 +189,7 @@ def lemma_bigint_check(
             * math.sin(th) ** (2.0 * beta + p - 1.0)
         )
 
-    angular = integrate_1d(ang, 0.0, 0.5 * math.pi, tol)
+    angular = integrate_1d(ang, 0.0, 0.5 * math.pi)
     area = _sphere_area(p)
     value = area * radial.value * angular.value
     err = area * (
@@ -231,7 +213,6 @@ def lemma_d_check(
     p: int,
     gamma_: float,
     delta_grid: Sequence[float] = (1e-1, 1e-2, 1e-3),
-    tol: Tolerance | None = None,
 ):
     """Convergence of the cone-restricted integral to its closed-form limit.
 
@@ -242,8 +223,6 @@ def lemma_d_check(
 
     Returns a list of (delta, ratio, limit) rows.
     """
-    if tol is None:
-        tol = Tolerance(rel=1e-10, abs=1e-12, max_iter=200)
     if gamma_ <= 0.5 * (p - 2):
         raise ValueError(f"need gamma > (p-2)/2, got gamma={gamma_}, p={p}")
     deltas = list(delta_grid)
@@ -253,7 +232,7 @@ def lemma_d_check(
         raise ValueError("delta grid must be positive and strictly decreasing")
 
     # Combined power of r in the (r, theta) parameterization is exactly 1.
-    radial = _radial_weighted(gamma_, 1.0, tol)
+    radial = _radial_weighted(gamma_, 1.0)
     area = _sphere_area(p)
     limit = (
         2.0
@@ -273,7 +252,7 @@ def lemma_d_check(
                 * math.cos(th) ** (2.0 * gamma_ + 1.0 - p)
             )
 
-        angular = integrate_1d(ang, th_star, 0.5 * math.pi, tol)
+        angular = integrate_1d(ang, th_star, 0.5 * math.pi)
         value = area * radial.value * angular.value
         ratio = delta ** (0.5 * (p - 2.0) - gamma_) * value
         rows.append((delta, ratio, limit))

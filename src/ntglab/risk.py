@@ -39,6 +39,7 @@ __all__ = [
     "bayes_risk",
     "risk_difference_closed",
     "risk_difference_mc",
+    "risk_difference_z",
     "blyth_scaling",
     "perturb",
     "default_c",
@@ -296,6 +297,19 @@ def risk_difference_mc(
         return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
 
     return mc_estimate(sampler, None, n, seed, workers)
+
+
+def risk_difference_z(mc: EstimateWithError, closed: float, kappa: float) -> float:
+    """z-score of a Monte Carlo risk difference against the closed form.
+
+    Fails closed: a standard error of 0 or NaN gives ``inf``, except at
+    kappa = 0, where both sides are exactly 0 and a zero error is right.
+    """
+    if mc.error > 0 and math.isfinite(mc.error):
+        return (mc.value - closed) / mc.error
+    if kappa == 0.0 and mc.error == 0.0 and mc.value == closed:
+        return 0.0
+    return math.inf
 
 
 def default_c(p: int, m: int, level: float) -> float:

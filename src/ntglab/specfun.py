@@ -5,6 +5,8 @@ gamma function for arbitrary real shape -- including the negative shapes
 that arise from priors with shape parameter ``-p/2`` -- and the CDF and
 quantile function of the F-distribution.  ``upper_incomplete_gamma_array``
 evaluates the same split elementwise over a numpy array for shapes a >= 1/2.
+The F quantile and the NtG precision sampler share one safeguarded Newton
+solver, ``_newton_root``.
 
 The upper incomplete gamma function is
 
@@ -16,6 +18,7 @@ which converges for every real ``a`` as long as ``x > 0``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +36,16 @@ __all__ = [
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 _EPS = 1e-16
 _TINY = 1e-300
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+# Term cap of every series and continued fraction below.
+_MAX_ITER = 500
+# Iteration cap of the safeguarded Newton solver.
+_NEWTON_CAP = 200
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence targets for iterative special-function evaluation."""
+    """Convergence targets for the quadrature of ``numint.integrate_1d``."""
 
     rel: float = 1e-14
     abs: float = 1e-300
@@ -52,12 +60,8 @@ class Tolerance:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-# The default targets; a frozen instance is shared instead of rebuilt per call.
-_DEFAULT_TOL = Tolerance()
-
-
 class ConvergenceError(RuntimeError):
-    """An iterative evaluation failed to converge within max_iter.
+    """An iterative evaluation failed to converge within its iteration cap.
 
     Carries the last bracket or partial result in ``partial``.
     """
@@ -74,12 +78,12 @@ def log_gamma(a: float) -> float:
     return math.lgamma(a)
 
 
-def _lower_series(a: float, x: float, tol: Tolerance) -> float:
+def _lower_series(a: float, x: float) -> float:
     # Regularized lower incomplete gamma P(a, x) by power series; a > 0, x < a+1.
     term = 1.0 / a
     total = term
     n = 0
-    while n < tol.max_iter:
+    while n < _MAX_ITER:
         n += 1
         term *= x / (a + n)
         total += term
@@ -90,7 +94,7 @@ def _lower_series(a: float, x: float, tol: Tolerance) -> float:
     )
 
 
-def _upper_cf(a: float, x: float, tol: Tolerance) -> float:
+def _upper_cf(a: float, x: float) -> float:
     # Gamma(a, x) = e^{-x} x^a * CF, by the Legendre continued fraction with
     # modified Lentz evaluation.  Valid for any real a when x is not small.
     b = x + 1.0 - a
@@ -98,7 +102,7 @@ def _upper_cf(a: float, x: float, tol: Tolerance) -> float:
     d = 1.0 / b
     h = d
     n = 0
-    while n < tol.max_iter:
+    while n < _MAX_ITER:
         n += 1
         an = -n * (n - a)
         b += 2.0
@@ -114,7 +118,9 @@ def _upper_cf(a: float, x: float, tol: Tolerance) -> float:
         if abs(delta - 1.0) < _EPS:
             log_pref = -x + a * math.log(x)
             if log_pref > 700.0:
-                return math.inf
+                # e^{-x} x^a alone may overflow while Gamma(a, x) does not.
+                log_pref += math.log(h)
+                return math.exp(log_pref) if log_pref < _LOG_DBL_MAX else math.inf
             return math.exp(log_pref) * h
     raise ConvergenceError(
         f"incomplete-gamma continued fraction did not converge for a={a}, x={x}",
@@ -184,7 +190,7 @@ def _log_gamma_1p(a: float) -> float:
     return total
 
 
-def _small_shape_series(a: float, x: float, tol: Tolerance) -> float:
+def _small_shape_series(a: float, x: float) -> float:
     # Gamma(a, x) for 0 < |a| < 1 and x < 1.  The textbook routes cancel
     # catastrophically near a = 0 (Gamma(a) * (1 - P(a, x)) for a > 0, the
     # downward recurrence's final division for a < 0); regroup the lower
@@ -200,7 +206,7 @@ def _small_shape_series(a: float, x: float, tol: Tolerance) -> float:
         head = (math.expm1(_log_gamma_1p(a)) - math.expm1(a * math.log(x))) / a
     term = 1.0
     s = 0.0
-    for k in range(1, tol.max_iter):
+    for k in range(1, _MAX_ITER):
         term *= -x / k
         contrib = term / (a + k)
         s += contrib
@@ -223,7 +229,7 @@ def _e1_series(x: float) -> float:
     return total
 
 
-def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> float:
+def upper_incomplete_gamma(a: float, x: float) -> float:
     """Return Gamma(a, x) for real shape a and x > 0.
 
     For a >= 1/2 the standard series / continued-fraction split at
@@ -236,11 +242,12 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
     downward direction is stable there because the ``x^a e^{-x}`` term
     dominates.
 
-    Overflow saturates to ``inf``; results below the underflow threshold
-    saturate to 0.0.
+    Where the continued fraction applies, a value past the double range
+    saturates to ``inf``; where the series applies, ``Gamma(a)`` itself
+    must be finite, so ``upper_incomplete_gamma(172, 100)`` raises
+    ``OverflowError``.  Results below the underflow threshold saturate
+    to 0.0.
     """
-    if tol is None:
-        tol = _DEFAULT_TOL
     if x == math.inf:
         return 0.0
     if not (math.isfinite(x) and x > 0):
@@ -253,20 +260,20 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
 
     if a >= 0.5:
         if x < a + 1.0:
-            p = _lower_series(a, x, tol)
+            p = _lower_series(a, x)
             return math.exp(math.lgamma(a)) * (1.0 - p)
-        return _upper_cf(a, x, tol)
+        return _upper_cf(a, x)
 
     # a < 0.5
     if x >= 1.0:
         # The continued fraction converges quickly here and avoids both the
         # cancellation the downward recurrence suffers at large x and the
         # Gamma(a) * (1 - P) cancellation for tiny positive shapes.
-        return _upper_cf(a, x, tol)
+        return _upper_cf(a, x)
     if a != 0.0 and abs(a) < 0.5:
         # Covers tiny negative shapes too: the downward recurrence would
         # finish by dividing a cancelled difference by the tiny a itself.
-        return _small_shape_series(a, x, tol)
+        return _small_shape_series(a, x)
 
     # Small x: recurrence downward from a shape in (-1/2, 1/2], seeded with
     # E1 (integer a) or the series for that shape.  Seeding from the
@@ -279,7 +286,7 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
         cur = 0.0
     else:
         cur = frac if frac <= 0.5 else frac - 1.0
-        g = upper_incomplete_gamma(cur, x, tol)
+        g = upper_incomplete_gamma(cur, x)
     emx = math.exp(-x)
     while cur > a:
         cur -= 1.0
@@ -287,7 +294,7 @@ def upper_incomplete_gamma(a: float, x: float, tol: Tolerance | None = None) -> 
     return g
 
 
-def _lower_series_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # _lower_series elementwise; each entry stops at the same term as the
     # scalar loop, and only unconverged entries keep iterating.
     term = np.full(x.shape, 1.0 / a)
@@ -296,7 +303,7 @@ def _lower_series_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
     active = np.arange(x.size)
     xa = x
     n = 0
-    while active.size and n < tol.max_iter:
+    while active.size and n < _MAX_ITER:
         n += 1
         term *= xa / (a + n)
         total += term
@@ -313,7 +320,7 @@ def _lower_series_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
     return out * np.exp(-x + a * np.log(x) - math.lgamma(a))
 
 
-def _upper_cf_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     # _upper_cf elementwise (modified Lentz on the Legendre fraction).
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _TINY)
@@ -322,7 +329,7 @@ def _upper_cf_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
     out = np.empty(x.shape)
     active = np.arange(x.size)
     n = 0
-    while active.size and n < tol.max_iter:
+    while active.size and n < _MAX_ITER:
         n += 1
         an = -n * (n - a)
         b = b + 2.0
@@ -344,8 +351,12 @@ def _upper_cf_array(a: float, x: np.ndarray, tol: Tolerance) -> np.ndarray:
             f"at {active.size} points", partial=h,
         )
     log_pref = -x + a * np.log(x)
+    big = log_pref > 700.0
+    if big.any():  # as in _upper_cf, on the masked entries only
+        log_pref[big] += np.log(out[big])
+        out[big] = 1.0
     with np.errstate(over="ignore"):
-        return np.where(log_pref > 700.0, np.inf, np.exp(log_pref) * out)
+        return np.exp(log_pref) * out
 
 
 def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
@@ -354,27 +365,26 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     Runs the same series / continued-fraction split at ``x = a + 1`` as
     ``upper_incomplete_gamma``, under masks, so each element matches the
     scalar form to rounding.  Returns an array of the shape of ``x``;
-    ``x = inf`` gives 0 and overflow saturates to ``inf``.
+    ``x = inf`` gives 0, and overflow behaves as in the scalar form.
     """
     if not (math.isfinite(a) and a >= 0.5):
         raise ValueError(f"the array form needs a finite shape a >= 1/2, got a={a}")
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("upper_incomplete_gamma_array requires every x > 0")
-    tol = _DEFAULT_TOL
     flat = x.ravel()
     out = np.zeros(flat.shape)
     low = flat < a + 1.0
     high = ~low & (flat < math.inf)
     if low.any():
-        series = _lower_series_array(a, flat[low], tol)
+        series = _lower_series_array(a, flat[low])
         out[low] = math.exp(math.lgamma(a)) * (1.0 - series)
     if high.any():
-        out[high] = _upper_cf_array(a, flat[high], tol)
+        out[high] = _upper_cf_array(a, flat[high])
     return out.reshape(x.shape)
 
 
-def _betacf(a: float, b: float, x: float, tol: Tolerance) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the regularized incomplete beta function
     # (modified Lentz).
     qab = a + b
@@ -386,7 +396,7 @@ def _betacf(a: float, b: float, x: float, tol: Tolerance) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, tol.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -416,26 +426,36 @@ def _betacf(a: float, b: float, x: float, tol: Tolerance) -> float:
     )
 
 
-def _betainc_reg(a: float, b: float, x: float, tol: Tolerance) -> float:
-    # Regularized incomplete beta I_x(a, b).
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
+# Coefficients of Stirling's series ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2
+# = sum_k c_k / z^{2k-1}, highest order first; seven terms reach double
+# precision for z >= 10.
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _stirling_delta(z: float) -> float:
+    # The remainder of Stirling's approximation to ln Gamma(z), z >= 10.
+    w = 1.0 / (z * z)
+    s = 0.0
+    for c in _STIRLING:
+        s = s * w + c
+    return s / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    # ln B(a, b).  For a large b, lgamma(a + b) - lgamma(b) cancels (9e-12
+    # absolute at b = 5000); the difference is formed from Stirling's series
+    # instead (DiDonato & Morris 1992, Algorithm 708).
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    diff = (
+        a * math.log(b) + (a + b - 0.5) * math.log1p(a / b) - a
+        + _stirling_delta(a + b) - _stirling_delta(b)
     )
-    bt = math.exp(log_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x, tol) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x, tol) / b
+    return math.lgamma(a) - diff
 
 
-def f_cdf(d1: int, d2: int, t: float, tol: Tolerance | None = None) -> float:
+def f_cdf(d1: int, d2: int, t: float) -> float:
     """CDF of the F-distribution with d1 and d2 degrees of freedom at t >= 0."""
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got d1={d1}, d2={d2}")
@@ -445,66 +465,77 @@ def f_cdf(d1: int, d2: int, t: float, tol: Tolerance | None = None) -> float:
         return 0.0
     if t == math.inf:
         return 1.0
-    if tol is None:
-        tol = _DEFAULT_TOL
-    # I_y(d1/2, d2/2) with y = d1 t / (d1 t + d2); evaluate the smaller tail
-    # to keep absolute accuracy.
-    y = d1 * t / (d1 * t + d2)
-    if y <= 0.5:
-        return _betainc_reg(0.5 * d1, 0.5 * d2, y, tol)
-    return 1.0 - _betainc_reg(0.5 * d2, 0.5 * d1, d2 / (d1 * t + d2), tol)
+    # I_y(a, b) with y = d1 t / (d1 t + d2), a = d1/2, b = d2/2.  The
+    # continued fraction converges on the side of y its switch point picks
+    # and gives that tail directly; the other is its complement.  ln y and
+    # ln(1 - y) are formed from t, so a y rounded near 1 costs no digits.
+    a, b = 0.5 * d1, 0.5 * d2
+    u = d1 * t
+    bt = math.exp(-a * math.log1p(d2 / u) - b * math.log1p(u / d2) - _log_beta(a, b))
+    y = u / (u + d2)
+    if y < (a + 1.0) / (a + b + 2.0):
+        return bt * _betacf(a, b, y) / a
+    return 1.0 - bt * _betacf(b, a, d2 / (u + d2)) / b
 
 
-def f_quantile(d1: int, d2: int, q: float, tol: Tolerance | None = None) -> float:
+def _newton_root(newton, y: float, lo: float, hi: float = math.inf) -> float:
+    # Safeguarded Newton iteration for the root of a monotone function in
+    # [lo, hi], started at y.  ``newton(y)`` returns (f, step): f > 0 means
+    # the root lies above y, and y + step is the Newton iterate.  Each
+    # evaluation narrows the bracket; a step that leaves it, or that fails
+    # to halve the step before last, is replaced by bisection (by doubling
+    # while no upper end is known).  Stops once |step| <= 1e-14 y.
+    older = last = math.inf
+    for _ in range(_NEWTON_CAP):
+        f, step = newton(y)
+        if f > 0.0:
+            lo = y
+        elif f < 0.0:
+            hi = y
+        nxt = y + step
+        safe = lo < nxt < hi and not (hi < math.inf and abs(step) > 0.5 * abs(older))
+        # A converged step may round onto a bracket end; it is kept.
+        if not safe and abs(step) > 1e-14 * y:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
+        older, last = last, nxt - y
+        if abs(last) <= 1e-14 * nxt:
+            return nxt
+        y = nxt
+    raise ConvergenceError("safeguarded Newton iteration did not converge", partial=(lo, hi))
+
+
+def _f_lower_quantile(d1: int, d2: int, q: float) -> float:
+    # t with F(t) = q <= 1/2, by Newton on q - F(t); the step is the residual
+    # over the F density y^a (1 - y)^b / (B(a, b) t).  The start solves the
+    # small-y asymptote F ~ y^a / (a B(a, b)) while b y < 1, where dropping
+    # (1 - y)^b is safe, so roots like 1e-200 need no halving from t = 1.
+    a, b = 0.5 * d1, 0.5 * d2
+    log_beta = _log_beta(a, b)
+    y = math.exp((math.log(q) + math.log(a) + log_beta) / a)
+    start = min(d2 * y / (d1 * (1.0 - y)), 1.0) if y < 1.0 and b * y < 1.0 else 1.0
+    if start == 0.0:  # the quantile is below the smallest double
+        return 0.0
+
+    def newton(t: float) -> tuple[float, float]:
+        f = q - f_cdf(d1, d2, t)
+        u = d1 * t
+        neg_log_pdf = a * math.log1p(d2 / u) + b * math.log1p(u / d2) + log_beta + math.log(t)
+        if neg_log_pdf < 700.0:
+            return f, f * math.exp(neg_log_pdf)
+        return f, math.copysign(math.inf, f)
+
+    return _newton_root(newton, start, 0.0)
+
+
+def f_quantile(d1: int, d2: int, q: float) -> float:
     """Return t with f_cdf(d1, d2, t) = q, for q in (0, 1).
 
-    Implemented by bracket expansion followed by bisection with a final
-    secant polish, all on f_cdf itself.
+    Solved by safeguarded Newton on the smaller tail (Gil, Segura & Temme
+    2012).  For q > 1/2 the upper tail 1 - q, exact in floating point, is
+    solved as the lower tail of F(d2, d1) at 1/t.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"f_quantile requires 0 < q < 1, got q={q}")
-    if tol is None:
-        tol = Tolerance(rel=1e-14, abs=1e-300, max_iter=300)
-
-    lo, hi = 0.0, 1.0
-    it = 0
-    while f_cdf(d1, d2, hi) < q:
-        lo, hi = hi, hi * 4.0
-        it += 1
-        if it > 600:
-            raise ConvergenceError(
-                f"f_quantile bracket expansion failed for d1={d1}, d2={d2}, q={q}",
-                partial=(lo, hi),
-            )
-
-    flo = f_cdf(d1, d2, lo) - q
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f_cdf(d1, d2, mid) - q
-        if abs(fmid) < 1e-13 or (hi - lo) < 1e-15 * max(1.0, mid):
-            break
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(
-            f"f_quantile bisection did not converge for d1={d1}, d2={d2}, q={q}",
-            partial=(lo, hi),
-        )
-
-    # Secant polish inside the final bracket.
-    t0, t1 = lo, hi
-    f0 = f_cdf(d1, d2, t0) - q
-    f1 = f_cdf(d1, d2, t1) - q
-    for _ in range(8):
-        if f1 == f0:
-            break
-        t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        if not (lo <= t2 <= hi):
-            break
-        t0, f0, t1 = t1, f1, t2
-        f1 = f_cdf(d1, d2, t1) - q
-        if abs(f1) < 1e-15:
-            break
-    return t1
+    if q > 0.5:
+        return 1.0 / _f_lower_quantile(d2, d1, 1.0 - q)
+    return _f_lower_quantile(d1, d2, q)

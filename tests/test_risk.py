@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from ntglab import blyth
 from ntglab.blyth import BlythContext, Observation
-from ntglab.numint import integrate_1d
+from ntglab.numint import EstimateWithError, integrate_1d
 from ntglab.risk import (
     Procedure,
     ball_volume,
@@ -21,6 +21,7 @@ from ntglab.risk import (
     posterior_risk,
     risk_difference_closed,
     risk_difference_mc,
+    risk_difference_z,
 )
 from ntglab.specfun import Tolerance, f_cdf
 
@@ -509,3 +510,24 @@ class TestPerturb:
             )
             dist = np.sqrt(np.sum((probes - center) ** 2, axis=-1))
             assert np.all(vals[dist > radius + 1e-12] == 0.0)
+
+
+def _mc(value, error):
+    return EstimateWithError(value=value, error=error, n_evals=1000, method="monte_carlo")
+
+
+class TestRiskDifferenceZ:
+    def test_standard_score(self):
+        assert risk_difference_z(_mc(0.3, 0.1), 0.1, 0.5) == pytest.approx(2.0)
+
+    def test_zero_error_fails_closed(self):
+        assert risk_difference_z(_mc(0.1, 0.0), 0.1, 0.5) == math.inf
+
+    def test_nan_error_fails_closed(self):
+        assert risk_difference_z(_mc(0.1, math.nan), 0.1, 0.5) == math.inf
+
+    def test_exact_kappa_zero(self):
+        assert risk_difference_z(_mc(0.0, 0.0), 0.0, 0.0) == 0.0
+        # At kappa = 0 a nonzero value or a nonzero closed form still fails.
+        assert risk_difference_z(_mc(0.1, 0.0), 0.0, 0.0) == math.inf
+        assert risk_difference_z(_mc(0.0, 0.0), 0.1, 0.0) == math.inf

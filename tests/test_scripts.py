@@ -1,0 +1,41 @@
+"""Smoke tests: each experiment script's main() runs at a tiny size."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(name, argv, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    module.main()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_risk_difference_study(monkeypatch, capsys):
+    lines = _run(
+        "risk_difference_study",
+        ["--n", "2000", "--dims", "1", "--dofs", "2", "--kappas", "0.5", "--eps-sweep"],
+        monkeypatch, capsys,
+    )
+    assert lines[0].split() == ["p", "m", "kappa", "eps", "closed", "mc", "se", "z"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[3] for row in rows] == ["0.50", "1.00", "2.00"]
+    # Common random numbers: the estimate does not depend on eps.
+    assert len({row[5] for row in rows}) == 1
+    assert all(math.isfinite(float(row[7])) for row in rows)
+
+
+def test_blyth_scaling_sweep(monkeypatch, capsys):
+    lines = _run(
+        "blyth_scaling_sweep", ["--dims", "1", "--halvings", "2"], monkeypatch, capsys
+    )
+    table = [line.split() for line in lines if line and line[0] == " "]
+    assert table[0] == ["kappa", "K", "delta", "K*delta", "ratio"]
+    assert [float(row[0]) for row in table[1:]] == [0.4, 0.2]
+    assert len(table[2]) == 5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntglab import specfun
 from ntglab.specfun import (
     Tolerance,
     f_cdf,
@@ -151,6 +152,29 @@ class TestUpperIncompleteGamma:
                 assert got == pytest.approx(truth, rel=1e-10)
 
 
+class TestFractionPrefactorOverflow:
+    # e^{-x} x^a exceeds the double range while Gamma(a, x) does not.
+    POINTS = ((171.0, 177.6), (165.0, 170.0), (160.0, 165.0))
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a, x in self.POINTS:
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(a, x))
+            assert abs(upper_incomplete_gamma(a, x) / want - 1.0) <= 1e-13
+            got = upper_incomplete_gamma_array(a, np.array([x, 2.0 * x]))
+            assert abs(got[0] / want - 1.0) <= 1e-13
+
+    def test_saturates_past_double_range(self):
+        assert upper_incomplete_gamma(180.0, 181.0) == math.inf
+        assert upper_incomplete_gamma_array(180.0, np.array([181.0]))[0] == math.inf
+
+    def test_series_branch_raises(self):
+        # Gamma(172) itself is past the double range.
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma(172.0, 100.0)
+
+
 class TestUpperIncompleteGammaArray:
     SHAPES = (0.5, 1.0, 1.5, 2.5, 7.0, 50.5)
 
@@ -237,6 +261,98 @@ class TestFCdf:
     @settings(max_examples=100)
     def test_monotone(self, d1, d2, t, dt):
         assert f_cdf(d1, d2, t + dt) >= f_cdf(d1, d2, t)
+
+
+# The F quantile grid: small d1, d2 from 1 to ~1e4, both tails.
+_D1 = (1, 2, 3, 5)
+_D2 = (1, 2, 3, 5, 17, 47, 97, 497, 1997, 9997)
+_Q = (1e-6, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-6)
+
+
+def _mp_f_quantile(mpmath, d1, d2, q):
+    # Newton in mpmath at 40 digits on the smaller regularized
+    # incomplete-beta tail, started from scipy's quantile: I_y(a, b) = q in
+    # y for q <= 1/2, else I_z(b, a) = 1 - q in z = 1 - y.
+    from scipy import special
+
+    t0 = float(special.fdtri(d1, d2, q))
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(d1) / 2, mpmath.mpf(d2) / 2
+        if q <= 0.5:
+            target, z = mpmath.mpf(q), d1 * mpmath.mpf(t0) / (d1 * t0 + d2)
+        else:
+            a, b = b, a
+            target, z = 1 - mpmath.mpf(q), d2 / (d1 * mpmath.mpf(t0) + d2)
+        log_beta = mpmath.log(mpmath.beta(a, b))
+        for _ in range(50):
+            resid = mpmath.betainc(a, b, 0, z, regularized=True) - target
+            dens = mpmath.exp((a - 1) * mpmath.log(z) + (b - 1) * mpmath.log1p(-z) - log_beta)
+            z -= resid / dens
+            if abs(resid / dens) < mpmath.mpf(10) ** -35 * z:
+                break
+        y = z if q <= 0.5 else 1 - z
+        return float(d2 * y / (d1 * (1 - y)))
+
+
+class TestFAgainstMpmath:
+    def test_cdf_at_large_m(self):
+        # lgamma(a + b) - lgamma(b) and a ln y of a y rounded near 1 cost
+        # f_cdf up to 7e-12 here.
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for d1 in _D1:
+            for d2 in (47, 497, 1997, 9997):
+                a, b = mpmath.mpf(d1) / 2, mpmath.mpf(d2) / 2
+                for t in np.geomspace(1e-3, 1e3, 13):
+                    with mpmath.workdps(40):
+                        u = d1 * mpmath.mpf(float(t))
+                        want = mpmath.betainc(a, b, 0, u / (u + d2), regularized=True)
+                    got = f_cdf(d1, d2, float(t))
+                    worst = max(worst, abs(got / float(want) - 1.0))
+        assert worst <= 1e-13
+
+    def test_quantile_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        for d1 in _D1:
+            for d2 in _D2:
+                for q in _Q:
+                    want = _mp_f_quantile(mpmath, d1, d2, q)
+                    got = f_quantile(d1, d2, q)
+                    assert abs(got / want - 1.0) <= 1e-12, (d1, d2, q)
+
+    def test_quantile_cdf_budget(self, monkeypatch):
+        calls = []
+        cdf = specfun.f_cdf
+
+        def counted(d1, d2, t):
+            calls.append(t)
+            return cdf(d1, d2, t)
+
+        monkeypatch.setattr(specfun, "f_cdf", counted)
+        middle = []
+        total = 0
+        for d1 in _D1:
+            for d2 in _D2:
+                for q in _Q:
+                    del calls[:]
+                    f_quantile(d1, d2, q)
+                    total += len(calls)
+                    if 0.05 <= q <= 0.99:
+                        middle.append(len(calls))
+        assert sum(middle) / len(middle) <= 10.0
+        assert total / (len(_D1) * len(_D2) * len(_Q)) <= 15.0
+
+
+class TestFQuantileTails:
+    def test_f11_closed_form(self):
+        # F(1,1) has CDF (2/pi) atan(sqrt(t)), so t = tan(pi q / 2)^2; a
+        # root far below 1 must not be reached by halving from t = 1.
+        for q in (1e-300, 1e-100, 1e-10, 0.3):
+            want = math.tan(0.5 * math.pi * q) ** 2
+            assert f_quantile(1, 1, q) == pytest.approx(want, rel=1e-12, abs=0.0)
+        for q in (1.0 - 1e-10, 1.0 - 2.0 ** -53):
+            want = 1.0 / math.tan(0.5 * math.pi * (1.0 - q)) ** 2
+            assert f_quantile(1, 1, q) == pytest.approx(want, rel=1e-12)
 
 
 class TestFQuantile:
