@@ -36,7 +36,6 @@ __all__ = [
     "lemma_d_check",
     "lemma_smoments_check",
     "mc_estimate",
-    "mc_chunk_seeds",
 ]
 
 _MC_CHUNK = 1 << 16
@@ -295,8 +294,8 @@ def lemma_smoments_check(
     return mc, closed
 
 
-def mc_chunk_seeds(seed: int, n_chunks: int):
-    """Deterministic per-chunk seed sequences, independent of scheduling."""
+def _mc_chunk_seeds(seed: int, n_chunks: int):
+    # Deterministic per-chunk seed sequences, independent of scheduling.
     return np.random.SeedSequence(seed).spawn(n_chunks)
 
 
@@ -318,7 +317,7 @@ def mc_estimate(
     if n < 1:
         raise ValueError("n must be >= 1")
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
-    seeds = mc_chunk_seeds(seed, n_chunks)
+    seeds = _mc_chunk_seeds(seed, n_chunks)
     sizes = [min(_MC_CHUNK, n - i * _MC_CHUNK) for i in range(n_chunks)]
 
     def run_chunk(i: int):

@@ -1,31 +1,33 @@
 """Confidence procedures, the recentered-ball loss, and risk evaluation.
 
-A procedure maps ``(x, s, mu)`` to an inclusion weight in [0, 1]; it never
-reads the unknown precision lambda.  Its loss at the true (mu, lambda) is
-the set volume weighted by the conditional location density at the ball
-threshold, minus the coverage indicator:
+A procedure is a finite mixture of balls: given ``(x, s)`` it includes mu
+with weight ``sum_k a_k 1{||mu - c_k||^2 < rho_k}``; it never reads the
+unknown precision lambda.  Its loss at the true (mu, lambda) is the set
+volume weighted by the conditional location density at the ball
+threshold, minus the inclusion weight:
 
     L(phi) = r_kappa(c s / m | lambda) * volume(phi(x, s, .)) - phi(x, s, mu).
 
 As phi does not depend on lambda, conjugacy integrates lambda out of the
-posterior risk, leaving one mu-integral against the posterior density of
-mu, which ``posterior_risk`` sums on a midpoint grid.  The risk is
-minimized by the equal-radius ball recentered at ``mu_kappa``; the prior
-risk difference between the standard and the recentered ball is
+posterior risk, leaving the posterior density of mu, radial about
+``mu_kappa``, which ``posterior_risk`` integrates along the radius.  The
+risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
+prior risk difference between the standard and the recentered ball is
 ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import blyth
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, mc_estimate
+from .numint import EstimateWithError, QuadratureError, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -45,29 +47,37 @@ __all__ = [
     "default_c",
 ]
 
-_GRID_CHUNK = 1 << 13  # grid nodes per array-density call in posterior_risk
-_DEFAULT_GRID = 1 << 12  # posterior_risk nodes when inner_grid is None
+_RULE_START = 32  # nodes of posterior_risk's first Gauss-Legendre rule
+_RULE_CAP = 1 << 10  # largest rule posterior_risk may double to
+_DEFAULT_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
 @dataclass(frozen=True)
 class Procedure:
-    """A (possibly randomized) confidence procedure.
+    """A confidence procedure: a finite mixture of balls.
 
-    ``eval(x, s, mu)`` returns inclusion weights in [0, 1] and must
-    broadcast over leading batch axes of ``x``/``mu`` (shape (n, p)) and
-    ``s`` (shape (n,)).  It takes no precision: a procedure cannot depend
-    on the unknown lambda, and ``posterior_risk`` relies on that.
-    ``closed_form_measure(x, s)``, when present, gives the Lebesgue volume
-    of the confidence set; ``loss`` and ``bayes_risk`` need it.
-    ``support(x, s)`` returns a (center, radius) ball guaranteed to contain
-    every point where ``eval`` is nonzero; ``posterior_risk`` and
-    ``perturb`` need it.
+    ``balls(x, s)`` returns ``(weights, centres, radii2)``; mu is included
+    with weight ``sum_k weights[k] 1{||mu - centres[k]||^2 < radii2[k]}``,
+    which must lie in [0, 1].  It broadcasts over batch axes of ``x``
+    (..., p) and ``s`` (...): ``centres`` is (..., k, p), ``radii2``
+    (..., k) and ``weights`` (k,) or (..., k).  It takes no precision: a
+    procedure cannot depend on the unknown lambda, and ``posterior_risk``
+    relies on that.
     """
 
-    eval: Callable[..., np.ndarray]
+    balls: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     label: str
-    closed_form_measure: Optional[Callable[..., np.ndarray]] = None
-    support: Optional[Callable[..., tuple[np.ndarray, float]]] = None
+
+    def eval(self, x, s, mu) -> np.ndarray:
+        """Inclusion weight of mu, over batches like those of ``balls``."""
+        weights, centres, radii2 = self.balls(x, s)
+        mu = np.asarray(mu, dtype=float)[..., None, :]
+        return np.sum(weights * (np.sum((mu - centres) ** 2, axis=-1) < radii2), axis=-1)
+
+    def volume(self, x, s) -> np.ndarray:
+        """Lebesgue volume of the confidence set, weights included."""
+        weights, centres, radii2 = self.balls(x, s)
+        return np.sum(weights * ball_volume(centres.shape[-1], radii2), axis=-1)
 
 
 def ball_volume(p: int, radius2) -> np.ndarray:
@@ -77,25 +87,14 @@ def ball_volume(p: int, radius2) -> np.ndarray:
 
 
 def _ball_procedure(ctx: BlythContext, shrink: float, label: str) -> Procedure:
-    # Ball of squared radius c*s/m centered at x/(1+shrink).
+    # One ball of squared radius c*s/m centered at x/(1+shrink).
     cm = ctx.c / ctx.m
-    p = ctx.p
 
-    def ev(x, s, mu):
-        x = np.asarray(x, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        d2 = np.sum((mu - x / (1.0 + shrink)) ** 2, axis=-1)
-        return (d2 < cm * np.asarray(s, dtype=float)).astype(float)
+    def balls(x, s):
+        centre = np.asarray(x, dtype=float) / (1.0 + shrink)
+        return np.ones(1), centre[..., None, :], (cm * np.asarray(s, dtype=float))[..., None]
 
-    def meas(x, s):
-        return ball_volume(p, cm * np.asarray(s, dtype=float))
-
-    def supp(x, s):
-        x = np.asarray(x, dtype=float)
-        radius = np.sqrt(cm * np.asarray(s, dtype=float))
-        return x / (1.0 + shrink), (float(radius) if radius.ndim == 0 else radius)
-
-    return Procedure(eval=ev, label=label, closed_form_measure=meas, support=supp)
+    return Procedure(balls=balls, label=label)
 
 
 def phi0(ctx: BlythContext) -> Procedure:
@@ -131,15 +130,40 @@ def coverage(
 
 
 def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
-    """Pointwise loss: weighted set volume minus the inclusion weight.
-
-    Needs the procedure's closed-form measure.
-    """
-    if proc.closed_form_measure is None:
-        raise ValueError(f"loss needs a closed-form measure; {proc.label!r} has none")
-    ups = float(proc.closed_form_measure(np.asarray(x, float), s))
+    """Pointwise loss: weighted set volume minus the inclusion weight."""
+    x = np.asarray(x, dtype=float)
     w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
-    return w * ups - float(proc.eval(np.asarray(x, float), s, np.asarray(mu, float)))
+    return w * float(proc.volume(x, s)) - float(proc.eval(x, s, np.asarray(mu, float)))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # n-node Gauss-Legendre rule on (0, 1); built on first use, not at import.
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
+    """Share of the sphere of radius r about the origin inside the open ball
+    of radius R centred at distance d.  At p = 1 the sphere is two points;
+    at p >= 2 the share is a cap, cos(theta) = (r^2 + d^2 - R^2)/(2 r d):
+    arccos(cos theta)/pi at p = 2, else ``1/2 I_{sin^2 theta}((p-1)/2, 1/2)
+    = 1/2 f_cdf(p-1, 1, tan^2 theta/(p-1))`` (S. Li, Asian J. Math. Stat. 4,
+    2011), mirrored for cos(theta) < 0."""
+    r, d, radius = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, radius)))
+    if p == 1:
+        return 0.5 * ((np.abs(r - d) < radius) + (r + d < radius).astype(float))
+    on_axis = ~(r * d > 0.0)  # the sphere lies wholly inside or outside
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (r * r + d * d - radius * radius) / (2.0 * r * d)
+        cos = np.where(on_axis, 1.0, np.clip(cos, -1.0, 1.0))
+        if p == 2:
+            frac = np.arccos(cos) / math.pi
+        else:
+            tan2 = (1.0 - cos) * (1.0 + cos) / (cos * cos) / (p - 1)
+            half = np.reshape([0.5 * f_cdf(p - 1, 1, t) for t in tan2.ravel()], cos.shape)
+            frac = np.where(cos >= 0.0, half, 1.0 - half)
+    return np.where(on_axis, r + d < radius, frac)
 
 
 def posterior_risk(
@@ -149,72 +173,73 @@ def posterior_risk(
     tol: Tolerance | None = None,
     inner_grid: int | None = None,
 ) -> EstimateWithError:
-    """Posterior expected loss given (x, s), as one midpoint sum over mu.
+    """Posterior expected loss given (x, s), as one radial sum over the balls.
 
     Procedures do not depend on lambda, so conjugacy closes the
     lambda-integral: the posterior mean of ``r_kappa(t | lambda)`` is the
     posterior density ``pi_kappa`` of mu at squared distance t from
-    mu_kappa (``blyth.mu_posterior_density``), and the risk is
+    mu_kappa (``blyth.mu_posterior_density``).  The risk of the mixture
+    ``sum_k a_k 1{||mu - c_k|| < R_k}`` is its weighted volume minus its
+    posterior coverage, ``sum_k a_k (w vol(R_k) - Pi(d_k, R_k))``, with
+    w = pi_kappa at c s / m and d_k = ||c_k - mu_kappa||.  As pi_kappa is
+    radial, a ball's mass is one integral along the radius,
 
-        integral of phi(mu) (w - pi_kappa(mu)) dmu,   w = pi_kappa at c s / m,
+        Pi(d, R) = int_0^inf pi_kappa(r^2) |S^{p-1}| r^{p-1} frac_p(r; d, R) dr,
 
-    which is the weighted volume minus the posterior coverage.  It is summed
-    by the midpoint rule on about ``inner_grid`` nodes (``_DEFAULT_GRID``
-    when None) over the support box, so the volume comes from the same grid
-    and ``closed_form_measure`` is not read.  For the recentred ball the
-    factor ``w - pi_kappa`` vanishes on the boundary, where phi jumps.
-    ``tol`` is kept for existing call sites and unused.
-
-    The error adds, for every cell where ``eval`` jumps to an axis
-    neighbour, that jump times the largest ``|w - pi_kappa|`` over the cell
-    times the cell volume, and the midpoint rule's curvature term
-    (second differences / 24) of the integrand.
+    where ``frac_p`` (``_cap_fraction``) is 1 below R - d, a spherical cap
+    up to d + R, and 0 beyond.  Both pieces are mapped to (0, pi) by
+    ``r = lo + (hi - lo)(1 - cos t)/2``, which smooths the cap's square-root
+    ends, and summed by Gauss-Legendre rules with n and 2n nodes, from
+    n = 32; each round sends every node and w through one density call.
+    The value is the 2n-node sum and the error ``sum_k |a_k| |G_2n - G_n|``.
+    n doubles while the error exceeds ``tol.abs + tol.rel |value|``; a
+    non-finite result, or passing ``_RULE_CAP`` nodes, raises
+    ``QuadratureError``.  ``inner_grid`` is ignored: it sized the midpoint
+    grid this rule replaced, and existing callers still pass it.
     """
-    if proc.support is None:
-        raise ValueError(f"procedure {proc.label!r} has no support hint; posterior_risk needs one")
-    box_center, radius = proc.support(obs.x, obs.s)
-    box_center = np.atleast_1d(np.asarray(box_center, float))
-    lo, hi = box_center - radius, box_center + radius
+    tol = tol or _DEFAULT_TOL
     p = ctx.p
-    n_axis = max(2, int(round((inner_grid or _DEFAULT_GRID) ** (1.0 / p))))
-    width = (hi - lo) / n_axis
-    axes = [lo[j] + width[j] * (np.arange(n_axis) + 0.5) for j in range(p)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
-    cell = float(np.prod(width))
-    center = np.atleast_1d(blyth.mu_kappa(obs.x, ctx.kappa))
-    w = float(blyth.mu_posterior_density_sqdist(ctx, obs, ctx.c * obs.s / ctx.m))
+    weights, centres, radii2 = proc.balls(obs.x, obs.s)
+    d = np.sqrt(np.sum((centres - blyth.mu_kappa(obs.x, ctx.kappa)) ** 2, axis=-1))
+    radius = np.sqrt(radii2)
+    # One row per piece: (0, R - d), where the ball holds the whole sphere,
+    # and the cap piece (|d - R|, d + R); empty pieces are dropped.
+    lo = np.concatenate([np.zeros_like(d), np.abs(d - radius)])
+    hi = np.concatenate([np.maximum(radius - d, 0.0), d + radius])
+    keep = hi > lo
+    lo, hi = lo[keep, None], hi[keep, None]
+    row_d, row_radius = np.tile(d, 2)[keep, None], np.tile(radius, 2)[keep, None]
+    row_weight = np.tile(weights, 2)[keep]
+    area = p * float(ball_volume(p, 1.0))  # of the unit sphere
 
-    def excess(t):  # w - pi_kappa at squared distances t, in fixed chunks
-        out = np.empty(t.size)
-        for i in range(0, t.size, _GRID_CHUNK):
-            out[i:i + _GRID_CHUNK] = w - blyth.mu_posterior_density_sqdist(
-                ctx, obs, t[i:i + _GRID_CHUNK])
-        return out
+    def rule(n):  # nodes r and weights of the n-node rule, one row per piece
+        u, gl = _gauss_legendre(n)
+        r = lo + (hi - lo) * (0.5 - 0.5 * np.cos(math.pi * u))
+        jac = (hi - lo) * (0.5 * math.pi) * np.sin(math.pi * u) * gl
+        return r, jac * area * r ** (p - 1) * _cap_fraction(p, r, row_d, row_radius)
 
-    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
-    terms = vals * excess(np.sum((mesh - center) ** 2, axis=-1))
-    value = float(np.sum(terms)) * cell
-
-    # Each cell's largest jump of eval to an axis neighbour, and the
-    # integrand's second differences along every axis.
-    vals, terms = vals.reshape((n_axis,) * p), terms.reshape((n_axis,) * p)
-    jump = np.zeros(vals.shape)
-    curvature = 0.0
-    for ax in range(p):
-        v, big = np.moveaxis(vals, ax, 0), np.moveaxis(jump, ax, 0)  # views
-        step = np.abs(v[1:] - v[:-1])
-        np.maximum(big[1:], step, out=big[1:])
-        np.maximum(big[:-1], step, out=big[:-1])
-        curvature += float(np.abs(np.diff(terms, n=2, axis=ax)).sum())
-    # w - pi_kappa is monotone in the squared distance, so its extremes over
-    # a cell sit at the cell's nearest and farthest points from mu_kappa.
-    idx = np.nonzero(jump.reshape(-1))[0]
-    off = np.abs(mesh[idx] - center)
-    near = np.sum(np.maximum(off - 0.5 * width, 0.0) ** 2, axis=-1)
-    far = np.sum((off + 0.5 * width) ** 2, axis=-1)
-    reach = np.maximum(np.abs(excess(near)), np.abs(excess(far)))
-    error = (float(np.sum(jump.reshape(-1)[idx] * reach)) + curvature / 24.0) * cell
-    return EstimateWithError(value, error, vals.size, "quadrature")
+    n, n_evals = _RULE_START, 0
+    volume = float(proc.volume(obs.x, obs.s))
+    while True:
+        (r1, h1), (r2, h2) = rule(n), rule(2 * n)
+        t = np.square(np.concatenate([r1, r2], axis=-1)).ravel()
+        dens = blyth.mu_posterior_density_sqdist(
+            ctx, obs, np.append(t, ctx.c * obs.s / ctx.m))
+        n_evals += dens.size
+        both = dens[:-1].reshape(-1, 3 * n)
+        coarse, fine = np.sum(h1 * both[:, :n], axis=-1), np.sum(h2 * both[:, n:], axis=-1)
+        value = float(dens[-1] * volume - np.sum(row_weight * fine))
+        error = float(np.sum(np.abs(row_weight * (fine - coarse))))
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise QuadratureError(
+                f"posterior risk of {proc.label!r} is not finite", partial=(value, error))
+        if error <= tol.abs + tol.rel * abs(value):
+            return EstimateWithError(value, error, n_evals, "quadrature")
+        n *= 2
+        if 2 * n > _RULE_CAP:
+            raise QuadratureError(
+                f"posterior risk of {proc.label!r}: error {error:.3e} above tolerance "
+                f"at {n // 2}- and {n}-node rules", partial=(value, error))
 
 
 def _prior_model_draw(ctx: BlythContext, rng: np.random.Generator, size: int):
@@ -238,23 +263,18 @@ def bayes_risk(
 ) -> EstimateWithError:
     """Prior-averaged risk by Monte Carlo over (mu, lambda, x, s).
 
-    Requires kappa > 0 (the proper prior) and a closed-form measure; the
-    weighted-volume term uses it directly, which removes the inner
+    Requires kappa > 0 (the proper prior).  The weighted-volume term uses
+    the procedure's closed-form volume, which removes the inner
     mu-integration from every draw.
     """
     if ctx.kappa <= 0:
         raise ValueError("bayes_risk requires kappa > 0")
-    if proc.closed_form_measure is None:
-        raise ValueError(
-            "bayes_risk needs a closed-form measure; use posterior_risk plus "
-            "numeric marginalization for irregular procedures"
-        )
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         mu, lam, x, s = _prior_model_draw(ctx, rng, size)
         k1, t = 1.0 + ctx.kappa, ctx.c * s / ctx.m
         w = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
-        vol = np.asarray(proc.closed_form_measure(x, s), dtype=float)
+        vol = np.asarray(proc.volume(x, s), dtype=float)
         cov = np.asarray(proc.eval(x, s, mu), dtype=float)
         return w * vol - cov
 
@@ -345,62 +365,42 @@ def blyth_scaling(
 def perturb(proc: Procedure, seed: int) -> Procedure:
     """A competitor differing from proc on a set of positive measure.
 
-    Three families, selected by the seed: (0) radius rescaling about the
-    support center, (1) center offset along the first axis, (2) a
-    randomized band of weight 1/2 straddling the support boundary.  The
-    base procedure must carry a support hint.
+    Three families, selected by the seed: (0) every ball's radius scaled by
+    a factor f, (1) every ball's centre moved along the first axis by a
+    fraction of its radius, (2) every ball split into two halves of weight
+    1/2 with radii R(1 + w) and R(1 - w), which includes mu with weight 1/2
+    in the band between them.
     """
-    if proc.support is None:
-        raise ValueError("perturb requires a support hint on the base procedure")
     rng = np.random.default_rng(seed)
     family = int(rng.integers(3))
-    base_support = proc.support
 
     if family == 0:
         f = float(rng.uniform(1.05, 1.3)) if rng.random() < 0.5 else float(
             rng.uniform(0.7, 0.95)
         )
 
-        def ev(x, s, mu):
-            center, _ = base_support(x, s)
-            mu = np.asarray(mu, dtype=float)
-            return proc.eval(x, s, center + (mu - center) / f)
+        def scaled(x, s):
+            weights, centres, radii2 = proc.balls(x, s)
+            return weights, centres, radii2 * (f * f)
 
-        def supp(x, s):
-            center, radius = base_support(x, s)
-            return center, radius * f
-
-        return Procedure(eval=ev, label=f"{proc.label}+scale[{f:.3f}]", support=supp)
+        return Procedure(balls=scaled, label=f"{proc.label}+scale[{f:.3f}]")
 
     if family == 1:
         frac = float(rng.uniform(0.1, 0.5))
 
-        def ev(x, s, mu):
-            _, radius = base_support(x, s)
-            shifted = np.array(mu, dtype=float)
-            shifted[..., 0] -= frac * radius
-            return proc.eval(x, s, shifted)
+        def shifted(x, s):
+            weights, centres, radii2 = proc.balls(x, s)
+            axis0 = np.eye(centres.shape[-1])[0]
+            return weights, centres + frac * np.sqrt(radii2)[..., None] * axis0, radii2
 
-        def supp(x, s):
-            center, radius = base_support(x, s)
-            shift = np.zeros_like(np.asarray(center, float))
-            shift[..., 0] = frac * radius
-            return center + shift, radius
-
-        return Procedure(eval=ev, label=f"{proc.label}+offset[{frac:.3f}]", support=supp)
+        return Procedure(balls=shifted, label=f"{proc.label}+offset[{frac:.3f}]")
 
     width = float(rng.uniform(0.05, 0.2))
 
-    def ev(x, s, mu):
-        center, radius = base_support(x, s)
-        mu = np.asarray(mu, dtype=float)
-        dist = np.sqrt(np.sum((mu - center) ** 2, axis=-1))
-        base = np.asarray(proc.eval(x, s, mu), dtype=float)
-        in_band = (dist >= radius * (1.0 - width)) & (dist <= radius * (1.0 + width))
-        return np.where(in_band, 0.5, base)
+    def banded(x, s):
+        weights, centres, radii2 = proc.balls(x, s)
+        half = 0.5 * np.asarray(weights, dtype=float)
+        return (np.concatenate([half, half], axis=-1), np.concatenate([centres, centres], axis=-2),
+                np.concatenate([radii2 * (1.0 + width) ** 2, radii2 * (1.0 - width) ** 2], axis=-1))
 
-    def supp(x, s):
-        center, radius = base_support(x, s)
-        return center, radius * (1.0 + width)
-
-    return Procedure(eval=ev, label=f"{proc.label}+band[{width:.3f}]", support=supp)
+    return Procedure(balls=banded, label=f"{proc.label}+band[{width:.3f}]")

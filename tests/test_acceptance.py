@@ -432,3 +432,31 @@ def test_criterion_13_determinism(capsys):
         f"verify reports byte-identical for one seed: {identical}; MC "
         f"numbers identical across worker counts: {workers_ok}",
     )
+
+
+def test_criterion_14_certified_optimality_p2(capsys):
+    # Two coefficients: no rival may beat the recentred ball by more than
+    # the two risks' own quadrature errors.
+    worst_margin, worst_excess, largest_error = math.inf, -math.inf, 0.0
+    for kappa in (0.0, 0.5):
+        ctx = BlythContext(
+            p=2, m=3, c=default_c(2, 3, 0.95), kappa=kappa, eps=1.0
+        )
+        for x in ((-2.0, 0.0), (0.0, 0.0), (1.5, -1.0)):
+            for s in (0.5, 1.0, 4.0):
+                obs = Observation(x=np.array(x), s=s)
+                best = posterior_risk(phi_kappa(ctx), ctx, obs)
+                for seed in range(20):
+                    rv = posterior_risk(perturb(phi_kappa(ctx), seed), ctx, obs)
+                    worst_margin = min(
+                        worst_margin, rv.value - best.value + best.error + rv.error)
+                    worst_excess = max(worst_excess, best.value - rv.value)
+                    largest_error = max(largest_error, best.error, rv.error)
+    ok = worst_margin >= 0.0 and math.isfinite(largest_error)
+    _report(
+        capsys, 14, ok,
+        f"p = 2 posterior risk of the recentered ball vs 20 perturbations x 9 "
+        f"probes, kappa in (0, 0.5): worst excess {worst_excess:.2e}, worst "
+        f"margin over the combined error {worst_margin:.2e} (>= 0), largest "
+        f"error {largest_error:.2e}",
+    )

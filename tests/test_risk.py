@@ -6,9 +6,10 @@ from scipy import integrate, special
 
 from ntglab import blyth
 from ntglab.blyth import BlythContext, Observation
-from ntglab.numint import EstimateWithError, integrate_1d
+from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d
 from ntglab.risk import (
     Procedure,
+    _cap_fraction,
     ball_volume,
     bayes_risk,
     blyth_scaling,
@@ -32,23 +33,46 @@ def _ctx(**kw):
     return BlythContext(**defaults)
 
 
+def _never(x, s):
+    # The empty mixture: it includes nothing.
+    x = np.asarray(x, dtype=float)
+    return np.zeros(0), np.zeros(x.shape[:-1] + (0, x.shape[-1])), np.zeros(np.shape(s) + (0,))
+
+
+def _always(x, s):
+    # One ball of infinite radius: it includes everything.
+    x = np.asarray(x, dtype=float)
+    return np.ones(1), x[..., None, :], np.full(np.shape(s) + (1,), np.inf)
+
+
+def _box(proc, obs):
+    # The smallest axis-aligned box holding every ball of the mixture.
+    _, centres, radii2 = proc.balls(obs.x, obs.s)
+    radius = np.sqrt(radii2)[:, None]
+    return np.min(centres - radius, axis=0), np.max(centres + radius, axis=0)
+
+
+def _midpoint_mesh(lo, hi, inner_grid):
+    # Midpoint nodes of about inner_grid cells over the box, the cell widths
+    # and the number of nodes per axis.
+    p = lo.size
+    n_axis = max(2, int(round(inner_grid ** (1.0 / p))))
+    width = (hi - lo) / n_axis
+    axes = [lo[j] + width[j] * (np.arange(n_axis) + 0.5) for j in range(p)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
+    return mesh, width, n_axis
+
+
 def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
     # Reference posterior risk that does not use the conjugate closed form
     # of the lambda-integral: an outer quadrature over lambda of
     #   r_kappa(c s / m | lambda) * volume - integral of eval * r_kappa(t | lambda),
     # against the posterior density of lambda.  The mu-integral and the
-    # volume use the same midpoint grid as posterior_risk.
+    # volume use the same midpoint grid as _grid_posterior_risk.
     center = blyth.mu_kappa(obs.x, ctx.kappa)
     k1 = 1.0 + ctx.kappa
-    c, r = proc.support(obs.x, obs.s)
-    lo, hi = np.atleast_1d(c - r), np.atleast_1d(c + r)
-    n_axis = max(2, int(round(inner_grid ** (1.0 / ctx.p))))
-    axes = [
-        lo[j] + (hi[j] - lo[j]) * (np.arange(n_axis) + 0.5) / n_axis
-        for j in range(ctx.p)
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ctx.p)
-    cell = float(np.prod((hi - lo) / n_axis))
+    mesh, width, _ = _midpoint_mesh(*_box(proc, obs), inner_grid)
+    cell = float(np.prod(width))
     d2 = np.sum((mesh - center) ** 2, axis=-1)
     vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), float)
     ups = float(np.sum(vals)) * cell
@@ -67,18 +91,60 @@ def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
 
 
 def _log_mu_posterior(ctx, obs, t):
-    # ln of the posterior density of mu at squared distance t from
+    # ln of the posterior density of mu at squared distances t from
     # x / (1 + kappa), from scipy's incomplete gamma rather than specfun.
     def log_upper_gamma(a, z):
-        return math.log(special.gammaincc(a, z)) + special.gammaln(a)
+        return np.log(special.gammaincc(a, z)) + special.gammaln(a)
 
     k1 = 1.0 + ctx.kappa
     bk = 0.5 * (obs.s + ctx.kappa / k1 * float(np.sum(np.square(obs.x))))
     a = 0.5 * (ctx.m + ctx.p)
-    b = bk + 0.5 * k1 * t
+    b = bk + 0.5 * k1 * np.asarray(t, dtype=float)
     return (0.5 * ctx.p * math.log(k1 / (2.0 * math.pi)) + 0.5 * ctx.m * math.log(bk)
             - log_upper_gamma(0.5 * ctx.m, ctx.eps * bk)
-            + log_upper_gamma(a, ctx.eps * b) - a * math.log(b))
+            + log_upper_gamma(a, ctx.eps * b) - a * np.log(b))
+
+
+def _grid_posterior_risk(proc, ctx, obs, inner_grid=65536):
+    # Midpoint-grid oracle: the sum of eval * (w - pi_kappa) over the box
+    # holding every ball, with scipy's density; returns (value, error).  The
+    # error adds, for every cell where eval jumps to an axis neighbour, that
+    # jump times the largest |w - pi_kappa| over the cell times the cell
+    # volume, and the midpoint rule's curvature term (second differences
+    # / 24) of the integrand.
+    p = ctx.p
+    mesh, width, n_axis = _midpoint_mesh(*_box(proc, obs), inner_grid)
+    cell = float(np.prod(width))
+    center = np.atleast_1d(blyth.mu_kappa(obs.x, ctx.kappa))
+    w = math.exp(_log_mu_posterior(ctx, obs, ctx.c * obs.s / ctx.m))
+
+    def excess(t):
+        return w - np.exp(_log_mu_posterior(ctx, obs, t))
+
+    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
+    terms = vals * excess(np.sum((mesh - center) ** 2, axis=-1))
+    value = float(np.sum(terms)) * cell
+
+    # Each cell's largest jump of eval to an axis neighbour, and the
+    # integrand's second differences along every axis.
+    vals, terms = vals.reshape((n_axis,) * p), terms.reshape((n_axis,) * p)
+    jump = np.zeros(vals.shape)
+    curvature = 0.0
+    for ax in range(p):
+        v, big = np.moveaxis(vals, ax, 0), np.moveaxis(jump, ax, 0)  # views
+        step = np.abs(v[1:] - v[:-1])
+        np.maximum(big[1:], step, out=big[1:])
+        np.maximum(big[:-1], step, out=big[:-1])
+        curvature += float(np.abs(np.diff(terms, n=2, axis=ax)).sum())
+    # w - pi_kappa is monotone in the squared distance, so its extremes over
+    # a cell sit at the cell's nearest and farthest points from mu_kappa.
+    idx = np.nonzero(jump.reshape(-1))[0]
+    off = np.abs(mesh[idx] - center)
+    near = np.sum(np.maximum(off - 0.5 * width, 0.0) ** 2, axis=-1)
+    far = np.sum((off + 0.5 * width) ** 2, axis=-1)
+    reach = np.maximum(np.abs(excess(near)), np.abs(excess(far)))
+    error = (float(np.sum(jump.reshape(-1)[idx] * reach)) + curvature / 24.0) * cell
+    return value, error
 
 
 def _radial_ball_risk(ctx, obs):
@@ -98,8 +164,7 @@ def _split_reference(proc, ctx, obs):
     # p = 1 posterior risk of any procedure: locate the jumps of eval by
     # bisection, then integrate phi * (w - pi_kappa) piece by piece, phi
     # being constant on each piece.
-    center, radius = proc.support(obs.x, obs.s)
-    lo, hi = float(center[0] - radius), float(center[0] + radius)
+    lo, hi = (float(v[0]) for v in _box(proc, obs))
 
     def ev(u):
         return float(proc.eval(obs.x, obs.s, np.array([u])))
@@ -183,8 +248,8 @@ class TestProcedures:
         ctx = _ctx(p=2, kappa=0.7)
         x = np.array([0.3, -0.8])
         for s in (0.5, 2.0):
-            v0 = phi0(ctx).closed_form_measure(x, s)
-            vk = phi_kappa(ctx).closed_form_measure(x, s)
+            v0 = phi0(ctx).volume(x, s)
+            vk = phi_kappa(ctx).volume(x, s)
             assert v0 == pytest.approx(vk, rel=1e-14)
             assert v0 == pytest.approx(
                 ball_volume(2, ctx.c * s / ctx.m), rel=1e-14
@@ -194,10 +259,7 @@ class TestProcedures:
 class TestCoverage:
     def test_constant_one(self):
         ctx = _ctx()
-        proc = Procedure(
-            eval=lambda x, s, mu: np.ones(np.asarray(s).shape),
-            label="always",
-        )
+        proc = Procedure(balls=_always, label="always")
         est = coverage(proc, np.zeros(2), 1.0, ctx, n=5000, seed=0)
         assert est.value == 1.0
         assert est.error == 0.0
@@ -223,21 +285,26 @@ class TestCoverage:
 class TestLoss:
     def test_zero_procedure(self):
         ctx = _ctx()
-        proc = Procedure(
-            eval=lambda x, s, mu: np.zeros(np.asarray(s).shape),
-            label="never",
-            closed_form_measure=lambda x, s: np.zeros(
-                np.asarray(s).shape
-            ),
-        )
+        proc = Procedure(balls=_never, label="never")
         assert loss(proc, ctx, np.zeros(2), 1.0, np.zeros(2), 1.5) == 0.0
 
-    def test_requires_closed_measure(self):
-        ctx = _ctx()
-        base = phi0(ctx)
-        bare = Procedure(eval=base.eval, label="bare", support=base.support)
-        with pytest.raises(ValueError):
-            loss(bare, ctx, np.zeros(2), 1.0, np.zeros(2), 1.5)
+    def test_mixture_volume(self):
+        # Weights 1/2 and 1/4 on concentric balls of squared radii 1 and 4:
+        # volume (1/2) pi + (1/4) 4 pi, and mu between the two spheres is
+        # included with weight 1/4.
+        ctx = _ctx(p=2, m=2, c=2.0, kappa=1.0)
+
+        def balls(x, s):
+            centre = np.asarray(x, dtype=float)[..., None, :]
+            return np.array([0.5, 0.25]), np.concatenate([centre, centre], axis=-2), np.array([1.0, 4.0])
+
+        proc = Procedure(balls=balls, label="two-ball")
+        x, s, lam = np.zeros(2), 2.0, 1.5
+        assert float(proc.volume(x, s)) == pytest.approx(1.5 * math.pi, rel=1e-15)
+        w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
+        assert loss(proc, ctx, x, s, np.array([1.5, 0.0]), lam) == pytest.approx(
+            w * 1.5 * math.pi - 0.25, rel=1e-14
+        )
 
     def test_hand_value(self):
         ctx = _ctx(p=2, m=2, c=2.0, kappa=1.0)
@@ -262,18 +329,60 @@ class TestLoss:
             assert loss(phi0(ctx), ctx, x, s, mu, lam) >= -1.0
 
 
+class TestCapFraction:
+    # Squared radius R^2 = 1 about a centre at distance d; the kinks of
+    # frac_p sit at r = |d - R| and r = d + R.
+    @staticmethod
+    def _radii(d):
+        kinks = (abs(d - 1.0), d + 1.0)
+        near = [np.nextafter(k, side) for k in kinks for side in (0.0, np.inf)]
+        return np.array(sorted({0.0, *kinks, *near, *np.linspace(0.0, d + 2.0, 41)}))
+
+    @pytest.mark.parametrize("d", [0.0, 0.4, 1.0, 1.7])
+    def test_p1_counts_points(self, d):
+        # The sphere of radius r about 0 is the two points +r and -r.
+        r = self._radii(d)
+        count = (np.abs(r - d) < 1.0).astype(float) + (np.abs(-r - d) < 1.0)
+        assert np.array_equal(_cap_fraction(1, r, d, 1.0), count / 2.0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("d", [0.4, 1.0, 1.7])
+    def test_spherical_cap(self, p, d):
+        # arccos(cos theta)/pi at p = 2 and Archimedes' (1 - cos theta)/2 at
+        # p = 3, with cos theta clipped to [-1, 1] past the kinks.
+        r = self._radii(d)[1:]
+        cos = np.clip((r * r + d * d - 1.0) / (2.0 * r * d), -1.0, 1.0)
+        expect = np.arccos(cos) / math.pi if p == 2 else 0.5 * (1.0 - cos)
+        got = _cap_fraction(p, r, d, 1.0)
+        assert np.max(np.abs(got - expect)) <= 1e-15
+        # Below the first kink the ball holds all, half (d = R) or none.
+        assert got[0] == {0.4: 1.0, 1.0: 0.5, 1.7: 0.0}[d] and got[-1] == 0.0
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_cap_matches_angular_quadrature(self, p):
+        # The cap of polar angle theta holds the share
+        # int_0^theta sin^{p-2} / int_0^pi sin^{p-2} of the sphere.
+        d = 0.7
+        total = integrate.quad(lambda a: math.sin(a) ** (p - 2), 0.0, math.pi)[0]
+        for r in (0.35, 0.8, 1.2, 1.6):
+            theta = math.acos((r * r + d * d - 1.0) / (2.0 * r * d))
+            share = integrate.quad(lambda a: math.sin(a) ** (p - 2), 0.0, theta)[0] / total
+            assert float(_cap_fraction(p, r, d, 1.0)) == pytest.approx(share, abs=1e-14)
+
+    def test_on_axis(self):
+        # At d = 0 or r = 0 the sphere lies wholly inside or outside.
+        assert np.array_equal(_cap_fraction(2, [0.5, 1.5], 0.0, 1.0), [1.0, 0.0])
+        assert np.array_equal(_cap_fraction(3, 0.0, [0.5, 1.5], 1.0), [1.0, 0.0])
+
+
 class TestPosteriorRisk:
     def test_zero_procedure_has_zero_risk(self):
+        # The empty mixture has no balls, so no volume and no coverage.
         ctx = _ctx(p=1)
-        proc = Procedure(
-            eval=lambda x, s, mu: np.zeros(np.asarray(s).shape),
-            label="never",
-            closed_form_measure=lambda x, s: 0.0,
-            support=lambda x, s: (np.asarray(x, float), 1.0),
-        )
+        proc = Procedure(balls=_never, label="never")
         obs = Observation(x=np.array([0.5]), s=1.0)
         est = posterior_risk(proc, ctx, obs)
-        assert abs(est.value) < 1e-10
+        assert est.value == 0.0 and est.error == 0.0
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     def test_recentered_ball_minimizes(self, kappa):
@@ -296,71 +405,129 @@ class TestPosteriorRisk:
             )
 
     def test_grid_path_matches_adaptive(self):
+        # The radial rule at criterion 09's tolerance against scipy's radial
+        # quadrature of the ball.
         ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
         obs = Observation(x=np.array([1.2]), s=1.5)
-        grid = posterior_risk(
+        got = posterior_risk(
             phi_kappa(ctx), ctx, obs,
             Tolerance(rel=1e-6, abs=1e-9, max_iter=200), inner_grid=65536,
         ).value
-        assert grid == pytest.approx(_radial_ball_risk(ctx, obs), abs=1e-8)
+        assert got == pytest.approx(_radial_ball_risk(ctx, obs), abs=1e-12)
 
     def test_p2_ball_matches_radial_oracle(self):
-        # phi * (w - pi_kappa) has no jump on the ball's boundary, so the
-        # midpoint sum converges at p = 2 too, and its error covers the gap.
-        ctx = _ctx(p=2, m=2, c=2.0, kappa=0.5)
-        obs = Observation(x=np.array([0.6, -0.4]), s=1.5)
-        grid = posterior_risk(phi_kappa(ctx), ctx, obs, inner_grid=65536)
-        gap = abs(grid.value - _radial_ball_risk(ctx, obs))
-        assert gap <= 1e-6
-        assert gap <= grid.error
+        for kappa in (0.0, 0.5):
+            ctx = _ctx(p=2, m=2, c=2.0, kappa=kappa)
+            obs = Observation(x=np.array([0.6, -0.4]), s=1.5)
+            got = posterior_risk(phi_kappa(ctx), ctx, obs)
+            assert abs(got.value - _radial_ball_risk(ctx, obs)) <= 1e-12
 
     _TIGHT = Tolerance(rel=1e-12, abs=1e-14, max_iter=200)
-    _PROBES = {1: np.array([1.2]), 2: np.array([0.6, -0.4])}
+    _PROBES = {1: np.array([1.2]), 2: np.array([0.6, -0.4]), 3: np.array([0.6, -0.4, 0.3])}
+
+    @pytest.mark.parametrize("kind", ["ball", "scale", "offset", "band"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_matches_split_reference(self, kappa, kind):
+        # p = 1: every rival kind against the piecewise scipy reference.
+        ctx = _ctx(p=1, m=2, c=2.0, kappa=kappa)
+        obs = Observation(x=self._PROBES[1], s=1.5)
+        proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
+        got = posterior_risk(proc, ctx, obs)
+        assert abs(got.value - _split_reference(proc, ctx, obs)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ball", "scale", "offset", "band"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_grid_oracle(self, p, kappa, kind):
+        ctx = _ctx(p=p, m=2, c=2.0, kappa=kappa)
+        obs = Observation(x=self._PROBES[p], s=1.5)
+        proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
+        got = posterior_risk(proc, ctx, obs)
+        grid, grid_error = _grid_posterior_risk(proc, ctx, obs, inner_grid=65536)
+        assert abs(got.value - grid) <= grid_error + got.error
+
+    def test_p3_offset_matches_grid_oracle(self):
+        # At p >= 3 the cap fraction comes from f_cdf node by node.
+        ctx = _ctx(p=3, m=2, c=2.0, kappa=0.5)
+        obs = Observation(x=self._PROBES[3], s=1.5)
+        proc = _rival(phi_kappa(ctx), "offset")
+        got = posterior_risk(proc, ctx, obs)
+        grid, grid_error = _grid_posterior_risk(proc, ctx, obs, inner_grid=1 << 18)
+        assert abs(got.value - grid) <= grid_error + got.error
 
     @pytest.mark.parametrize("kind", ["ball", "scale", "offset", "band"])
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     @pytest.mark.parametrize("p", [1, 2])
     def test_grid_path_matches_nested_oracle(self, p, kappa, kind):
+        # The grid oracle's conjugate step against an outer lambda-quadrature
+        # on the same grid.
         ctx = _ctx(p=p, m=2, c=2.0, kappa=kappa)
         obs = Observation(x=self._PROBES[p], s=1.5)
         proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
-        got = posterior_risk(proc, ctx, obs, inner_grid=4096)
+        got, _ = _grid_posterior_risk(proc, ctx, obs, inner_grid=4096)
         ref = _nested_posterior_risk(proc, ctx, obs, self._TIGHT, inner_grid=4096)
-        assert got.value == pytest.approx(ref, abs=1e-10)
+        assert got == pytest.approx(ref, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["ball", "offset", "band"])
     def test_grid_error_covers_the_adaptive_value(self, kind):
+        # The grid oracle's error is real: it covers the exact value.
         ctx = _ctx(p=1, m=2, c=2.0, kappa=0.5)
         obs = Observation(x=self._PROBES[1], s=1.5)
         proc = phi_kappa(ctx) if kind == "ball" else _rival(phi_kappa(ctx), kind)
         exact = _split_reference(proc, ctx, obs)
-        grid = posterior_risk(proc, ctx, obs, inner_grid=65536)
-        assert 0.0 < abs(grid.value - exact) <= grid.error <= 1e-5
+        grid, grid_error = _grid_posterior_risk(proc, ctx, obs, inner_grid=65536)
+        assert 0.0 < abs(grid - exact) <= grid_error <= 1e-5
 
-    def test_default_grid(self):
+    def test_inner_grid_is_ignored(self):
         ctx = _ctx(p=2, m=2, c=2.0, kappa=0.5)
         obs = Observation(x=self._PROBES[2], s=1.5)
         default = posterior_risk(phi_kappa(ctx), ctx, obs)
-        assert default == posterior_risk(phi_kappa(ctx), ctx, obs, inner_grid=4096)
+        for grid in (4096, 65536):
+            assert default == posterior_risk(phi_kappa(ctx), ctx, obs, inner_grid=grid)
+
+    def test_rule_doubles_until_the_error_meets_tol(self):
+        # A ball several posterior widths across needs more than the first
+        # rules; the error of the coarse rules still covers their gap.
+        ctx = _ctx(p=2, m=2, c=400.0, kappa=0.5)
+        obs = Observation(x=self._PROBES[2], s=1.5)
+        exact = _radial_ball_risk(ctx, obs)
+        coarse = posterior_risk(phi_kappa(ctx), ctx, obs, Tolerance(rel=1e-3, abs=1e-6))
+        fine = posterior_risk(phi_kappa(ctx), ctx, obs)
+        assert coarse.n_evals < fine.n_evals
+        assert abs(coarse.value - exact) <= coarse.error
+        assert fine.error <= 1e-15 + 1e-12 * abs(fine.value)
+        assert abs(fine.value - exact) <= 1e-12
+
+    def test_unreachable_tolerance_raises(self):
+        ctx = _ctx(p=2, m=2, c=2.0, kappa=0.5)
+        obs = Observation(x=self._PROBES[2], s=1.5)
+        with pytest.raises(QuadratureError) as info:
+            posterior_risk(phi_kappa(ctx), ctx, obs, Tolerance(rel=1e-300, abs=1e-300))
+        value, error = info.value.partial
+        assert abs(value - _radial_ball_risk(ctx, obs)) <= 1e-12 and error > 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_risk_fails_closed(self):
+        # A ball of infinite radius has infinite volume.
+        ctx = _ctx(p=1)
+        proc = Procedure(balls=_always, label="always")
+        with pytest.raises(QuadratureError):
+            posterior_risk(proc, ctx, Observation(x=np.zeros(1), s=1.0))
 
     def test_half_weight_halves_the_risk(self):
-        # The midpoint sum is linear in phi, and halving is exact in floats.
+        # The rule is linear in the weights, and halving is exact in floats.
         ctx = _ctx(p=2, kappa=0.5)
         base = phi_kappa(ctx)
 
-        def half(x, s, mu):
-            return 0.5 * np.asarray(base.eval(x, s, mu), dtype=float)
+        def half(x, s):
+            weights, centres, radii2 = base.balls(x, s)
+            return 0.5 * weights, centres, radii2
 
-        proc = Procedure(eval=half, label="half-ball", support=base.support)
+        proc = Procedure(balls=half, label="half-ball")
         obs = Observation(x=self._PROBES[2], s=1.5)
-        full = posterior_risk(base, ctx, obs).value
-        assert posterior_risk(proc, ctx, obs).value == 0.5 * full
-
-    def test_missing_support_rejected(self):
-        ctx = _ctx(p=1)
-        proc = Procedure(eval=lambda *a: 0.0, label="bare")
-        with pytest.raises(ValueError):
-            posterior_risk(proc, ctx, Observation(x=np.zeros(1), s=1.0))
+        full = posterior_risk(base, ctx, obs)
+        got = posterior_risk(proc, ctx, obs)
+        assert got.value == 0.5 * full.value and got.error == 0.5 * full.error
 
     def test_risk_is_negative_for_sensible_balls(self):
         # A well-placed ball earns more coverage than it pays in volume.
@@ -374,12 +541,19 @@ class TestBayesRisk:
         with pytest.raises(ValueError):
             bayes_risk(phi0(_ctx(kappa=0.0)), _ctx(kappa=0.0), n=1000)
 
-    def test_requires_closed_measure(self):
+    def test_half_weight_halves_the_risk(self):
+        # Every draw's volume and inclusion weight halve exactly, and so do
+        # the mean and the standard error.
         ctx = _ctx()
         base = phi0(ctx)
-        bare = Procedure(eval=base.eval, label="x", support=base.support)
-        with pytest.raises(ValueError):
-            bayes_risk(bare, ctx, n=1000)
+
+        def half(x, s):
+            weights, centres, radii2 = base.balls(x, s)
+            return 0.5 * weights, centres, radii2
+
+        full = bayes_risk(base, ctx, n=20_000, seed=6)
+        got = bayes_risk(Procedure(balls=half, label="half-ball"), ctx, n=20_000, seed=6)
+        assert got.value == 0.5 * full.value and got.error == 0.5 * full.error
 
     def test_bounds(self):
         ctx = _ctx(p=2, m=2, c=2.0, kappa=1.0)
@@ -475,9 +649,25 @@ class TestBlythScaling:
 
 
 class TestPerturb:
-    def test_requires_support(self):
-        with pytest.raises(ValueError):
-            perturb(Procedure(eval=lambda *a: 0.0, label="bare"), 0)
+    def test_perturbs_any_mixture(self):
+        # Each family maps every ball of the base mixture: the empty mixture
+        # stays empty, and two balls become two (scale, offset) or four
+        # (band) with the same total weight.
+        ctx = _ctx(p=2)
+        base = phi_kappa(ctx)
+
+        def two(x, s):
+            weights, centres, radii2 = base.balls(x, s)
+            return (np.array([0.5, 0.5]), np.concatenate([centres, centres + 1.0], axis=-2),
+                    np.concatenate([radii2, 4.0 * radii2], axis=-1))
+
+        x, s = np.array([1.0, -0.5]), 1.8
+        for seed in range(12):
+            empty = perturb(Procedure(balls=_never, label="never"), seed)
+            assert [a.size for a in empty.balls(x, s)] == [0, 0, 0]
+            weights, centres, radii2 = perturb(Procedure(balls=two, label="two"), seed).balls(x, s)
+            assert weights.size in (2, 4) and centres.shape == (weights.size, 2)
+            assert radii2.shape == (weights.size,) and np.sum(weights) == 1.0
 
     def test_weights_stay_in_unit_interval_and_differ(self):
         ctx = _ctx(p=2)
@@ -495,7 +685,7 @@ class TestPerturb:
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             assert np.any(vals != base_vals)
 
-    def test_support_covers_eval(self):
+    def test_eval_vanishes_outside_the_balls(self):
         ctx = _ctx(p=2)
         base = phi_kappa(ctx)
         x = np.array([0.4, 0.9])
@@ -503,13 +693,15 @@ class TestPerturb:
         rng = np.random.default_rng(1)
         for seed in range(12):
             rival = perturb(base, seed)
-            center, radius = rival.support(x, s)
-            probes = np.asarray(center) + rng.normal(size=(500, 2))
+            _, centres, radii2 = rival.balls(x, s)
+            probes = centres[0] + 2.0 * rng.normal(size=(500, 2))
             vals = np.asarray(
                 rival.eval(x, np.full(500, s), probes), dtype=float
             )
-            dist = np.sqrt(np.sum((probes - center) ** 2, axis=-1))
-            assert np.all(vals[dist > radius + 1e-12] == 0.0)
+            d2 = np.sum((probes[:, None, :] - centres) ** 2, axis=-1)
+            outside = np.all(d2 >= radii2, axis=-1)
+            assert outside.any() and np.all(vals[outside] == 0.0)
+            assert np.all(vals[~outside] > 0.0)
 
 
 def _mc(value, error):
