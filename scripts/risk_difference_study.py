@@ -4,7 +4,8 @@
 For each (p, m, kappa) cell the paired estimator draws common random
 numbers for both procedures, so the truncation floor eps cancels exactly;
 pass --eps-sweep to demonstrate that the estimate is bit-identical across
-eps values under one seed.
+eps values under one seed.  The eps values of a cell share one Monte Carlo
+pass: each chunk is drawn once and every eps rescales the precision on it.
 
 Example:
 
@@ -15,7 +16,7 @@ import argparse
 
 from ntglab.blyth import BlythContext
 from ntglab.risk import (
-    default_c, risk_difference_closed, risk_difference_mc, risk_difference_z,
+    default_c, risk_difference_closed, risk_difference_sweep, risk_difference_z,
 )
 
 
@@ -38,10 +39,10 @@ def main() -> None:
         for m in args.dofs:
             c = default_c(p, m, args.level)
             for kappa in args.kappas:
-                for eps in eps_values:
-                    ctx = BlythContext(p=p, m=m, c=c, kappa=kappa, eps=eps)
-                    closed = risk_difference_closed(ctx)
-                    mc = risk_difference_mc(ctx, n=args.n, seed=args.seed)
+                ctx = BlythContext(p=p, m=m, c=c, kappa=kappa, eps=eps_values[0])
+                closed = risk_difference_closed(ctx)
+                sweep = risk_difference_sweep(ctx, eps_values, n=args.n, seed=args.seed)
+                for eps, mc in zip(eps_values, sweep):
                     z = risk_difference_z(mc, closed, kappa)
                     print(f"{p:2d} {m:2d} {kappa:6.3f} {eps:5.2f} "
                           f"{closed:12.6g} {mc.value:12.6g} "

@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``verify``     -- run the identity suites and emit a JSON report,
-* ``risk-diff``  -- closed-form vs. Monte Carlo risk difference,
+* ``risk-diff``  -- closed-form vs. Monte Carlo risk difference; with
+  ``--eps-sweep`` one paired Monte Carlo pass serves every eps, on shared
+  draws,
 * ``blyth``      -- the scaling table over a kappa grid, as CSV,
 * ``regress``    -- OLS plus the standard confidence region from a CSV file.
 
@@ -25,7 +27,7 @@ from typing import Optional
 
 from . import regress, risk, verify
 from .blyth import BlythContext
-from .risk import blyth_scaling, default_c, risk_difference_closed, risk_difference_mc
+from .risk import blyth_scaling, default_c, risk_difference_closed, risk_difference_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,11 +108,11 @@ def cmd_risk_diff(args) -> int:
     config = RunConfig(seed=args.seed, mc_n=args.mc_n)
     c = _resolve_c(args)
     eps_values = [0.5, 1.0, 2.0] if args.eps_sweep else [args.eps]
+    ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps_values[0])
+    closed = risk_difference_closed(ctx)  # eps does not enter it
+    sweep = risk_difference_sweep(ctx, eps_values, n=config.mc_n, seed=config.seed)
     rows = []
-    for eps in eps_values:
-        ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps)
-        closed = risk_difference_closed(ctx)
-        mc = risk_difference_mc(ctx, n=config.mc_n, seed=config.seed)
+    for eps, mc in zip(eps_values, sweep):
         z = risk.risk_difference_z(mc, closed, ctx.kappa)
         rows.append(
             {

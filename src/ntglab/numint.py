@@ -4,7 +4,8 @@
   doubly infinite intervals, raising ``QuadratureError`` when it misses
   its tolerance;
 * ``mc_estimate``: chunked Monte Carlo with a standard error, bit-identical
-  for any worker count;
+  for any worker count; its private row form gives several estimates on
+  each chunk's shared draws;
 * numeric checks of the appendix-style integral identities, each reduced
   to 1-D radial and angular quadratures by the quadratic spherical
   parameterization ``t = r^2 cos^2(theta)``, ``||z|| = r sin(theta)``:
@@ -314,6 +315,29 @@ def mc_estimate(
     sequence, so the result is bit-identical for any worker count.
     The values must be one-dimensional, one per draw.
     """
+
+    def rows(rng: np.random.Generator, size: int) -> np.ndarray:
+        vals = sampler(rng, size)
+        if integrand is not None:
+            vals = integrand(vals)
+        vals = np.asarray(vals, dtype=float)
+        if vals.ndim != 1:
+            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
+        return vals[None, :]
+
+    return _mc_estimate_rows(rows, n, seed, workers)[0]
+
+
+def _mc_estimate_rows(
+    sampler: Callable[[np.random.Generator, int], np.ndarray],
+    n: int,
+    seed: int,
+    workers: int = 1,
+) -> list[EstimateWithError]:
+    # Row form of mc_estimate: sampler(rng, size) returns (k, size) values,
+    # k estimates on each chunk's shared draws.  Every row is summed as a
+    # contiguous 1-D array and merged on its own, so each estimate is
+    # bit-identical to an mc_estimate call whose sampler returns that row.
     if n < 1:
         raise ValueError("n must be >= 1")
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
@@ -322,14 +346,12 @@ def mc_estimate(
 
     def run_chunk(i: int):
         rng = np.random.default_rng(seeds[i])
-        vals = sampler(rng, sizes[i])
-        if integrand is not None:
-            vals = integrand(vals)
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
-        mean = float(vals.sum()) / vals.size
-        return vals.size, mean, float(np.square(vals - mean).sum())
+        vals = np.ascontiguousarray(sampler(rng, sizes[i]), dtype=float)
+        stats = []
+        for row in vals:
+            mean = float(row.sum()) / row.size
+            stats.append((row.size, mean, float(np.square(row - mean).sum())))
+        return stats
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -343,12 +365,15 @@ def mc_estimate(
     # order, so the result does not depend on timing (Chan, Golub and
     # LeVeque 1983); unlike sum(x^2)/n - mean^2 this does not cancel when
     # the mean dwarfs the spread.
-    count, mean, m2 = results[0]
-    for nb, mean_b, m2_b in results[1:]:
-        delta = mean_b - mean
-        total = count + nb
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * count * nb / total
-        count = total
-    se = math.sqrt(m2 / count / count)
-    return EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo")
+    estimates = []
+    for row_stats in zip(*results):
+        count, mean, m2 = row_stats[0]
+        for nb, mean_b, m2_b in row_stats[1:]:
+            delta = mean_b - mean
+            total = count + nb
+            mean += delta * nb / total
+            m2 += m2_b + delta * delta * count * nb / total
+            count = total
+        se = math.sqrt(m2 / count / count)
+        estimates.append(EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo"))
+    return estimates

@@ -13,7 +13,10 @@ posterior risk, leaving the posterior density of mu, radial about
 ``mu_kappa``, which ``posterior_risk`` integrates along the radius.  The
 risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
 prior risk difference between the standard and the recentered ball is
-``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)``.
+``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)`` whatever the truncation eps.
+``risk_difference_sweep`` checks that by paired Monte Carlo over several
+eps at once: the eps values share one set of draws, and each rescales the
+precision on them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import blyth
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, QuadratureError, mc_estimate
+from .numint import EstimateWithError, QuadratureError, _mc_estimate_rows, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "bayes_risk",
     "risk_difference_closed",
     "risk_difference_mc",
+    "risk_difference_sweep",
     "risk_difference_z",
     "blyth_scaling",
     "perturb",
@@ -50,6 +54,14 @@ __all__ = [
 _RULE_START = 32  # nodes of posterior_risk's first Gauss-Legendre rule
 _RULE_CAP = 1 << 10  # largest rule posterior_risk may double to
 _DEFAULT_TOL = Tolerance(rel=1e-12, abs=1e-15)
+# The posterior density's relative rounding error, in units of machine
+# epsilon, as A + B (m + p)/2: B for the power b^((m+p)/2) and the shape of
+# Gamma((m+p)/2, .).  Sized against 30-digit mpmath with a margin of about
+# 2: the largest needs seen were 75 at m <= 60, 212 at m = 120 and 490 at
+# m = 250.
+_MACH_EPS = float(np.finfo(float).eps)
+_ROUNDING_ULPS = (128.0, 8.0)
+_SWEEP_BLOCK = 4096  # draws per block of risk_difference_sweep's per-eps arithmetic
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,7 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     at p >= 2 the share is a cap, cos(theta) = (r^2 + d^2 - R^2)/(2 r d):
     arccos(cos theta)/pi at p = 2, else ``1/2 I_{sin^2 theta}((p-1)/2, 1/2)
     = 1/2 f_cdf(p-1, 1, tan^2 theta/(p-1))`` (S. Li, Asian J. Math. Stat. 4,
-    2011), mirrored for cos(theta) < 0."""
+    2011), mirrored for cos(theta) < 0; outside the cap it is 0 or 1."""
     r, d, radius = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, radius)))
     if p == 1:
         return 0.5 * ((np.abs(r - d) < radius) + (r + d < radius).astype(float))
@@ -161,7 +173,10 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
             frac = np.arccos(cos) / math.pi
         else:
             tan2 = (1.0 - cos) * (1.0 + cos) / (cos * cos) / (p - 1)
-            half = np.reshape([0.5 * f_cdf(p - 1, 1, t) for t in tan2.ravel()], cos.shape)
+            # f_cdf at tan2 = 0 is 0, so only nodes strictly inside a cap,
+            # off the axis, need the scalar call.
+            cap, half = np.abs(cos) < 1.0, np.zeros(cos.shape)
+            half[cap] = [0.5 * f_cdf(p - 1, 1, t) for t in tan2[cap]]
             frac = np.where(cos >= 0.0, half, 1.0 - half)
     return np.where(on_axis, r + d < radius, frac)
 
@@ -191,11 +206,14 @@ def posterior_risk(
     ``r = lo + (hi - lo)(1 - cos t)/2``, which smooths the cap's square-root
     ends, and summed by Gauss-Legendre rules with n and 2n nodes, from
     n = 32; each round sends every node and w through one density call.
-    The value is the 2n-node sum and the error ``sum_k |a_k| |G_2n - G_n|``.
-    n doubles while the error exceeds ``tol.abs + tol.rel |value|``; a
-    non-finite result, or passing ``_RULE_CAP`` nodes, raises
-    ``QuadratureError``.  ``inner_grid`` is ignored: it sized the midpoint
-    grid this rule replaced, and existing callers still pass it.
+    The value is the 2n-node sum; n doubles while ``sum_k |a_k| |G_2n - G_n|``
+    exceeds ``tol.abs + tol.rel |value|``, and a non-finite result, or
+    passing ``_RULE_CAP`` nodes, raises ``QuadratureError``.  The reported
+    error is that difference plus the density's rounding, which both rules
+    share: ``(A + B (m+p)/2) eps_mach`` (``_ROUNDING_ULPS``) times the
+    magnitudes summed, ``|w vol| + sum_k |a_k| G_2n,k``.  ``inner_grid`` is
+    ignored: it sized the midpoint grid this rule replaced, and existing
+    callers still pass it.
     """
     tol = tol or _DEFAULT_TOL
     p = ctx.p
@@ -234,7 +252,13 @@ def posterior_risk(
             raise QuadratureError(
                 f"posterior risk of {proc.label!r} is not finite", partial=(value, error))
         if error <= tol.abs + tol.rel * abs(value):
-            return EstimateWithError(value, error, n_evals, "quadrature")
+            # The two rules share their density values, so |G_2n - G_n|
+            # cannot see the density's rounding: add it, relative to the
+            # magnitudes summed, outside the doubling test.
+            magnitude = abs(dens[-1] * volume) + np.sum(np.abs(row_weight * fine))
+            ulps = _ROUNDING_ULPS[0] + _ROUNDING_ULPS[1] * 0.5 * (ctx.m + p)
+            rounding = ulps * _MACH_EPS * float(magnitude)
+            return EstimateWithError(value, error + rounding, n_evals, "quadrature")
         n *= 2
         if 2 * n > _RULE_CAP:
             raise QuadratureError(
@@ -242,16 +266,16 @@ def posterior_risk(
                 f"at {n // 2}- and {n}-node rules", partial=(value, error))
 
 
-def _prior_model_draw(ctx: BlythContext, rng: np.random.Generator, size: int):
-    # Vectorized draw of (mu, lambda) from the NtG(p,0,kappa,-p/2,0,eps)
-    # prior and (x, s) from the model.
-    p, m = ctx.p, ctx.m
-    u = rng.random(size)
-    lam = ctx.eps * u ** (-2.0 / p)
-    mu = rng.standard_normal((size, p)) / np.sqrt(ctx.kappa * lam)[:, None]
-    x = mu + rng.standard_normal((size, p)) / np.sqrt(lam)[:, None]
-    s = rng.chisquare(m, size) / lam
-    return mu, lam, x, s
+def _prior_draws(p: int, m: int, rng: np.random.Generator, size: int):
+    # One chunk's standardised draws for (mu, lambda) from the
+    # NtG(p,0,kappa,-p/2,0,eps) prior and (x, s) from the model, in stream
+    # order: lambda = eps u^(-2/p), mu = z1/sqrt(kappa lambda),
+    # x = mu + z2/sqrt(lambda), s = chi2/lambda.  Returns u^(-2/p), z1, z2
+    # and chi2, which do not depend on eps or kappa.
+    upow = rng.random(size) ** (-2.0 / p)
+    z1 = rng.standard_normal((size, p))
+    z2 = rng.standard_normal((size, p))
+    return upow, z1, z2, rng.chisquare(m, size)
 
 
 def bayes_risk(
@@ -271,7 +295,11 @@ def bayes_risk(
         raise ValueError("bayes_risk requires kappa > 0")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        mu, lam, x, s = _prior_model_draw(ctx, rng, size)
+        upow, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size)
+        lam = ctx.eps * upow
+        mu = z1 / np.sqrt(ctx.kappa * lam)[:, None]
+        x = mu + z2 / np.sqrt(lam)[:, None]
+        s = chi2 / lam
         k1, t = 1.0 + ctx.kappa, ctx.c * s / ctx.m
         w = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
         vol = np.asarray(proc.volume(x, s), dtype=float)
@@ -296,27 +324,65 @@ def risk_difference_mc(
     seed: int = 0,
     workers: int = 1,
 ) -> EstimateWithError:
-    """Paired Monte Carlo estimate of the risk difference.
+    """Paired Monte Carlo estimate of the risk difference at ``ctx.eps``:
+    the one-eps case of ``risk_difference_sweep``."""
+    return risk_difference_sweep(ctx, (ctx.eps,), n, seed, workers)[0]
+
+
+def risk_difference_sweep(
+    ctx: BlythContext,
+    eps_values: Sequence[float],
+    n: int = 10 ** 6,
+    seed: int = 0,
+    workers: int = 1,
+) -> tuple[EstimateWithError, ...]:
+    """Paired Monte Carlo estimates of the risk difference, one per eps.
 
     Since the two balls have equal volume, the risk difference reduces to
     the difference of coverage terms; both indicators are evaluated on
     common draws (common random numbers), which is what makes the O(kappa)
-    signal visible at feasible sample sizes.
+    signal visible at feasible sample sizes.  The eps values share one set
+    of draws as well: each chunk draws (u, z1, z2, chi2) once, and every eps
+    rescales lambda = eps u^(-2/p) and evaluates both indicators on them,
+    so each estimate is bit-identical to a separate run at that eps with
+    the same seed, and the spread across eps tests the cancellation of eps.
+    ``ctx.eps`` is not read.
 
-    At kappa = 0 the two indicators coincide and the difference is exactly 0.
+    At kappa = 0 the two indicators coincide and every difference is
+    exactly 0.
     """
+    eps_values = tuple(float(eps) for eps in eps_values)
+    if not all(eps > 0 for eps in eps_values):
+        raise ValueError(f"eps values must be positive, got {eps_values}")
     if ctx.kappa == 0.0:
-        return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
-    cm = ctx.c / ctx.m
+        zero = EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
+        return (zero,) * len(eps_values)
+    p, kappa, k1, cm = ctx.p, ctx.kappa, 1.0 + ctx.kappa, ctx.c / ctx.m
+
+    def sq_dist(d):
+        # Sum of squares over the p rows of d (p, block), in the order np.sum
+        # takes along the last axis of (block, p): left to right below 8
+        # terms, pairwise from 8 on, which needs a contiguous (block, p) copy.
+        d = np.square(d, out=d)
+        return np.sum(d, axis=0) if p < 8 else np.sum(np.ascontiguousarray(d.T), axis=-1)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        mu, lam, x, s = _prior_model_draw(ctx, rng, size)
-        thresh = cm * s
-        d2_k = np.sum((mu - x / (1.0 + ctx.kappa)) ** 2, axis=-1)
-        d2_0 = np.sum((mu - x) ** 2, axis=-1)
-        return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
+        upow, z1, z2, chi2 = _prior_draws(p, ctx.m, rng, size)
+        out = np.empty((len(eps_values), size))
+        for lo in range(0, size, _SWEEP_BLOCK):
+            blk = slice(lo, lo + _SWEEP_BLOCK)
+            r1, r2 = z1[blk].T.copy(), z2[blk].T.copy()  # one contiguous row per coordinate
+            for row, eps in zip(out, eps_values):
+                lam = eps * upow[blk]
+                thresh = cm * (chi2[blk] / lam)
+                mu = r1 / np.sqrt(kappa * lam)
+                x = r2 / np.sqrt(lam)
+                x += mu
+                row[blk] = sq_dist(mu - x / k1) < thresh
+                row[blk] -= sq_dist(np.subtract(mu, x, out=x)) < thresh
+        return out
 
-    return mc_estimate(sampler, None, n, seed, workers)
+    return tuple(_mc_estimate_rows(sampler, n, seed, workers))
 
 
 def risk_difference_z(mc: EstimateWithError, closed: float, kappa: float) -> float:

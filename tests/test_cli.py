@@ -94,10 +94,11 @@ class TestRiskDiff:
     @pytest.mark.parametrize("error", [0.0, math.nan])
     def test_missing_standard_error_fails(self, tmp_path, monkeypatch, error):
         # Only the kappa = 0 short-circuit may report a zero error.
-        def degenerate(ctx, n, seed):
-            return EstimateWithError(risk_difference_closed(ctx), error, n, "monte_carlo")
+        def degenerate(ctx, eps_values, n, seed):
+            return tuple(EstimateWithError(risk_difference_closed(ctx), error, n, "monte_carlo")
+                         for _ in eps_values)
 
-        monkeypatch.setattr(cli, "risk_difference_mc", degenerate)
+        monkeypatch.setattr(cli, "risk_difference_sweep", degenerate)
         out = tmp_path / "rd.json"
         code = main([
             "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "1",
@@ -108,10 +109,10 @@ class TestRiskDiff:
 
     def test_kappa_zero_wrong_value_fails(self, tmp_path, monkeypatch):
         # A zero error passes at kappa = 0 only when the estimate is exactly 0.
-        def wrong(ctx, n, seed):
-            return EstimateWithError(1e-3, 0.0, n, "monte_carlo")
+        def wrong(ctx, eps_values, n, seed):
+            return tuple(EstimateWithError(1e-3, 0.0, n, "monte_carlo") for _ in eps_values)
 
-        monkeypatch.setattr(cli, "risk_difference_mc", wrong)
+        monkeypatch.setattr(cli, "risk_difference_sweep", wrong)
         out = tmp_path / "rd.json"
         code = main([
             "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "0",

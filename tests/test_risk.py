@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from ntglab import blyth
 from ntglab.blyth import BlythContext, Observation
-from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d
+from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d, mc_estimate
 from ntglab.risk import (
     Procedure,
     _cap_fraction,
@@ -22,6 +22,7 @@ from ntglab.risk import (
     posterior_risk,
     risk_difference_closed,
     risk_difference_mc,
+    risk_difference_sweep,
     risk_difference_z,
 )
 from ntglab.specfun import Tolerance, f_cdf
@@ -374,6 +375,27 @@ class TestCapFraction:
         assert np.array_equal(_cap_fraction(2, [0.5, 1.5], 0.0, 1.0), [1.0, 0.0])
         assert np.array_equal(_cap_fraction(3, 0.0, [0.5, 1.5], 1.0), [1.0, 0.0])
 
+    def test_f_cdf_only_on_cap_nodes(self, monkeypatch):
+        # At p >= 3 a node needs the scalar f_cdf only strictly inside a cap
+        # piece: the inner piece holds the whole sphere, and the centred
+        # ball has no cap piece at all.
+        calls = []
+
+        def counting(d1, d2, t):
+            calls.append(t)
+            return f_cdf(d1, d2, t)
+
+        monkeypatch.setattr("ntglab.risk.f_cdf", counting)
+        ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
+        obs = Observation(x=np.array([0.6, -0.4, 0.3]), s=1.5)
+        posterior_risk(phi_kappa(ctx), ctx, obs)
+        assert calls == []
+        offset = posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)
+        # One round of the 32- and 64-node rules over the inner and the cap
+        # piece, plus w: f_cdf runs on the cap's 96 nodes only.
+        assert offset.n_evals == 2 * 96 + 1
+        assert len(calls) == 96
+
 
 class TestPosteriorRisk:
     def test_zero_procedure_has_zero_risk(self):
@@ -536,6 +558,32 @@ class TestPosteriorRisk:
         assert posterior_risk(phi_kappa(ctx), ctx, obs).value < 0.0
 
 
+    @pytest.mark.parametrize("c", [2.0, 400.0, 4000.0])
+    def test_error_covers_the_density_rounding(self, c):
+        # The recentred ball at 30 digits: at p = m = 2 its risk is
+        # w pi R^2 - pi int_0^{R^2} pi_kappa(t) dt.  Both Gauss-Legendre rules
+        # share the density's rounding, which |G_2n - G_n| cannot see; at
+        # c = 4000 it is about twice that difference.
+        mpmath = pytest.importorskip("mpmath")
+        ctx = _ctx(p=2, m=2, c=c, kappa=0.5)
+        obs = Observation(x=np.array([0.6, -0.4]), s=1.5)
+        est = posterior_risk(phi_kappa(ctx), ctx, obs)
+        with mpmath.workdps(30):
+            mpf = mpmath.mpf
+            k1 = 1 + mpf(ctx.kappa)
+            bk = (mpf(obs.s) + mpf(ctx.kappa) / k1 * sum(mpf(float(v)) ** 2 for v in obs.x)) / 2
+            pref = k1 / (2 * mpmath.pi) * bk / mpmath.gammainc(1, mpf(ctx.eps) * bk)
+
+            def density(t):
+                b = bk + k1 * t / 2
+                return pref * mpmath.gammainc(2, mpf(ctx.eps) * b) / b ** 2
+
+            r2 = mpf(ctx.c) * mpf(obs.s) / ctx.m
+            ref = mpmath.pi * (density(r2) * r2 - mpmath.quad(density, [0, r2]))
+            gap = float(abs(mpf(est.value) - ref))
+        assert gap <= est.error <= 1e-13
+
+
 class TestBayesRisk:
     def test_requires_proper_prior(self):
         with pytest.raises(ValueError):
@@ -574,6 +622,63 @@ class TestBayesRisk:
         a = bayes_risk(proc, ctx, n=100_000, seed=4, workers=1)
         b = bayes_risk(proc, ctx, n=100_000, seed=4, workers=4)
         assert a == b
+
+
+def _separate_risk_difference(ctx, n, seed, workers=1):
+    # One eps per pass: the per-eps sampler that draws (u, z1, z2, chi2)
+    # afresh for every eps, through the public 1-D mc_estimate.
+    if ctx.kappa == 0.0:
+        return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
+    p, m, cm = ctx.p, ctx.m, ctx.c / ctx.m
+
+    def sampler(rng, size):
+        u = rng.random(size)
+        lam = ctx.eps * u ** (-2.0 / p)
+        mu = rng.standard_normal((size, p)) / np.sqrt(ctx.kappa * lam)[:, None]
+        x = mu + rng.standard_normal((size, p)) / np.sqrt(lam)[:, None]
+        thresh = cm * (rng.chisquare(m, size) / lam)
+        d2_k = np.sum((mu - x / (1.0 + ctx.kappa)) ** 2, axis=-1)
+        d2_0 = np.sum((mu - x) ** 2, axis=-1)
+        return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
+
+    return mc_estimate(sampler, None, n, seed, workers)
+
+
+_SWEEP_EPS = (0.3, 0.5, 1.0, 2.0, 7.0)
+
+
+class TestRiskDifferenceSweep:
+    @pytest.mark.parametrize("n", [1000, 65536, 100_000, 200_001])
+    def test_matches_separate_runs(self, n):
+        ctx = _ctx(p=2, m=3, c=default_c(2, 3, 0.95), kappa=0.5)
+        got = risk_difference_sweep(ctx, _SWEEP_EPS, n=n, seed=11)
+        for eps, est in zip(_SWEEP_EPS, got):
+            want = _separate_risk_difference(_ctx(p=2, m=3, c=ctx.c, kappa=0.5, eps=eps), n, 11)
+            assert (est.value, est.error, est.n_evals) == (want.value, want.error, n)
+
+    @pytest.mark.parametrize("p,m,kappa", [(1, 2, 0.25), (2, 5, 1.0), (3, 17, 0.1), (9, 4, 0.5)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_separate_runs_in_every_dimension(self, p, m, kappa, workers):
+        # p = 9 takes the pairwise branch of the squared-distance sums.
+        c = default_c(p, m, 0.95)
+        got = risk_difference_sweep(_ctx(p=p, m=m, c=c, kappa=kappa), _SWEEP_EPS,
+                                    n=70_000, seed=3, workers=workers)
+        for eps, est in zip(_SWEEP_EPS, got):
+            want = _separate_risk_difference(_ctx(p=p, m=m, c=c, kappa=kappa, eps=eps), 70_000, 3)
+            assert (est.value, est.error) == (want.value, want.error)
+
+    def test_one_eps_is_risk_difference_mc(self):
+        ctx = _ctx(eps=0.7)
+        assert risk_difference_sweep(ctx, (0.7,), n=20_000, seed=5) == (
+            risk_difference_mc(ctx, n=20_000, seed=5),)
+
+    def test_kappa_zero_rows_are_exact_zeros(self):
+        got = risk_difference_sweep(_ctx(kappa=0.0), _SWEEP_EPS, n=10_000, seed=0)
+        assert got == (EstimateWithError(0.0, 0.0, 10_000, "monte_carlo"),) * len(_SWEEP_EPS)
+
+    def test_eps_must_be_positive(self):
+        with pytest.raises(ValueError):
+            risk_difference_sweep(_ctx(), (1.0, 0.0), n=1000)
 
 
 class TestRiskDifference:
