@@ -360,11 +360,10 @@ def risk_difference_sweep(
     p, kappa, k1, cm = ctx.p, ctx.kappa, 1.0 + ctx.kappa, ctx.c / ctx.m
 
     def sq_dist(d):
-        # Sum of squares over the p rows of d (p, block), in the order np.sum
-        # takes along the last axis of (block, p): left to right below 8
-        # terms, pairwise from 8 on, which needs a contiguous (block, p) copy.
-        d = np.square(d, out=d)
-        return np.sum(d, axis=0) if p < 8 else np.sum(np.ascontiguousarray(d.T), axis=-1)
+        # Sum of squares over the p rows of d (p, block), left to right, as
+        # np.sum adds fewer than 8 terms (from 8 on it adds pairwise, so at
+        # p >= 8 a d2 may differ from the (block, p) sum in its last ulps).
+        return np.sum(np.square(d, out=d), axis=0)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         upow, z1, z2, chi2 = _prior_draws(p, ctx.m, rng, size)
