@@ -14,10 +14,20 @@ Everything here is available in closed form:
   sigma-finite, together with its observable-side counterpart.
 
 kappa = 0 is allowed everywhere except in the diverging constant K.
+
+Every posterior marginal is normalised by beta_kappa^{m/2} /
+Gamma(m/2, eps beta_kappa), which depends on the data alone.  A grid of
+density values for one observation therefore needs that Gamma once: the
+private ``_normaliser_gamma`` keeps the last value in a one-entry memo keyed
+on (m, eps, beta_kappa).  One entry is enough because callers evaluate a
+density over many points of one observation before moving to the next, and
+a key of any other value computes afresh, so the memo never goes stale.
+Exceptions are not memoised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +116,10 @@ def beta_kappa(obs: Observation, kappa: float) -> float:
     """(s + kappa/(1+kappa) * ||x||^2) / 2; equals s/2 at kappa = 0."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return 0.5 * (obs.s + kappa / (1.0 + kappa) * float(np.sum(obs.x ** 2)))
+    sq = 0.0
+    for v in obs.x.tolist():
+        sq += v * v
+    return 0.5 * (obs.s + kappa / (1.0 + kappa) * sq)
 
 
 def big_K(ctx: BlythContext) -> float:
@@ -164,10 +177,18 @@ def lambda_posterior_density(ctx: BlythContext, obs: Observation, lam: float) ->
     bk = beta_kappa(obs, ctx.kappa)
     return (
         bk ** (0.5 * ctx.m)
-        / upper_incomplete_gamma(0.5 * ctx.m, ctx.eps * bk)
+        / _normaliser_gamma(ctx.m, ctx.eps, bk)
         * lam ** (0.5 * ctx.m - 1.0)
         * math.exp(-lam * bk)
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _normaliser_gamma(m: int, eps: float, bk: float) -> float:
+    """Gamma(m/2, eps beta_kappa), the data-only factor of every posterior
+    marginal's normaliser.  The memo holds the Gamma value, not the ratio,
+    so each caller keeps its own order of operations."""
+    return upper_incomplete_gamma(0.5 * m, eps * bk)
 
 
 def _mu_posterior_prefactor(ctx: BlythContext, obs: Observation) -> tuple[float, float]:
@@ -177,7 +198,7 @@ def _mu_posterior_prefactor(ctx: BlythContext, obs: Observation) -> tuple[float,
     pref = (
         ((1.0 + ctx.kappa) / (2.0 * math.pi)) ** (0.5 * ctx.p)
         * bk ** (0.5 * ctx.m)
-        / upper_incomplete_gamma(0.5 * ctx.m, ctx.eps * bk)
+        / _normaliser_gamma(ctx.m, ctx.eps, bk)
     )
     return pref, bk
 
@@ -190,9 +211,17 @@ def mu_posterior_density(ctx: BlythContext, obs: Observation, mu: np.ndarray) ->
     with b = beta_kappa + (1+kappa) ||mu - mu_kappa||^2 / 2.
     """
     mu = np.asarray(mu, dtype=float)
+    if mu.shape != obs.x.shape:
+        raise ValueError(f"mu must have shape {obs.x.shape}, got {mu.shape}")
     pref, bk = _mu_posterior_prefactor(ctx, obs)
     k1 = 1.0 + ctx.kappa
-    b = bk + 0.5 * k1 * float(np.sum((mu - mu_kappa(obs.x, ctx.kappa)) ** 2))
+    # Python floats skip numpy's per-call cost on a short vector; summed left
+    # to right, which is np.sum's order for p < 8.
+    t = 0.0
+    for v, c in zip(mu.tolist(), mu_kappa(obs.x, ctx.kappa).tolist()):
+        d = v - c
+        t += d * d
+    b = bk + 0.5 * k1 * t
     shape = 0.5 * (ctx.m + ctx.p)
     return pref * upper_incomplete_gamma(shape, ctx.eps * b) / b ** shape
 

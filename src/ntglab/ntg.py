@@ -14,6 +14,7 @@ Gaussian location-scale model (``x | mu, lambda ~ N(mu, I_p/lambda)``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,15 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=1)
 def _upper_gamma0(a: float, x: float) -> float:
-    # Gamma(a, x) extended continuously to x = 0 for a > 0.
+    """Gamma(a, x) extended continuously to x = 0 for a > 0.
+
+    Memoised with one entry: every draw of ``sample_prior`` from one
+    posterior needs Gamma(alpha0, beta0 eps0), so a run of draws evaluates
+    it once.  Any other argument computes afresh, and exceptions are not
+    memoised.
+    """
     if x == 0.0:
         if a <= 0:
             raise ValueError("Gamma(a, 0) diverges for a <= 0")

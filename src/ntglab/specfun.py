@@ -79,7 +79,9 @@ def log_gamma(a: float) -> float:
 
 
 def _lower_series(a: float, x: float) -> float:
-    # Regularized lower incomplete gamma P(a, x) by power series; a > 0, x < a+1.
+    """Regularized lower incomplete gamma P(a, x) by power series; a > 0,
+    0 < x < a+1.  Every term and partial sum is then positive, so the stop
+    test compares them without abs()."""
     term = 1.0 / a
     total = term
     n = 0
@@ -87,7 +89,7 @@ def _lower_series(a: float, x: float) -> float:
         n += 1
         term *= x / (a + n)
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:
             return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise ConvergenceError(
         f"incomplete-gamma series did not converge for a={a}, x={x}", partial=total

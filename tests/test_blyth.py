@@ -14,6 +14,7 @@ from ntglab.blyth import (
     likelihood,
     mu_kappa,
     mu_posterior_density,
+    mu_posterior_density_sqdist,
     prior_params,
     q_joint,
     q_obs,
@@ -21,7 +22,7 @@ from ntglab.blyth import (
     sample_obs_given,
 )
 from ntglab.numint import integrate_1d
-from ntglab.specfun import Tolerance, f_cdf
+from ntglab.specfun import Tolerance, f_cdf, upper_incomplete_gamma
 
 _QTOL = Tolerance(rel=1e-10, abs=1e-13, max_iter=200)
 
@@ -251,6 +252,118 @@ class TestPosteriors:
             for got, limit in pairs:
                 assert got == pytest.approx(limit, rel=20.0 * kappa)
         assert np.allclose(mu_kappa(obs.x, 1e-6), obs.x, rtol=1e-5)
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    # Every Gamma(a, x) that blyth evaluates, from an empty memo on.
+    calls = []
+
+    def counted(a, x):
+        calls.append((a, x))
+        return upper_incomplete_gamma(a, x)
+
+    monkeypatch.setattr(blyth, "upper_incomplete_gamma", counted)
+    blyth._normaliser_gamma.cache_clear()
+    yield calls
+    blyth._normaliser_gamma.cache_clear()
+
+
+class TestNormaliserMemo:
+    # Gamma(m/2, eps beta_kappa) depends on the data alone, so a grid of
+    # density values for one observation evaluates it once.
+    ctx = _ctx(p=2, m=17, kappa=0.5, eps=0.5)
+    obs = Observation(x=np.array([0.4, -1.1]), s=15.0)
+
+    def test_lambda_grid_makes_one_gamma_call(self, gamma_calls):
+        for lam in np.linspace(0.51, 2.5, 64):
+            lambda_posterior_density(self.ctx, self.obs, float(lam))
+        assert len(gamma_calls) == 1
+
+    def test_mu_grid_makes_one_gamma_call_per_point_plus_one(self, gamma_calls):
+        center = mu_kappa(self.obs.x, self.ctx.kappa)
+        for t in np.linspace(0.0, 4.0, 64):
+            mu_posterior_density(self.ctx, self.obs, center + np.array([t, 0.0]))
+        assert len(gamma_calls) == 65
+
+    def test_interleaved_values_equal_fresh_ones(self, gamma_calls):
+        # Neighbours differ only in m, eps, kappa or s; at x = 0 the two
+        # kappas share beta_kappa, and so the memo entry, correctly.
+        base = dict(p=2, m=17, c=2.0, kappa=0.5, eps=0.5)
+        x = np.array([0.4, -1.1])
+        cases = [
+            (_ctx(**base), Observation(x=x, s=15.0)),
+            (_ctx(**{**base, "m": 18}), Observation(x=x, s=15.0)),
+            (_ctx(**{**base, "eps": 0.6}), Observation(x=x, s=15.0)),
+            (_ctx(**{**base, "kappa": 0.25}), Observation(x=x, s=15.0)),
+            (_ctx(**base), Observation(x=x, s=15.5)),
+            (_ctx(**base), Observation(x=np.zeros(2), s=15.0)),
+            (_ctx(**{**base, "kappa": 0.0}), Observation(x=np.zeros(2), s=15.0)),
+        ]
+        lams = (0.7, 1.3)
+        mus = (np.array([0.1, -0.2]), np.array([1.5, 0.3]))
+        ts = np.array([0.0, 0.3, 9.0])
+
+        def values(ctx, obs):
+            return (
+                [lambda_posterior_density(ctx, obs, lam) for lam in lams]
+                + [mu_posterior_density(ctx, obs, mu) for mu in mus]
+                + mu_posterior_density_sqdist(ctx, obs, ts).tolist()
+            )
+
+        fresh = []
+        for ctx, obs in cases:
+            blyth._normaliser_gamma.cache_clear()
+            fresh.append(values(ctx, obs))
+        blyth._normaliser_gamma.cache_clear()
+        for _ in range(2):
+            for (ctx, obs), want in zip(cases + cases[::-1], fresh + fresh[::-1]):
+                assert values(ctx, obs) == want
+
+    def test_overflow_raises_on_every_call(self, gamma_calls):
+        # At m = 400, Gamma(200, 0.5) is past the double range while
+        # beta_kappa^{m/2} = 1 is not, so the error comes from the memoised
+        # Gamma itself; it is raised afresh each time.
+        ctx = _ctx(p=2, m=400, kappa=0.5, eps=0.5)
+        obs = Observation(x=np.zeros(2), s=2.0)
+        for k in range(1, 4):
+            with pytest.raises(OverflowError):
+                lambda_posterior_density(ctx, obs, 1.0)
+            with pytest.raises(OverflowError):
+                mu_posterior_density(ctx, obs, np.zeros(2))
+            with pytest.raises(OverflowError):
+                mu_posterior_density_sqdist(ctx, obs, np.array([0.0, 1.0]))
+            assert len(gamma_calls) == 3 * k
+
+    @pytest.mark.parametrize("mu", [np.zeros(1), np.zeros(3), np.zeros((2, 2)), 0.0])
+    def test_mu_of_the_wrong_shape_raises(self, mu):
+        with pytest.raises(ValueError, match="shape"):
+            mu_posterior_density(self.ctx, self.obs, mu)
+
+
+class TestMuPosteriorSqdist:
+    # The array form against the scalar density, to test_specfun's
+    # array-vs-scalar Gamma bound.
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 17, 48])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_matches_the_scalar_density(self, p, m, kappa):
+        rng = np.random.default_rng(100 * p + m)
+        ctx = _ctx(p=p, m=m, kappa=kappa, eps=0.5)
+        obs = Observation(x=rng.standard_normal(p), s=float(m))
+        center = mu_kappa(obs.x, kappa)
+        # From the centre out to where eps * b is far past the shape, so
+        # both the series and the continued fraction of Gamma are used.
+        radii = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 40)])
+        dirs = rng.standard_normal((radii.size, p))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        mus = center + radii[:, None] * dirs
+        t = np.sum((mus - center) ** 2, axis=1)
+        got = mu_posterior_density_sqdist(ctx, obs, t)
+        want = np.array([mu_posterior_density(ctx, obs, mu) for mu in mus])
+        assert got.shape == t.shape
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
 class TestModelSampling:

@@ -449,6 +449,64 @@ def _survival_check(params, u, lam):
         return float(resid), float(cond)
 
 
+class TestGammaMemo:
+    # Gamma(alpha0, beta0 eps0) is fixed by the prior, so a run of draws
+    # from one posterior evaluates it once.
+    prior = NtGParams(2, np.zeros(2), 0.5, -1.0, 0.0, 0.5)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, x):
+            calls.append((a, x))
+            return upper_incomplete_gamma(a, x)
+
+        monkeypatch.setattr(ntg, "upper_incomplete_gamma", counted)
+        ntg._upper_gamma0.cache_clear()
+        yield calls
+        ntg._upper_gamma0.cache_clear()
+
+    def test_one_truncation_gamma_per_run_of_draws(self, calls):
+        post = posterior_update(self.prior, np.array([0.3, -0.8]), 17.0, 17)
+        rng = np.random.default_rng(5)
+        for _ in range(32):
+            sample_prior(post, rng)
+        at_truncation = (post.alpha0, post.beta0 * post.eps0)
+        assert calls.count(at_truncation) == 1
+
+    def test_interleaved_draws_equal_fresh_ones(self, calls):
+        # Posteriors that differ only in m or in s, drawn in turn.
+        posts = [
+            posterior_update(self.prior, np.array([0.3, -0.8]), s, m)
+            for m, s in ((17, 17.0), (18, 17.0), (17, 17.5))
+        ]
+        fresh = []
+        for post in posts:
+            rng = np.random.default_rng(9)
+            draws = []
+            for _ in range(4):
+                ntg._upper_gamma0.cache_clear()
+                draws.append(sample_prior(post, rng).lam)
+            fresh.append(draws)
+        ntg._upper_gamma0.cache_clear()
+        rngs = [np.random.default_rng(9) for _ in posts]
+        got = [[] for _ in posts]
+        for _ in range(4):
+            for i, post in enumerate(posts):
+                got[i].append(sample_prior(post, rngs[i]).lam)
+        assert got == fresh
+
+    def test_overflow_raises_on_every_draw(self, calls):
+        # m = 497: Gamma(alpha1, beta1 eps0) is past the double range.
+        post = posterior_update(self.prior, np.array([0.3, -0.8]), 1.0, 497)
+        rng = np.random.default_rng(3)
+        for k in range(1, 4):
+            with pytest.raises(OverflowError):
+                sample_prior(post, rng)
+            assert len(calls) == k
+
+
 class TestPrecisionInverse:
     # A subnormal shape has Gamma(a) = inf, so no normalising constant.
     @given(
