@@ -207,7 +207,6 @@ def cmd_regress(args) -> int:
             f"sigma2_hat: {fit.sigma2_hat:.10g}  (m = {fit.m})",
         ]
         if p == 1:
-            lo, hi = region.interval()
             out.append(
                 f"{100 * args.level:g}% interval for coefficient 1: "
                 f"[{lo:.10g}, {hi:.10g}]"

@@ -110,6 +110,14 @@ def ols(data: RegressionData, p: int) -> OlsFit:
     return OlsFit(beta_hat=beta_hat, sigma2_hat=sigma2_hat, S_p=xtx_inv[:p, :p], m=m)
 
 
+def _leading_block(fit: OlsFit, p: int) -> np.ndarray:
+    # S_(p), the leading p x p block of the fit's (Z'Z)^{-1}.
+    S = np.asarray(fit.S_p, dtype=float)[:p, :p]
+    if S.shape != (p, p):
+        raise ValueError(f"fit holds only {fit.S_p.shape[0]} coefficients")
+    return S
+
+
 def reduce_to_location_scale(fit: OlsFit, p: int):
     """Map the fit to the sufficient pair (x, s) of the location-scale model.
 
@@ -118,14 +126,8 @@ def reduce_to_location_scale(fit: OlsFit, p: int):
     downstream, so any square-root factor yields the same membership
     decisions.
     """
-    S = np.asarray(fit.S_p, dtype=float)[:p, :p]
-    if S.shape != (p, p):
-        raise ValueError(f"fit holds only {fit.S_p.shape[0]} coefficients")
-    L = np.linalg.cholesky(np.linalg.inv(S))
-    T = L.T
-    x = T @ fit.beta_hat[:p]
-    s = fit.m * fit.sigma2_hat
-    return x, s, fit.m
+    T = np.linalg.cholesky(np.linalg.inv(_leading_block(fit, p))).T
+    return T @ fit.beta_hat[:p], fit.m * fit.sigma2_hat, fit.m
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,7 @@ def standard_region(fit: OlsFit, p: int, level: float) -> StandardRegion:
     """The standard joint confidence region at the given coverage level."""
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    S = np.asarray(fit.S_p, dtype=float)[:p, :p]
-    if S.shape != (p, p):
-        raise ValueError(f"fit holds only {fit.S_p.shape[0]} coefficients")
+    S = _leading_block(fit, p)
     c = p * f_quantile(p, fit.m, level)
     return StandardRegion(
         center=fit.beta_hat[:p].copy(),

@@ -138,7 +138,7 @@ def coverage(
         s = rng.chisquare(m, size) / lam
         return np.asarray(proc.eval(x, s, mu), dtype=float)
 
-    return mc_estimate(sampler, None, n, seed, workers)
+    return mc_estimate(sampler, n, seed, workers)
 
 
 def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
@@ -306,7 +306,7 @@ def bayes_risk(
         cov = np.asarray(proc.eval(x, s, mu), dtype=float)
         return w * vol - cov
 
-    return mc_estimate(sampler, None, n, seed, workers)
+    return mc_estimate(sampler, n, seed, workers)
 
 
 def risk_difference_closed(ctx: BlythContext) -> float:

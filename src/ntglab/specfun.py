@@ -45,7 +45,12 @@ _NEWTON_CAP = 200
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence targets for the quadrature of ``numint.integrate_1d``."""
+    """Convergence targets of ``numint.integrate_1d`` and ``risk.posterior_risk``.
+
+    ``specfun`` does not read it, but it is the lowest layer: its readers
+    and the benchmark import it from here, and moving it up to ``numint``
+    would need a re-export here, which would make ``specfun`` import upward.
+    """
 
     rel: float = 1e-14
     abs: float = 1e-300

@@ -1,28 +1,30 @@
 """Identity checks pairing closed-form values with independent oracles.
 
-Each check returns a dict with the fields check_name, expected, observed,
-error and pass, ready for the CLI's JSON report.  Quadrature and Monte
-Carlo act as the oracles; the closed forms under test never feed their own
-verification.
+Each ``check_*`` returns report rows with the fields check_name, expected,
+observed, error and pass, ready for the CLI's JSON report.  Quadrature and
+Monte Carlo act as the oracles; the closed forms under test never feed
+their own verification.  Conjugacy and the prior's normalisation share one
+nested (mu, lambda) quadrature at p = 1.  Each appendix identity is
+computed by a ``lemma_*_check`` beside the ``check_*`` that reads it: the
+weighted Gamma(g, t+||z||^2) integral and its small-delta cone limit, both
+reduced to radial and angular 1-D quadratures by the parameterization
+``t = r^2 cos^2(theta)``, ``||z|| = r sin(theta)``, and the moment of the
+scale statistic, by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import (
-    integrate_1d,
-    lemma_bigint_check,
-    lemma_d_check,
-    lemma_smoments_check,
-)
-from .specfun import Tolerance
+from .numint import EstimateWithError, integrate_1d, mc_estimate
+from .specfun import Tolerance, log_gamma, upper_incomplete_gamma
 
-__all__ = ["run_all"]
+__all__ = ["lemma_bigint_check", "lemma_d_check", "lemma_smoments_check", "run_all"]
 
 _QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
 
@@ -50,21 +52,17 @@ def _random_params(rng: np.random.Generator) -> ntg.NtGParams:
     )
 
 
-def _evidence_quadrature(params: ntg.NtGParams, x: np.ndarray, s: float, m: int) -> float:
-    # Joint integral of likelihood * prior over (mu, lambda) by nested
-    # adaptive quadrature; the mu window is generous relative to the
+def _mu_lambda_quadrature(params: ntg.NtGParams, center: float, f: Callable) -> float:
+    # Integral of f(LocationScale) over (mu, lambda), p = 1, by nested adaptive
+    # quadrature; the mu window about center is generous relative to the
     # smallest admissible precision.
     width = 12.0 / math.sqrt(params.kappa0 * max(params.eps0, 1e-3)) + 5.0
-    center = float((x[0] + params.kappa0 * params.mu0[0]) / (1.0 + params.kappa0))
 
     def inner(lam: float) -> float:
-        def f(mu: float) -> float:
-            point = ntg.LocationScale(mu=np.array([mu]), lam=lam)
-            return blyth.likelihood(x, s, point.mu, lam, m) * ntg.prior_density(
-                params, point
-            )
+        def g(mu: float) -> float:
+            return f(ntg.LocationScale(mu=np.array([mu]), lam=lam))
 
-        return integrate_1d(f, center - width, center + width, _QTOL).value
+        return integrate_1d(g, center - width, center + width, _QTOL).value
 
     return integrate_1d(inner, params.eps0, math.inf, _QTOL).value
 
@@ -79,17 +77,18 @@ def check_conjugacy(seed: int, n_pairs: int = 2, rel_tol: float = 1e-5) -> dict:
         x = rng.normal(size=1)
         s = float(rng.uniform(0.5, 3.0))
         updated = ntg.posterior_update(params, x, s, m)
-        evidence = _evidence_quadrature(params, x, s, m)
+
+        def joint(point: ntg.LocationScale) -> float:
+            return blyth.likelihood(x, s, point.mu, point.lam, m) * ntg.prior_density(params, point)
+
+        center = float((x[0] + params.kappa0 * params.mu0[0]) / (1.0 + params.kappa0))
+        evidence = _mu_lambda_quadrature(params, center, joint)
         for _ in range(10):
             lam = params.eps0 + float(rng.uniform(0.05, 3.0))
             mu = updated.mu0 + rng.normal(size=1) / math.sqrt(updated.kappa0 * lam)
             point = ntg.LocationScale(mu=mu, lam=lam)
             direct = ntg.prior_density(updated, point)
-            bayes = (
-                blyth.likelihood(x, s, point.mu, lam, m)
-                * ntg.prior_density(params, point)
-                / evidence
-            )
+            bayes = joint(point) / evidence
             worst = max(worst, abs(direct / bayes - 1.0))
     return _row("conjugacy_bayes_rule", 0.0, worst, worst, worst <= rel_tol)
 
@@ -98,16 +97,9 @@ def check_normalization(seed: int, tol: float = 1e-6) -> dict:
     """The joint prior density integrates to one (2-D quadrature, p = 1)."""
     rng = np.random.default_rng(seed)
     params = _random_params(rng)
-    width = 12.0 / math.sqrt(params.kappa0 * max(params.eps0, 1e-3)) + 5.0
-    c0 = float(params.mu0[0])
-
-    def inner(lam: float) -> float:
-        def f(mu: float) -> float:
-            return ntg.prior_density(params, ntg.LocationScale(mu=np.array([mu]), lam=lam))
-
-        return integrate_1d(f, c0 - width, c0 + width, _QTOL).value
-
-    total = integrate_1d(inner, params.eps0, math.inf, _QTOL).value
+    total = _mu_lambda_quadrature(
+        params, float(params.mu0[0]), lambda point: ntg.prior_density(params, point)
+    )
     err = abs(total - 1.0)
     return _row("prior_normalization", 1.0, total, err, err <= tol)
 
@@ -133,14 +125,139 @@ def check_q_identity(seed: int, rel_tol: float = 1e-10) -> dict:
     return _row("q_equals_K_times_p", 0.0, worst, worst, worst <= rel_tol)
 
 
+def _sphere_area(p: int) -> float:
+    # Surface area of the unit sphere in R^p (2 points for p = 1).
+    return 2.0 * math.pi ** (0.5 * p) / math.exp(log_gamma(0.5 * p))
+
+
+def _radial_weighted(g: float, r_pow: float) -> EstimateWithError:
+    # integral over r in (0, inf) of 2 r^r_pow * Gamma(g, r^2), split at 1 to
+    # isolate the possible algebraic singularity at the origin.  The factor 2
+    # belongs to the Jacobian 2 r^2 cos(theta) of the (t, rho) -> (r, theta)
+    # change of variables.
+    def f(r: float) -> float:
+        return 2.0 * r ** r_pow * upper_incomplete_gamma(g, r * r)
+
+    lo = integrate_1d(f, 0.0, 1.0)
+    hi = integrate_1d(f, 1.0, math.inf)
+    return EstimateWithError(
+        value=lo.value + hi.value,
+        error=lo.error + hi.error,
+        n_evals=lo.n_evals + hi.n_evals,
+        method="quadrature",
+    )
+
+
+def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
+    """Numeric vs. closed-form value of the weighted (t, z)-integral.
+
+    Numeric side: the integrand ``t^alpha ||z||^{2 beta}
+    Gamma(gamma, t+||z||^2) / (t+||z||^2)^gamma`` over (0, inf) x R^p,
+    reduced to a radial and an angular 1-D quadrature via the quadratic
+    spherical parameterization (t = r^2 cos^2 th, ||z|| = r sin th).
+
+    Closed side: ``pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
+    / ((alpha+beta-gamma+1+p/2) Gamma(p/2))``.
+
+    Returns (numeric: EstimateWithError, closed: float).
+    """
+    denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
+    if denom <= 0 or alpha + beta + 1.0 + 0.5 * p <= 0:
+        raise ValueError(
+            "integral diverges: need alpha+beta-gamma+1+p/2 > 0 and "
+            f"alpha+beta+1+p/2 > 0 (got {denom} and "
+            f"{alpha + beta + 1.0 + 0.5 * p})"
+        )
+    if alpha <= -1 or beta + 0.5 * p <= 0:
+        raise ValueError("integral diverges: need alpha > -1 and beta > -p/2")
+
+    # In (r, theta) the integrand factorizes; the powers of r are combined
+    # analytically so small-r probes cannot overflow.
+    r_pow = 2.0 * alpha + 2.0 * beta - 2.0 * gamma_ + p + 1.0
+    radial = _radial_weighted(gamma_, r_pow)
+
+    def ang(th: float) -> float:
+        return (
+            math.cos(th) ** (2.0 * alpha + 1.0)
+            * math.sin(th) ** (2.0 * beta + p - 1.0)
+        )
+
+    angular = integrate_1d(ang, 0.0, 0.5 * math.pi)
+    area = _sphere_area(p)
+    value = area * radial.value * angular.value
+    err = area * (
+        radial.error * abs(angular.value) + abs(radial.value) * angular.error
+    )
+    numeric = EstimateWithError(
+        value=value,
+        error=err,
+        n_evals=radial.n_evals + angular.n_evals,
+        method="quadrature",
+    )
+    closed = (
+        math.pi ** (0.5 * p)
+        / denom
+        * math.exp(log_gamma(alpha + 1.0) + log_gamma(beta + 0.5 * p) - log_gamma(0.5 * p))
+    )
+    return numeric, closed
+
+
 def check_lemma_bigint(rel_tol: float = 1e-4) -> list[dict]:
     rows = []
     for tup in ((1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3)):
         numeric, closed = lemma_bigint_check(*tup)
         err = abs(numeric.value / closed - 1.0)
-        rows.append(
-            _row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= rel_tol)
-        )
+        rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= rel_tol))
+    return rows
+
+
+def lemma_d_check(
+    p: int,
+    gamma_: float,
+    delta_grid: Sequence[float] = (1e-1, 1e-2, 1e-3),
+):
+    """Convergence of the cone-restricted integral to its closed-form limit.
+
+    For each delta computes ``delta^{(p-2)/2 - gamma}`` times the integral of
+    ``t^{gamma - p/2} Gamma(gamma, t+||z||^2)/(t+||z||^2)^gamma`` over the
+    region ``||z||^2 delta > t``, and pairs it with the limit
+    ``2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2))``.
+
+    Returns a list of (delta, ratio, limit) rows.
+    """
+    if gamma_ <= 0.5 * (p - 2):
+        raise ValueError(f"need gamma > (p-2)/2, got gamma={gamma_}, p={p}")
+    deltas = list(delta_grid)
+    if any(d <= 0 for d in deltas) or any(
+        deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)
+    ):
+        raise ValueError("delta grid must be positive and strictly decreasing")
+
+    # Combined power of r in the (r, theta) parameterization is exactly 1.
+    radial = _radial_weighted(gamma_, 1.0)
+    area = _sphere_area(p)
+    limit = (
+        2.0
+        * math.pi ** (0.5 * p)
+        / (2.0 * gamma_ + 2.0 - p)
+        * math.exp(log_gamma(gamma_ + 1.0) - log_gamma(0.5 * p))
+    )
+
+    rows = []
+    for delta in deltas:
+        # The cone ||z||^2 delta > t becomes theta > arctan(1/sqrt(delta)).
+        th_star = math.atan(1.0 / math.sqrt(delta))
+
+        def ang(th: float) -> float:
+            return (
+                math.sin(th) ** (p - 1.0)
+                * math.cos(th) ** (2.0 * gamma_ + 1.0 - p)
+            )
+
+        angular = integrate_1d(ang, th_star, 0.5 * math.pi)
+        value = area * radial.value * angular.value
+        ratio = delta ** (0.5 * (p - 2.0) - gamma_) * value
+        rows.append((delta, ratio, limit))
     return rows
 
 
@@ -150,10 +267,44 @@ def check_lemma_d(rel_tol: float = 0.05) -> list[dict]:
         table = lemma_d_check(p, g, (1e-1, 1e-2, 1e-3))
         delta, ratio, limit = table[-1]
         err = abs(ratio / limit - 1.0)
-        rows.append(
-            _row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= rel_tol)
-        )
+        rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= rel_tol))
     return rows
+
+
+def lemma_smoments_check(
+    p: int,
+    m: int,
+    kappa: float,
+    eps: float,
+    n: int = 10 ** 6,
+    seed: int = 0,
+):
+    """MC estimate of E[s^{p/2}] under the hierarchical prior vs. closed form.
+
+    The prior draws the precision from the Pareto-type marginal
+    ``lambda = eps * U^{-2/p}`` and then ``s | lambda ~ chi^2_m / lambda``;
+    the scale statistic does not depend on the location draw, which is
+    therefore skipped.  The closed value
+    ``(1/2) (eps/2)^{-p/2} Gamma((m+p)/2) / Gamma(p/2)`` is kappa-free.
+    """
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        lam = eps * u ** (-2.0 / p)
+        s = rng.chisquare(m, size) / lam
+        return s ** (0.5 * p)
+
+    mc = mc_estimate(sampler, n, seed)
+    closed = (
+        0.5
+        * (0.5 * eps) ** (-0.5 * p)
+        * math.exp(log_gamma(0.5 * (m + p)) - log_gamma(0.5 * p))
+    )
+    return mc, closed
 
 
 def check_lemma_smoments(seed: int, n: int) -> dict:

@@ -17,13 +17,7 @@ from ntglab import ntg
 from ntglab.blyth import BlythContext, Observation, big_K, likelihood, prior_params
 from ntglab.cli import EXIT_OK, main
 from ntglab.ntg import LocationScale, NtGParams
-from ntglab.numint import (
-    integrate_1d,
-    lemma_bigint_check,
-    lemma_d_check,
-    lemma_smoments_check,
-    mc_estimate,
-)
+from ntglab.numint import integrate_1d, mc_estimate
 from ntglab.regress import RegressionData, ols, reduce_to_location_scale, standard_region
 from ntglab.risk import (
     blyth_scaling,
@@ -36,6 +30,7 @@ from ntglab.risk import (
     risk_difference_mc,
 )
 from ntglab.specfun import Tolerance, f_cdf, f_quantile
+from ntglab.verify import lemma_bigint_check, lemma_d_check, lemma_smoments_check
 
 _QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
 _FAST = Tolerance(rel=1e-6, abs=1e-9, max_iter=200)
@@ -423,8 +418,8 @@ def test_criterion_13_determinism(capsys):
     def sampler(rng, size):
         return rng.standard_normal(size) ** 2
 
-    one = mc_estimate(sampler, None, 300_000, seed=13, workers=1)
-    four = mc_estimate(sampler, None, 300_000, seed=13, workers=4)
+    one = mc_estimate(sampler, 300_000, seed=13, workers=1)
+    four = mc_estimate(sampler, 300_000, seed=13, workers=4)
     workers_ok = one == four
     ok = identical and workers_ok and report["schema"] == "ntg-lab/2"
     _report(

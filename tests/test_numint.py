@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ntglab.numint import (
-    EstimateWithError,
-    integrate_1d,
-    lemma_bigint_check,
-    lemma_d_check,
-    lemma_smoments_check,
-    mc_estimate,
-)
+from ntglab.numint import EstimateWithError, integrate_1d, mc_estimate
 from ntglab.specfun import upper_incomplete_gamma
+from ntglab.verify import lemma_bigint_check, lemma_d_check, lemma_smoments_check
 
 
 class TestEstimateWithError:
@@ -123,18 +117,18 @@ class TestLemmaSmoments:
 
 class TestMcEstimate:
     def test_constant_integrand(self):
-        est = mc_estimate(lambda rng, n: np.full(n, 3.25), None, 5000, seed=0)
+        est = mc_estimate(lambda rng, n: np.full(n, 3.25), 5000, seed=0)
         assert est.value == 3.25
         assert est.error == 0.0
 
     def test_uniform_mean(self):
-        est = mc_estimate(lambda rng, n: rng.random(n), None, 100_000, seed=3)
+        est = mc_estimate(lambda rng, n: rng.random(n), 100_000, seed=3)
         assert abs(est.value - 0.5) <= 3.0 * est.error
 
     def test_agrees_with_quadrature(self):
         truth = integrate_1d(lambda u: math.sin(u), 0.0, 1.0).value
         est = mc_estimate(
-            lambda rng, n: np.sin(rng.random(n)), None, 200_000, seed=9
+            lambda rng, n: np.sin(rng.random(n)), 200_000, seed=9
         )
         assert abs(est.value - truth) <= 4.0 * est.error
 
@@ -142,23 +136,23 @@ class TestMcEstimate:
         def sampler(rng, n):
             return rng.standard_normal(n) ** 2
 
-        one = mc_estimate(sampler, None, 300_000, seed=21, workers=1)
-        four = mc_estimate(sampler, None, 300_000, seed=21, workers=4)
+        one = mc_estimate(sampler, 300_000, seed=21, workers=1)
+        four = mc_estimate(sampler, 300_000, seed=21, workers=4)
         assert one.value == four.value
         assert one.error == four.error
 
     def test_variance_does_not_cancel(self):
         # A mean far above the spread: sum(x^2)/n - mean^2 loses every digit.
         est = mc_estimate(
-            lambda rng, n: 1e8 + rng.standard_normal(n), None, 10 ** 6, seed=5
+            lambda rng, n: 1e8 + rng.standard_normal(n), 10 ** 6, seed=5
         )
         assert est.error == pytest.approx(1e-3, rel=0.01)
 
     def test_rejects_two_dimensional_values(self):
         with pytest.raises(ValueError):
-            mc_estimate(lambda rng, n: np.ones((n, 2)), None, 1000, seed=0)
+            mc_estimate(lambda rng, n: np.ones((n, 2)), 1000, seed=0)
 
     def test_seed_determinism(self):
-        a = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)
-        b = mc_estimate(lambda rng, n: rng.random(n), None, 50_000, seed=7)
+        a = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
+        b = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
         assert a == b

@@ -644,7 +644,7 @@ def _separate_risk_difference(ctx, n, seed, workers=1):
         d2_0 = np.sum((mu - x) ** 2, axis=-1)
         return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
 
-    return mc_estimate(sampler, None, n, seed, workers)
+    return mc_estimate(sampler, n, seed, workers)
 
 
 _SWEEP_EPS = (0.3, 0.5, 1.0, 2.0, 7.0)
