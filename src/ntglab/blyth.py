@@ -6,8 +6,9 @@ Everything here is available in closed form:
 
 * the shrunk center ``mu_kappa = x / (1 + kappa)`` and the scale statistic
   ``beta_kappa = (s + kappa/(1+kappa) ||x||^2) / 2``,
-* the posterior marginals of lambda and mu given (x, s); the mu marginal
-  also over an array of squared distances from mu_kappa,
+* the posterior of (mu, lambda) given (x, s), itself
+  NtG(p, mu_kappa, 1 + kappa, m/2, beta_kappa, eps), and its marginals of
+  lambda and mu, which ``ntg`` evaluates,
 * the conditional Gaussian density of mu given (x, s, lambda), written as a
   function ``r_kappa`` of the squared distance from mu_kappa,
 * the un-normed (improper) prior ``q = K * p`` whose kappa -> 0 limit is
@@ -15,26 +16,20 @@ Everything here is available in closed form:
 
 kappa = 0 is allowed everywhere except in the diverging constant K.
 
-Every posterior marginal is normalised by beta_kappa^{m/2} /
-Gamma(m/2, eps beta_kappa), which depends on the data alone.  A grid of
-density values for one observation therefore needs that Gamma once: the
-private ``_normaliser_gamma`` keeps the last value in a one-entry memo keyed
-on (m, eps, beta_kappa).  One entry is enough because callers evaluate a
-density over many points of one observation before moving to the next, and
-a key of any other value computes afresh, so the memo never goes stale.
-Exceptions are not memoised.
+A grid of density values for one observation builds the posterior once
+(``posterior``'s memo) and its normaliser's Gamma once (``ntg``'s memo).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ntg
 from .ntg import LocationScale, NtGParams
-from .specfun import log_gamma, upper_incomplete_gamma, upper_incomplete_gamma_array
+from .specfun import log_gamma, upper_incomplete_gamma
 
 __all__ = [
     "Observation",
@@ -46,7 +41,7 @@ __all__ = [
     "cond_mu_density",
     "lambda_posterior_density",
     "mu_posterior_density",
-    "mu_posterior_density_sqdist",
+    "posterior",
     "q_joint",
     "q_obs",
     "likelihood",
@@ -166,74 +161,35 @@ def cond_mu_density(
     return r_kappa(d2, lam, ctx)
 
 
-def lambda_posterior_density(ctx: BlythContext, obs: Observation, lam: float) -> float:
-    """Posterior marginal of lambda given (x, s); zero for lambda <= eps.
+# (key, posterior) of the last observation; see ``posterior``.
+_posterior_memo: list = [None, None]
 
-    beta_kappa^{m/2} / Gamma(m/2, eps beta_kappa) * lambda^{m/2-1}
-    e^{-lambda beta_kappa}; well-defined at kappa = 0 since beta_0 = s/2 > 0.
+
+def posterior(ctx: BlythContext, obs: Observation) -> NtGParams:
+    """The posterior NtG(p, mu_kappa, 1 + kappa, m/2, beta_kappa, eps) of
+    (mu, lambda) given (x, s): proper for every kappa >= 0, and for kappa > 0
+    ``ntg.posterior_update`` of the prior.  Memoised for the last (ctx, s, x).
     """
-    if lam <= ctx.eps:
-        return 0.0
-    bk = beta_kappa(obs, ctx.kappa)
-    return (
-        bk ** (0.5 * ctx.m)
-        / _normaliser_gamma(ctx.m, ctx.eps, bk)
-        * lam ** (0.5 * ctx.m - 1.0)
-        * math.exp(-lam * bk)
-    )
+    key = (ctx, obs.s, obs.x.tobytes())
+    if _posterior_memo[0] != key:
+        _posterior_memo[:] = key, NtGParams(
+            p=ctx.p, mu0=mu_kappa(obs.x, ctx.kappa), kappa0=1.0 + ctx.kappa,
+            alpha0=0.5 * ctx.m, beta0=beta_kappa(obs, ctx.kappa), eps0=ctx.eps,
+        )
+    return _posterior_memo[1]
 
 
-@functools.lru_cache(maxsize=1)
-def _normaliser_gamma(m: int, eps: float, bk: float) -> float:
-    """Gamma(m/2, eps beta_kappa), the data-only factor of every posterior
-    marginal's normaliser.  The memo holds the Gamma value, not the ratio,
-    so each caller keeps its own order of operations."""
-    return upper_incomplete_gamma(0.5 * m, eps * bk)
-
-
-def _mu_posterior_prefactor(ctx: BlythContext, obs: Observation) -> tuple[float, float]:
-    # ((1+kappa)/(2 pi))^{p/2} beta_kappa^{m/2} / Gamma(m/2, eps beta_kappa),
-    # in Python floats so that overflow raises, and beta_kappa.
-    bk = beta_kappa(obs, ctx.kappa)
-    pref = (
-        ((1.0 + ctx.kappa) / (2.0 * math.pi)) ** (0.5 * ctx.p)
-        * bk ** (0.5 * ctx.m)
-        / _normaliser_gamma(ctx.m, ctx.eps, bk)
-    )
-    return pref, bk
+def lambda_posterior_density(ctx: BlythContext, obs: Observation, lam: float) -> float:
+    """Posterior marginal of lambda given (x, s), that of ``posterior``:
+    beta_kappa^{m/2} / Gamma(m/2, eps beta_kappa) lambda^{m/2-1}
+    e^{-lambda beta_kappa} above eps, zero at and below it."""
+    return ntg.marginal_lambda_density(posterior(ctx, obs), lam)
 
 
 def mu_posterior_density(ctx: BlythContext, obs: Observation, mu: np.ndarray) -> float:
-    """Posterior marginal of mu given (x, s).
-
-    ((1+kappa)/(2 pi))^{p/2} beta_kappa^{m/2} / Gamma(m/2, eps beta_kappa)
-    * Gamma((m+p)/2, eps b) / b^{(m+p)/2}
-    with b = beta_kappa + (1+kappa) ||mu - mu_kappa||^2 / 2.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != obs.x.shape:
-        raise ValueError(f"mu must have shape {obs.x.shape}, got {mu.shape}")
-    pref, bk = _mu_posterior_prefactor(ctx, obs)
-    k1 = 1.0 + ctx.kappa
-    # Python floats skip numpy's per-call cost on a short vector; summed left
-    # to right, which is np.sum's order for p < 8.
-    t = 0.0
-    for v, c in zip(mu.tolist(), mu_kappa(obs.x, ctx.kappa).tolist()):
-        d = v - c
-        t += d * d
-    b = bk + 0.5 * k1 * t
-    shape = 0.5 * (ctx.m + ctx.p)
-    return pref * upper_incomplete_gamma(shape, ctx.eps * b) / b ** shape
-
-
-def mu_posterior_density_sqdist(ctx: BlythContext, obs: Observation, t) -> np.ndarray:
-    """``mu_posterior_density`` over an array of squared distances
-    t = ||mu - mu_kappa||^2, elementwise; the density depends on mu only
-    through t."""
-    pref, bk = _mu_posterior_prefactor(ctx, obs)
-    b = bk + 0.5 * (1.0 + ctx.kappa) * np.asarray(t, dtype=float)
-    shape = 0.5 * (ctx.m + ctx.p)
-    return pref * upper_incomplete_gamma_array(shape, ctx.eps * b) / b ** shape
+    """Posterior marginal of mu given (x, s), that of ``posterior``: radial
+    about mu_kappa, see ``ntg.marginal_mu_density``."""
+    return ntg.marginal_mu_density(posterior(ctx, obs), mu)
 
 
 def q_joint(ctx: BlythContext, mu: np.ndarray, lam: float) -> float:

@@ -18,6 +18,7 @@ supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,8 +68,9 @@ class RunConfig:
         return {"seed": self.seed, "mc_n": self.mc_n}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("NTGLAB_SEED", "0"))
+def _run_config(args) -> RunConfig:
+    seed = int(os.environ.get("NTGLAB_SEED", "0")) if args.seed is None else args.seed
+    return RunConfig(seed=seed, mc_n=args.mc_n)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -84,7 +86,7 @@ def _report_json(payload: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(seed=args.seed, mc_n=args.mc_n)
+    config = _run_config(args)
     checks = verify.run_all(config.seed, config.mc_n)
     all_pass = all(c["pass"] for c in checks)
     payload = {
@@ -105,7 +107,7 @@ def _resolve_c(args) -> float:
 
 
 def cmd_risk_diff(args) -> int:
-    config = RunConfig(seed=args.seed, mc_n=args.mc_n)
+    config = _run_config(args)
     c = _resolve_c(args)
     eps_values = [0.5, 1.0, 2.0] if args.eps_sweep else [args.eps]
     ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps_values[0])
@@ -222,12 +224,13 @@ def cmd_regress(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; NTGLAB_SEED is read per command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ntglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the identity suites")
-    pv.add_argument("--seed", type=int, default=_default_seed())
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--mc-n", type=int, default=100_000)
     pv.add_argument("--output", default=None)
     pv.set_defaults(func=cmd_verify)
@@ -241,7 +244,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--eps", type=float, default=1.0)
     pr.add_argument("--eps-sweep", action="store_true")
     pr.add_argument("--mc-n", type=int, default=1_000_000)
-    pr.add_argument("--seed", type=int, default=_default_seed())
+    pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--output", default=None)
     pr.set_defaults(func=cmd_risk_diff)
 
@@ -269,9 +272,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

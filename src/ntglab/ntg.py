@@ -10,6 +10,11 @@ i.e. a Gaussian in ``mu`` given ``lambda`` and a gamma-shaped ``lambda``
 density truncated to ``(eps0, inf)``.  The family is conjugate for the
 Gaussian location-scale model (``x | mu, lambda ~ N(mu, I_p/lambda)``,
 ``s | lambda ~ chi^2_m / lambda``).
+
+Every density and draw of one distribution needs Gamma(alpha0, beta0 eps0),
+which ``_upper_gamma0`` keeps in a one-entry memo: callers evaluate many
+points of one distribution before the next, and any other key computes
+afresh, so the memo never goes stale.  Exceptions are not memoised.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import _newton_root, log_gamma, upper_incomplete_gamma
+from .specfun import upper_incomplete_gamma_array
 
 __all__ = [
     "NtGParams",
@@ -29,6 +35,7 @@ __all__ = [
     "prior_density",
     "posterior_update",
     "marginal_mu_density",
+    "marginal_mu_density_sqdist",
     "marginal_lambda_density",
     "marginal_obs_density",
     "sample_prior",
@@ -37,18 +44,22 @@ __all__ = [
 
 @functools.lru_cache(maxsize=1)
 def _upper_gamma0(a: float, x: float) -> float:
-    """Gamma(a, x) extended continuously to x = 0 for a > 0.
-
-    Memoised with one entry: every draw of ``sample_prior`` from one
-    posterior needs Gamma(alpha0, beta0 eps0), so a run of draws evaluates
-    it once.  Any other argument computes afresh, and exceptions are not
-    memoised.
-    """
+    """Gamma(a, x) extended continuously to x = 0 for a > 0, in the module's
+    one-entry memo; ``_upper_gamma0.__wrapped__`` bypasses it."""
     if x == 0.0:
         if a <= 0:
             raise ValueError("Gamma(a, 0) diverges for a <= 0")
         return math.exp(log_gamma(a))
     return upper_incomplete_gamma(a, x)
+
+
+def _sqdist(u: np.ndarray, v: np.ndarray) -> float:
+    # ||u - v||^2 in Python floats, which skips numpy's per-call cost on a
+    # short vector; summed left to right, which is np.sum's order for p < 8.
+    t = 0.0
+    for a, b in zip(u.tolist(), v.tolist()):
+        t += (a - b) * (a - b)
+    return t
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,12 @@ def normalizing_constant(params: NtGParams) -> float:
     ``(2 pi)^{-p/2} beta0^{alpha0} / Gamma(alpha0, beta0 * eps0)`` when
     beta0 > 0, and ``(2 pi)^{-p/2} (-alpha0) eps0^{-alpha0}`` when beta0 = 0.
     """
-    pref = (2.0 * math.pi) ** (-0.5 * params.p)
+    return _scaled_normaliser(params, (2.0 * math.pi) ** (-0.5 * params.p))
+
+
+def _scaled_normaliser(params: NtGParams, pref: float) -> float:
+    # pref * C (2 pi)^{p/2}, left to right: each marginal passes its own
+    # prefactor, so none forms (2 pi)^{-p/2} only to cancel it.
     if params.beta0 > 0:
         return (
             pref
@@ -144,14 +160,8 @@ def prior_density(params: NtGParams, point: LocationScale) -> float:
     )
 
 
-def posterior_update(params: NtGParams, x: np.ndarray, s: float, m: int) -> NtGParams:
-    """Conjugate update after observing (x, s) with m scale degrees of freedom.
-
-    mu1 = (x + kappa0 mu0)/(1 + kappa0), kappa1 = 1 + kappa0,
-    alpha1 = alpha0 + (p+m)/2,
-    beta1 = beta0 + s/2 + kappa0/(1+kappa0) * ||x - mu0||^2 / 2.
-    The truncation point eps0 is unchanged.
-    """
+def _update(params: NtGParams, x: np.ndarray, s: float, m: int) -> tuple:
+    # The checked x and the updated alpha1, beta1 of ``posterior_update``.
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != params.p:
         raise ValueError(f"x must be a length-{params.p} vector")
@@ -160,16 +170,28 @@ def posterior_update(params: NtGParams, x: np.ndarray, s: float, m: int) -> NtGP
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     kap = params.kappa0
-    mu1 = (x + kap * params.mu0) / (1.0 + kap)
     alpha1 = params.alpha0 + 0.5 * (params.p + m)
     beta1 = (
         params.beta0
         + 0.5 * s
-        + 0.5 * kap / (1.0 + kap) * float(np.sum((x - params.mu0) ** 2))
+        + 0.5 * kap / (1.0 + kap) * _sqdist(x, params.mu0)
     )
+    return x, alpha1, beta1
+
+
+def posterior_update(params: NtGParams, x: np.ndarray, s: float, m: int) -> NtGParams:
+    """Conjugate update after observing (x, s) with m scale degrees of freedom.
+
+    mu1 = (x + kappa0 mu0)/(1 + kappa0), kappa1 = 1 + kappa0,
+    alpha1 = alpha0 + (p+m)/2,
+    beta1 = beta0 + s/2 + kappa0/(1+kappa0) * ||x - mu0||^2 / 2.
+    The truncation point eps0 is unchanged.
+    """
+    x, alpha1, beta1 = _update(params, x, s, m)
+    kap = params.kappa0
     updated = NtGParams(
-        p=params.p, mu0=mu1, kappa0=1.0 + kap, alpha0=alpha1, beta0=beta1,
-        eps0=params.eps0,
+        p=params.p, mu0=(x + kap * params.mu0) / (1.0 + kap), kappa0=1.0 + kap,
+        alpha0=alpha1, beta0=beta1, eps0=params.eps0,
     )
     # Conjugacy closure: valid inputs cannot leave the proper region.
     assert updated.alpha0 > params.alpha0 and updated.beta0 > params.beta0
@@ -185,30 +207,41 @@ def marginal_mu_density(params: NtGParams, mu: np.ndarray) -> float:
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size != params.p:
-        raise ValueError(f"mu must be a length-{params.p} vector")
-    b = params.beta0 + 0.5 * params.kappa0 * float(np.sum((mu - params.mu0) ** 2))
+        raise ValueError(f"mu must have shape ({params.p},), got {mu.shape}")
+    b = params.beta0 + 0.5 * params.kappa0 * _sqdist(mu, params.mu0)
     if b == 0.0:
         return math.inf
     if not math.isfinite(b):
         return 0.0
+    # The point's Gamma bypasses the memo, which would otherwise trade its
+    # entry between the point and C on every call.
+    return _mu_density(params, b, _upper_gamma0.__wrapped__)
+
+
+def marginal_mu_density_sqdist(params: NtGParams, t) -> np.ndarray:
+    """``marginal_mu_density`` over an array of squared distances
+    t = ||mu - mu0||^2, elementwise; the density depends on mu only through
+    t.  Needs eps0 b > 0 at every t and alpha0 + p/2 >= 1/2, the domain of
+    ``upper_incomplete_gamma_array``."""
+    b = params.beta0 + 0.5 * params.kappa0 * np.asarray(t, dtype=float)
+    return _mu_density(params, b, upper_incomplete_gamma_array)
+
+
+def _mu_density(params: NtGParams, b, upper_gamma):
+    # C kappa0^{p/2} Gamma(alpha0 + p/2, eps0 b) / b^{alpha0 + p/2}, scalar or
+    # array as upper_gamma is.
+    k = (params.kappa0 / (2.0 * math.pi)) ** (0.5 * params.p)
     shape = params.alpha0 + 0.5 * params.p
-    c = normalizing_constant(params)
-    return (
-        c
-        * params.kappa0 ** (0.5 * params.p)
-        * _upper_gamma0(shape, params.eps0 * b)
-        / b ** shape
-    )
+    norm = _scaled_normaliser(params, k)
+    return norm * upper_gamma(shape, params.eps0 * b) / b ** shape
 
 
 def marginal_lambda_density(params: NtGParams, lam: float) -> float:
     """Marginal prior density of the precision; zero for lambda <= eps0."""
-    if lam <= params.eps0 or lam <= 0:
+    if lam <= params.eps0:
         return 0.0
-    c = normalizing_constant(params)
     return (
-        c
-        * (2.0 * math.pi) ** (0.5 * params.p)
+        _scaled_normaliser(params, 1.0)
         * lam ** (params.alpha0 - 1.0)
         * math.exp(-lam * params.beta0)
     )
@@ -221,10 +254,7 @@ def marginal_obs_density(params: NtGParams, m: int, x: np.ndarray, s: float) -> 
     * Gamma(alpha1, eps0 * beta1) / beta1^{alpha1}`` with alpha1, beta1 from
     the conjugate update.
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    updated = posterior_update(params, x, s, m)
-    alpha1, beta1 = updated.alpha0, updated.beta0
+    _, alpha1, beta1 = _update(params, x, s, m)
     c = normalizing_constant(params)
     return (
         c
@@ -301,6 +331,10 @@ def _sample_lambda(params: NtGParams, u: float) -> float:
         if not g > 0.0:  # Gamma(a, y) underflowed: y lies far beyond the root.
             return -math.inf, -math.inf
         f = math.log(g / g0) - log_u
+        if log_u > -1e-15 and abs(f) <= 1e-15:
+            # u within a few ulps of 1: f's sign is rounding noise, and y
+            # already solves the equation to rounding.
+            return 0.0, 0.0
         neg_log_h = math.log(g) + y - (a - 1.0) * math.log(y)
         if neg_log_h < 700.0:
             return f, f * math.exp(neg_log_h)

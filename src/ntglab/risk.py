@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import blyth
+from . import blyth, ntg
 from .blyth import BlythContext, Observation
 from .numint import EstimateWithError, QuadratureError, _mc_estimate_rows, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
@@ -193,11 +193,13 @@ def posterior_risk(
     Procedures do not depend on lambda, so conjugacy closes the
     lambda-integral: the posterior mean of ``r_kappa(t | lambda)`` is the
     posterior density ``pi_kappa`` of mu at squared distance t from
-    mu_kappa (``blyth.mu_posterior_density``).  The risk of the mixture
-    ``sum_k a_k 1{||mu - c_k|| < R_k}`` is its weighted volume minus its
-    posterior coverage, ``sum_k a_k (w vol(R_k) - Pi(d_k, R_k))``, with
-    w = pi_kappa at c s / m and d_k = ||c_k - mu_kappa||.  As pi_kappa is
-    radial, a ball's mass is one integral along the radius,
+    mu_kappa: the mu-marginal of ``blyth.posterior``, which
+    ``ntg.marginal_mu_density_sqdist`` evaluates over an array of t.  The
+    risk of the mixture ``sum_k a_k 1{||mu - c_k|| < R_k}`` is its weighted
+    volume minus its posterior coverage,
+    ``sum_k a_k (w vol(R_k) - Pi(d_k, R_k))``, with w = pi_kappa at c s / m
+    and d_k = ||c_k - mu_kappa||.  As pi_kappa is radial, a ball's mass is
+    one integral along the radius,
 
         Pi(d, R) = int_0^inf pi_kappa(r^2) |S^{p-1}| r^{p-1} frac_p(r; d, R) dr,
 
@@ -217,8 +219,9 @@ def posterior_risk(
     """
     tol = tol or _DEFAULT_TOL
     p = ctx.p
+    post = blyth.posterior(ctx, obs)
     weights, centres, radii2 = proc.balls(obs.x, obs.s)
-    d = np.sqrt(np.sum((centres - blyth.mu_kappa(obs.x, ctx.kappa)) ** 2, axis=-1))
+    d = np.sqrt(np.sum((centres - post.mu0) ** 2, axis=-1))
     radius = np.sqrt(radii2)
     # One row per piece: (0, R - d), where the ball holds the whole sphere,
     # and the cap piece (|d - R|, d + R); empty pieces are dropped.
@@ -241,8 +244,8 @@ def posterior_risk(
     while True:
         (r1, h1), (r2, h2) = rule(n), rule(2 * n)
         t = np.square(np.concatenate([r1, r2], axis=-1)).ravel()
-        dens = blyth.mu_posterior_density_sqdist(
-            ctx, obs, np.append(t, ctx.c * obs.s / ctx.m))
+        t = np.append(t, ctx.c * obs.s / ctx.m)  # and w's squared distance
+        dens = ntg.marginal_mu_density_sqdist(post, t)
         n_evals += dens.size
         both = dens[:-1].reshape(-1, 3 * n)
         coarse, fine = np.sum(h1 * both[:, :n], axis=-1), np.sum(h2 * both[:, n:], axis=-1)

@@ -234,7 +234,12 @@ def lemma_d_check(
         raise ValueError("delta grid must be positive and strictly decreasing")
 
     # Combined power of r in the (r, theta) parameterization is exactly 1.
-    radial = _radial_weighted(gamma_, 1.0)
+    return _lemma_d_rows(p, gamma_, deltas, _radial_weighted(gamma_, 1.0))
+
+
+def _lemma_d_rows(p: int, gamma_: float, deltas, radial: EstimateWithError) -> list:
+    # lemma_d_check's rows from its radial integral, which depends on gamma
+    # alone: check_lemma_d shares it between dimensions.
     area = _sphere_area(p)
     limit = (
         2.0
@@ -262,9 +267,11 @@ def lemma_d_check(
 
 
 def check_lemma_d(rel_tol: float = 0.05) -> list[dict]:
+    cases = ((1, 1.0), (2, 1.0), (2, 2.0))
+    radial = {g: _radial_weighted(g, 1.0) for g in {g for _, g in cases}}
     rows = []
-    for p, g in ((1, 1.0), (2, 1.0), (2, 2.0)):
-        table = lemma_d_check(p, g, (1e-1, 1e-2, 1e-3))
+    for p, g in cases:
+        table = _lemma_d_rows(p, g, [1e-1, 1e-2, 1e-3], radial[g])
         delta, ratio, limit = table[-1]
         err = abs(ratio / limit - 1.0)
         rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= rel_tol))

@@ -14,7 +14,7 @@ from ntglab.blyth import (
     likelihood,
     mu_kappa,
     mu_posterior_density,
-    mu_posterior_density_sqdist,
+    posterior,
     prior_params,
     q_joint,
     q_obs,
@@ -254,19 +254,55 @@ class TestPosteriors:
         assert np.allclose(mu_kappa(obs.x, 1e-6), obs.x, rtol=1e-5)
 
 
+class TestPosteriorParams:
+    # The Blyth posterior is the conjugate update of the prior; at kappa = 0
+    # it is still a proper NtG distribution.
+    @pytest.mark.parametrize("p, m", [(1, 2), (2, 5), (3, 17)])
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 2.0])
+    def test_matches_the_conjugate_update(self, p, m, kappa):
+        rng = np.random.default_rng(10 * p + m)
+        ctx = _ctx(p=p, m=m, kappa=kappa, eps=0.7)
+        obs = Observation(x=rng.standard_normal(p) * 1.5, s=float(rng.uniform(0.2, 4.0)))
+        got = posterior(ctx, obs)
+        want = ntg.posterior_update(prior_params(ctx), obs.x, obs.s, ctx.m)
+        assert (got.p, got.eps0) == (want.p, want.eps0)
+        assert np.allclose(got.mu0, want.mu0, rtol=1e-15, atol=0.0)
+        for a, b in ((got.kappa0, want.kappa0), (got.alpha0, want.alpha0),
+                     (got.beta0, want.beta0)):
+            assert a == pytest.approx(b, rel=1e-15)
+
+    def test_is_proper_at_kappa_zero(self):
+        ctx = _ctx(p=2, m=3, kappa=0.0, eps=0.8)
+        obs = Observation(x=np.array([0.7, -0.3]), s=1.6)
+        post = posterior(ctx, obs)
+        assert isinstance(post, ntg.NtGParams)
+        assert np.array_equal(post.mu0, obs.x)
+        assert (post.kappa0, post.alpha0, post.beta0, post.eps0) == (1.0, 1.5, 0.8, 0.8)
+
+
 @pytest.fixture
 def gamma_calls(monkeypatch):
-    # Every Gamma(a, x) that blyth evaluates, from an empty memo on.
+    # Every Gamma(a, x) that the posterior densities evaluate (in ntg), from
+    # empty memos on.
     calls = []
 
     def counted(a, x):
         calls.append((a, x))
         return upper_incomplete_gamma(a, x)
 
-    monkeypatch.setattr(blyth, "upper_incomplete_gamma", counted)
-    blyth._normaliser_gamma.cache_clear()
+    monkeypatch.setattr(ntg, "upper_incomplete_gamma", counted)
+    _clear_memos()
     yield calls
-    blyth._normaliser_gamma.cache_clear()
+    _clear_memos()
+
+
+def _clear_memos():
+    blyth._posterior_memo[:] = None, None
+    ntg._upper_gamma0.cache_clear()
+
+
+def _mu_sqdist(ctx, obs, t):
+    return ntg.marginal_mu_density_sqdist(posterior(ctx, obs), t)
 
 
 class TestNormaliserMemo:
@@ -308,14 +344,14 @@ class TestNormaliserMemo:
             return (
                 [lambda_posterior_density(ctx, obs, lam) for lam in lams]
                 + [mu_posterior_density(ctx, obs, mu) for mu in mus]
-                + mu_posterior_density_sqdist(ctx, obs, ts).tolist()
+                + _mu_sqdist(ctx, obs, ts).tolist()
             )
 
         fresh = []
         for ctx, obs in cases:
-            blyth._normaliser_gamma.cache_clear()
+            _clear_memos()
             fresh.append(values(ctx, obs))
-        blyth._normaliser_gamma.cache_clear()
+        _clear_memos()
         for _ in range(2):
             for (ctx, obs), want in zip(cases + cases[::-1], fresh + fresh[::-1]):
                 assert values(ctx, obs) == want
@@ -332,7 +368,7 @@ class TestNormaliserMemo:
             with pytest.raises(OverflowError):
                 mu_posterior_density(ctx, obs, np.zeros(2))
             with pytest.raises(OverflowError):
-                mu_posterior_density_sqdist(ctx, obs, np.array([0.0, 1.0]))
+                _mu_sqdist(ctx, obs, np.array([0.0, 1.0]))
             assert len(gamma_calls) == 3 * k
 
     @pytest.mark.parametrize("mu", [np.zeros(1), np.zeros(3), np.zeros((2, 2)), 0.0])
@@ -342,8 +378,8 @@ class TestNormaliserMemo:
 
 
 class TestMuPosteriorSqdist:
-    # The array form against the scalar density, to test_specfun's
-    # array-vs-scalar Gamma bound.
+    # ntg's array form over squared distances against the scalar density, to
+    # test_specfun's array-vs-scalar Gamma bound.
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3, 17, 48])
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
@@ -359,7 +395,7 @@ class TestMuPosteriorSqdist:
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         mus = center + radii[:, None] * dirs
         t = np.sum((mus - center) ** 2, axis=1)
-        got = mu_posterior_density_sqdist(ctx, obs, t)
+        got = _mu_sqdist(ctx, obs, t)
         want = np.array([mu_posterior_density(ctx, obs, mu) for mu in mus])
         assert got.shape == t.shape
         assert np.all(want > 0.0)

@@ -91,6 +91,19 @@ class TestRiskDiff:
         assert row["mc"] == 0.0
         assert payload["max_abs_z"] == 0.0
 
+    def test_seed_env_is_read_per_call(self, tmp_path, monkeypatch):
+        # The parser is built once per process; each call reads NTGLAB_SEED
+        # afresh, and an explicit --seed still wins.
+        argv = ["risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "0",
+                "--mc-n", "1000", "--output"]
+        seeds = []
+        for env, extra in (("11", []), ("12", []), ("13", ["--seed", "4"])):
+            monkeypatch.setenv("NTGLAB_SEED", env)
+            out = tmp_path / f"rd{env}.json"
+            assert main(argv + [str(out)] + extra) == EXIT_OK
+            seeds.append(json.loads(out.read_text())["config"]["seed"])
+        assert seeds == [11, 12, 4]
+
     @pytest.mark.parametrize("error", [0.0, math.nan])
     def test_missing_standard_error_fails(self, tmp_path, monkeypatch, error):
         # Only the kappa = 0 short-circuit may report a zero error.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -515,6 +515,9 @@ class TestPrecisionInverse:
         eps0=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=3.0)),
         u=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
     )
+    # u one ulp from 1 without truncation: ln u is at the rounding of the
+    # Gamma ratio, where the iteration once failed to converge.
+    @example(alpha0=0.3359375, beta0=1.0, eps0=0.0, u=0.9999999999999998)
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle(self, alpha0, beta0, eps0, u):
         assume(eps0 > 0.0 or alpha0 > 0.0)

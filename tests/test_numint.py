@@ -5,7 +5,6 @@ import pytest
 
 from ntglab.numint import EstimateWithError, integrate_1d, mc_estimate
 from ntglab.specfun import upper_incomplete_gamma
-from ntglab.verify import lemma_bigint_check, lemma_d_check, lemma_smoments_check
 
 
 class TestEstimateWithError:
@@ -50,69 +49,6 @@ class TestIntegrate1d:
             if abs(est.value - truth) <= max(est.error, 1e-15):
                 covered += 1
         assert covered / len(cases) >= 0.95
-
-
-class TestLemmaBigint:
-    def test_simple_closed_values(self):
-        # (2,1,1,3): every gamma factor is 1 and the denominator is 1.
-        _, closed = lemma_bigint_check(2, 1, 1, 3)
-        assert closed == pytest.approx(math.pi, rel=1e-14)
-        # (1,0,0,1): pi^{1/2} / (1/2) = 2 sqrt(pi).
-        _, closed = lemma_bigint_check(1, 0, 0, 1)
-        assert closed == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "tup", [(1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3), (2, 2, 0.5, 1.5)]
-    )
-    def test_numeric_matches_closed(self, tup):
-        numeric, closed = lemma_bigint_check(*tup)
-        assert numeric.value == pytest.approx(closed, rel=1e-4)
-
-    def test_divergent_parameters_rejected(self):
-        # alpha + beta - gamma + 1 + p/2 = 0: log-divergent at the origin.
-        with pytest.raises(ValueError):
-            lemma_bigint_check(2, 0, 0, 2)
-
-
-class TestLemmaD:
-    def test_closed_limits(self):
-        rows = lemma_d_check(2, 1.0)
-        assert rows[0][2] == pytest.approx(math.pi, rel=1e-13)
-        rows = lemma_d_check(1, 1.0)
-        assert rows[0][2] == pytest.approx(2.0 / 3.0, rel=1e-13)
-
-    @pytest.mark.parametrize("p,g", [(1, 1.0), (2, 1.0), (2, 2.0)])
-    def test_ratio_converges(self, p, g):
-        rows = lemma_d_check(p, g, (1e-1, 1e-2, 1e-3))
-        devs = [abs(ratio / limit - 1.0) for _, ratio, limit in rows]
-        assert devs[0] > devs[1] > devs[2]
-        assert devs[2] < 0.05
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            lemma_d_check(2, 1.0, (1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            lemma_d_check(2, 0.0)
-
-
-class TestLemmaSmoments:
-    def test_closed_value(self):
-        _, closed = lemma_smoments_check(2, 2, kappa=1.0, eps=1.0, n=1000, seed=0)
-        assert closed == pytest.approx(1.0, rel=1e-14)
-
-    def test_mc_matches_closed(self):
-        mc, closed = lemma_smoments_check(2, 2, kappa=0.5, eps=1.0, n=200_000, seed=11)
-        assert abs(mc.value - closed) <= 3.0 * mc.error
-
-    def test_kappa_free(self):
-        a, ca = lemma_smoments_check(2, 3, kappa=0.1, eps=1.0, n=100_000, seed=5)
-        b, cb = lemma_smoments_check(2, 3, kappa=1.0, eps=1.0, n=100_000, seed=6)
-        assert ca == cb
-        assert abs(a.value - b.value) <= 3.0 * math.hypot(a.error, b.error)
-
-    def test_rejects_bad_kappa(self):
-        with pytest.raises(ValueError):
-            lemma_smoments_check(2, 2, kappa=0.0, eps=1.0)
 
 
 class TestMcEstimate:
