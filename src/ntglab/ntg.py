@@ -331,10 +331,8 @@ def _sample_lambda(params: NtGParams, u: float) -> float:
         if not g > 0.0:  # Gamma(a, y) underflowed: y lies far beyond the root.
             return -math.inf, -math.inf
         f = math.log(g / g0) - log_u
-        if log_u > -1e-15 and abs(f) <= 1e-15:
-            # u within a few ulps of 1: f's sign is rounding noise, and y
-            # already solves the equation to rounding.
-            return 0.0, 0.0
+        if log_u > -1e-15 and abs(f) <= 1e-15:  # u ulps from 1: f's sign is noise
+            return 0.0, 0.0  # and y already solves the equation to rounding
         neg_log_h = math.log(g) + y - (a - 1.0) * math.log(y)
         if neg_log_h < 700.0:
             return f, f * math.exp(neg_log_h)
