@@ -4,7 +4,12 @@ Provides the log-gamma function, the (non-regularized) upper incomplete
 gamma function for arbitrary real shape -- including the negative shapes
 that arise from priors with shape parameter ``-p/2`` -- and the CDF and
 quantile function of the F-distribution.  ``upper_incomplete_gamma_array``
-evaluates the same split elementwise over a numpy array for shapes a >= 1/2.
+evaluates the same branches elementwise over a numpy array for shapes
+a >= 1/2.  At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
+the continued fraction need O(sqrt(a)) terms, Temme's uniform expansion
+(Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives Gamma(a) Q(a, x) from
+one erfc, one exp and one Horner pass over a polynomial memoised per shape;
+the array form routes those elements through the same scalar code.
 The F quantile and the NtG precision sampler share one safeguarded Newton
 solver, ``_newton_root``.
 
@@ -17,6 +22,7 @@ which converges for every real ``a`` as long as ``x > 0``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -236,11 +242,172 @@ def _e1_series(x: float) -> float:
     return total
 
 
+# Temme's uniform expansion (DLMF 8.12.8-8.12.10) serves a >= _TEMME_MIN_A
+# with _TEMME_LO a <= x <= _TEMME_HI a, where the series and the continued
+# fraction need O(sqrt(a)) terms.  Over that window it is within about 7e-15
+# of 30-digit mpmath for a <= 170.5.  Rows c_0 .. c_9 of Taylor coefficients
+# in eta, eta^0 first, from scripts/temme_coefficients.py --terms 10
+# --degree 18; dropping the rest changes Q by under 1e-16 in the window.
+_TEMME_MIN_A = 20.0
+_TEMME_LO = 0.2
+_TEMME_HI = 1.6
+_TEMME_C = (
+    (
+        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+        0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+        3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+        8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+        1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+        -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11,
+        -5.0276692801141755e-12,
+    ),
+    (
+        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+        -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+        -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+        4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+        1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+        4.162792991842583e-10, -8.56390702649298e-11, 6.067215101604758e-14,
+        7.1624989648114856e-12,
+    ),
+    (
+        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+        2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+        -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+        -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+        -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09,
+        9.428356159014678e-13, 1.2872252400089318e-10, -5.5645956134363323e-11,
+        1.197593554636698e-11,
+    ),
+    (
+        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+        0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+        1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+        -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+        -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+        -9.460496661855133e-10, 2.1541049775774907e-10, -1.388823336813903e-14,
+        -2.1894761681963938e-11,
+    ),
+    (
+        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+        -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+        1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+        8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+        2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09,
+        -2.3024517174528067e-13, -3.9409233028046403e-10, 1.86023389685045e-10,
+        -4.356323005056618e-11,
+    ),
+    (
+        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+        -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+        -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+        -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+        4.8240967037894184e-08, -1.7989466721743514e-14, -6.306194500013523e-09,
+        3.162417628774568e-09, -7.840924253697429e-10, 5.192679165254041e-15,
+        9.358944242306784e-11,
+    ),
+    (
+        0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+        7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+        -1.8329116582843375e-05, -3.0796134506033047e-09, 3.465155368803609e-06,
+        -2.0291327396058603e-06, 5.788792863149004e-07, 2.338630673826657e-13,
+        -8.828600746330484e-08, 4.7435958880408125e-08, -1.2545415020710383e-08,
+        8.649648858010293e-14, 1.6846058979264062e-09, -8.575492823577594e-10,
+        2.1598224929232125e-10,
+    ),
+    (
+        0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+        0.0002812695154763237, -0.00010976582244684731, -1.2741009095484485e-07,
+        2.7744451511563645e-05, -1.8263488805711332e-05, 5.7876949497350525e-06,
+        4.93875893393627e-10, -1.0595367014026043e-06, 6.166714376110408e-07,
+        -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08,
+        -1.4578352908731272e-08, 3.887645959386175e-09, -3.881002251019412e-17,
+        -5.327994173877286e-10,
+    ),
+    (
+        -0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721,
+        -6.969091458420552e-07, 0.00016644846642067547, -0.00012783517679769218,
+        4.629953263691304e-05, 4.557909867922708e-09, -1.0595271125805195e-05,
+        6.783342904865167e-06, -2.1075476666258803e-06, -1.7213731432817144e-11,
+        3.773587741611098e-07, -2.1867506700122867e-07, 6.220228804018927e-08,
+        6.597703826733e-16, -9.590386497425686e-09, 5.213214492280807e-09,
+        -1.3991589583935709e-09,
+    ),
+    (
+        -0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328,
+        -0.0006401475260262758, 0.00027750107634328704, 1.819700838046515e-07,
+        -8.479507117068503e-05, 6.105192082501531e-05, -2.1073920183404862e-05,
+        -8.858589014125599e-10, 4.5284535953805374e-06, -2.8427815022504407e-06,
+        8.708234177864641e-07, 3.6886101871706966e-12, -1.534469519070206e-07,
+        8.862466778790695e-08, -2.5184812301826817e-08, -1.0225912098215092e-14,
+        3.896947075815478e-09,
+    ),
+)
+# 1/3, 1/5, ..., 1/27, highest order first, from
+# 2 atanh(w) = 2w + 2w^3 sum_n w^2n / (2n + 3), whose terms past these fall
+# below 1e-17 for |w| <= 1/4.
+_ATANH_TAIL = tuple(1.0 / (2 * n + 3) for n in range(12, -1, -1))
+
+
+@functools.lru_cache(maxsize=64)
+def _temme_poly(a: float) -> tuple[float, ...]:
+    # sum_k c_k(eta) a^-k / sqrt(2 pi a) as one polynomial in eta, highest
+    # degree first: a pure function of a, memoised so that a call costs one
+    # Horner pass.
+    inv, scale = 1.0 / a, 1.0 / math.sqrt(2.0 * math.pi * a)
+    poly = []
+    for column in zip(*_TEMME_C):
+        s = 0.0
+        for c in reversed(column):
+            s = s * inv + c
+        poly.append(s * scale)
+    return tuple(reversed(poly))
+
+
+def _temme(a: float, x: float) -> float:
+    # Gamma(a, x) = Gamma(a) Q(a, x) with
+    #   Q = erfc(eta sqrt(a/2)) / 2 + e^{-a eta^2/2} sum_k c_k(eta) a^-k / sqrt(2 pi a),
+    # a eta^2 / 2 = a (z - log1p(z)), z = x/a - 1.  The exponent is formed
+    # without cancellation from w = z / (2 + z) = (x - a) / (x + a): since
+    # log1p(z) = 2 atanh(w), a eta^2/2 = (x - a) w - 2 a w^3 (1/3 + w^2/5 + ...).
+    # Only the lower tail w < -1/4 (x < 0.6 a), where the expansion's term
+    # is a small share of Q, takes the direct form.
+    if a >= 171.0 and x < a + 1.0 and math.lgamma(a) >= _LOG_DBL_MAX:
+        raise OverflowError(f"Gamma({a}) is past the double range")
+    d = x - a
+    w = d / (x + a)
+    if w > -0.25:
+        u = w * w
+        s = 0.0
+        for c in _ATANH_TAIL:
+            s = s * u + c
+        half_a_eta2 = d * w - 2.0 * a * w * u * s
+    else:
+        z = d / a
+        half_a_eta2 = a * (z - math.log1p(z))
+    y = math.copysign(math.sqrt(half_a_eta2), d)  # eta sqrt(a/2)
+    eta = y * math.sqrt(2.0 / a)
+    s = 0.0
+    for c in _temme_poly(a):
+        s = s * eta + c
+    q = 0.5 * math.erfc(y) + math.exp(-half_a_eta2) * s
+    if a < 171.0:
+        return math.gamma(a) * q
+    # Gamma(a) alone may be past the double range while Gamma(a, x) is not.
+    # Q underflows only for a above about 5,000, where Gamma(a, x) is far
+    # past it.
+    log_g = math.lgamma(a) + math.log(q) if q > 0.0 else math.inf
+    return math.exp(log_g) if log_g < _LOG_DBL_MAX else math.inf
+
+
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Return Gamma(a, x) for real shape a and x > 0.
 
     For a >= 1/2 the standard series / continued-fraction split at
-    ``x = a + 1`` is used; smaller positive shapes with small x take a
+    ``x = a + 1`` is used, except that a >= 20 with 0.2 a <= x <= 1.6 a
+    takes Temme's uniform expansion, Gamma(a) Q(a, x), formed as
+    ``math.gamma(a) * Q`` below a = 171 and as exp(ln Gamma(a) + ln Q)
+    above.  Smaller positive shapes with small x take a
     regrouped series that avoids the ``Gamma(a) * (1 - P)`` cancellation.
     For a <= 0 the continued fraction still applies
     when x is not small; for small x the value is obtained by running the
@@ -249,11 +416,12 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     downward direction is stable there because the ``x^a e^{-x}`` term
     dominates.
 
-    Where the continued fraction applies, a value past the double range
-    saturates to ``inf``; where the series applies, ``Gamma(a)`` itself
-    must be finite, so ``upper_incomplete_gamma(172, 100)`` raises
-    ``OverflowError``.  Results below the underflow threshold saturate
-    to 0.0.
+    At and above ``x = a + 1`` (the continued fraction, and Temme's
+    expansion there) a value past the double range saturates to ``inf``;
+    below it (the series, and Temme's expansion there) ``Gamma(a)`` itself
+    must be finite, so ``upper_incomplete_gamma(172, 100)`` and
+    ``(5000, 4990)`` raise ``OverflowError``.  Results below the underflow
+    threshold saturate to 0.0.
     """
     if x == math.inf:
         return 0.0
@@ -266,6 +434,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         raise ValueError(f"shape must be finite, got a={a}")
 
     if a >= 0.5:
+        if a >= _TEMME_MIN_A and _TEMME_LO * a <= x <= _TEMME_HI * a:
+            return _temme(a, x)
         if x < a + 1.0:
             p = _lower_series(a, x)
             return math.exp(math.lgamma(a)) * (1.0 - p)
@@ -371,7 +541,8 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
 
     Runs the same series / continued-fraction split at ``x = a + 1`` as
     ``upper_incomplete_gamma``, under masks, so each element matches the
-    scalar form to rounding.  Returns an array of the shape of ``x``;
+    scalar form to rounding; the elements in Temme's window go through the
+    scalar branch itself.  Returns an array of the shape of ``x``;
     ``x = inf`` gives 0, and overflow behaves as in the scalar form.
     """
     if not (math.isfinite(a) and a >= 0.5):
@@ -383,6 +554,11 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     out = np.zeros(flat.shape)
     low = flat < a + 1.0
     high = ~low & (flat < math.inf)
+    if a >= _TEMME_MIN_A:
+        temme = (flat >= _TEMME_LO * a) & (flat <= _TEMME_HI * a)
+        out[temme] = [_temme(a, v) for v in flat[temme].tolist()]
+        low &= ~temme
+        high &= ~temme
     if low.any():
         series = _lower_series_array(a, flat[low])
         out[low] = math.exp(math.lgamma(a)) * (1.0 - series)
@@ -492,6 +668,13 @@ def _newton_root(newton, y: float, lo: float, hi: float = math.inf) -> float:
     # evaluation narrows the bracket; a step that leaves it, or that fails
     # to halve the step before last, is replaced by bisection (by doubling
     # while no upper end is known).  Stops once |step| <= 1e-14 y.
+    #
+    # A rejected step longer than the last one means f's rounding, not the
+    # distance to the root, now sets the step.  Newton may have landed on
+    # one side of the root again and again (f_cdf's bias makes it do so), so
+    # the other bracket end is stale: y + 2 step, just across the root,
+    # brackets it tightly, where bisection would halve its way back over
+    # many evaluations.
     older = last = math.inf
     for _ in range(_NEWTON_CAP):
         f, step = newton(y)
@@ -503,7 +686,12 @@ def _newton_root(newton, y: float, lo: float, hi: float = math.inf) -> float:
         safe = lo < nxt < hi and not (hi < math.inf and abs(step) > 0.5 * abs(older))
         # A converged step may round onto a bracket end; it is kept.
         if not safe and abs(step) > 1e-14 * y:
-            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
+            if hi == math.inf:
+                nxt = 2.0 * y
+            elif abs(step) > abs(last) and lo < y + 2.0 * step < hi:
+                nxt = y + 2.0 * step
+            else:
+                nxt = 0.5 * (lo + hi)
         older, last = last, nxt - y
         if abs(last) <= 1e-14 * nxt:
             return nxt

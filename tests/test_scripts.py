@@ -1,9 +1,14 @@
 """Smoke tests: each experiment script's main() runs at a tiny size."""
 
+import ast
 import importlib.util
 import math
 import sys
 from pathlib import Path
+
+import pytest
+
+from ntglab import specfun
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,3 +44,25 @@ def test_blyth_scaling_sweep(monkeypatch, capsys):
     assert table[0] == ["kappa", "K", "delta", "K*delta", "ratio"]
     assert [float(row[0]) for row in table[1:]] == [0.4, 0.2]
     assert len(table[2]) == 5
+
+
+def _table(lines):
+    name, _, literal = "\n".join(lines).partition(" = ")
+    assert name == "_TEMME_C"
+    return ast.literal_eval(literal)
+
+
+def test_temme_coefficients(monkeypatch, capsys):
+    rows = _table(_run("temme_coefficients", ["--terms", "3", "--degree", "2"],
+                       monkeypatch, capsys))
+    # Known values (Temme 1979; DiDonato & Morris 1986).
+    assert rows[0] == pytest.approx([-1 / 3, 1 / 12, -2 / 135], rel=1e-15)
+    assert rows[1][0] == pytest.approx(-1 / 540, rel=1e-15)
+    assert rows[2][0] == pytest.approx(25 / 6048, rel=1e-15)
+    # specfun's table is the script's output: its leading block at low
+    # order, all of it at the table's own order.
+    assert tuple(row[:3] for row in specfun._TEMME_C[:3]) == rows
+    terms, degree = len(specfun._TEMME_C), len(specfun._TEMME_C[0]) - 1
+    full = _run("temme_coefficients", ["--terms", str(terms), "--degree", str(degree)],
+                monkeypatch, capsys)
+    assert _table(full) == specfun._TEMME_C

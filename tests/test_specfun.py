@@ -153,8 +153,11 @@ class TestUpperIncompleteGamma:
 
 
 class TestFractionPrefactorOverflow:
-    # e^{-x} x^a exceeds the double range while Gamma(a, x) does not.
-    POINTS = ((171.0, 177.6), (165.0, 170.0), (160.0, 165.0))
+    # e^{-x} x^a exceeds the double range while Gamma(a, x) does not.  Past
+    # a = 171, Gamma(a) does too: (176, 280) takes Temme's expansion in log
+    # form, and (176, 290), just outside its window, the continued fraction.
+    POINTS = ((171.0, 177.6), (165.0, 170.0), (160.0, 165.0),
+              (176.0, 280.0), (176.0, 290.0))
 
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -167,16 +170,46 @@ class TestFractionPrefactorOverflow:
 
     def test_saturates_past_double_range(self):
         assert upper_incomplete_gamma(180.0, 181.0) == math.inf
+        # Q(6000, 9600) itself underflows.
+        assert upper_incomplete_gamma(6000.0, 9600.0) == math.inf
         assert upper_incomplete_gamma_array(180.0, np.array([181.0]))[0] == math.inf
 
     def test_series_branch_raises(self):
         # Gamma(172) itself is past the double range.
         with pytest.raises(OverflowError):
             upper_incomplete_gamma(172.0, 100.0)
+        # So is Gamma(5000), below x = a + 1 in Temme's window.
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma(5000.0, 4990.0)
+
+
+class TestTemmeBranch:
+    # Shapes a >= 20 with 0.2 a <= x <= 1.6 a take Temme's uniform expansion.
+    SHAPES = (20.0, 20.5, 24.5, 99.5, 170.5)
+
+    @staticmethod
+    def _points(a):
+        lo, hi = 0.2 * a, 1.6 * a
+        return (lo, math.nextafter(lo, math.inf), a * (1.0 - 1e-12), a,
+                a * (1.0 + 1e-12), math.nextafter(hi, 0.0), hi)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_matches_mpmath(self, a, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+
+        def other_branch(*args):
+            raise AssertionError(f"left the Temme branch at {args}")
+
+        monkeypatch.setattr(specfun, "_lower_series", other_branch)
+        monkeypatch.setattr(specfun, "_upper_cf", other_branch)
+        for x in self._points(a):
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(a, x))
+            assert abs(upper_incomplete_gamma(a, x) / want - 1.0) <= 1e-14, x
 
 
 class TestUpperIncompleteGammaArray:
-    SHAPES = (0.5, 1.0, 1.5, 2.5, 7.0, 50.5)
+    SHAPES = (0.5, 1.0, 1.5, 2.5, 7.0, 24.5, 50.5, 99.5)
 
     @staticmethod
     def _grid(a):
@@ -341,6 +374,25 @@ class TestFAgainstMpmath:
                         middle.append(len(calls))
         assert sum(middle) / len(middle) <= 10.0
         assert total / (len(_D1) * len(_D2) * len(_Q)) <= 15.0
+
+
+class TestFQuantileNoiseFloor:
+    def test_brackets_tightly(self, monkeypatch):
+        # f_cdf(9997, 1, t) is biased high near this root by more than the
+        # residual the solve reads, so Newton lands above the root again and
+        # again while the bracket's lower end stays at its third iterate.
+        calls = []
+        cdf = specfun.f_cdf
+
+        def counted(d1, d2, t):
+            calls.append(t)
+            return cdf(d1, d2, t)
+
+        monkeypatch.setattr(specfun, "f_cdf", counted)
+        t = f_quantile(1, 9997, 0.95)
+        assert len(calls) <= 13
+        mpmath = pytest.importorskip("mpmath")
+        assert abs(t / _mp_f_quantile(mpmath, 1, 9997, 0.95) - 1.0) <= 1e-12
 
 
 class TestFQuantileTails:
