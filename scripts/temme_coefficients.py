@@ -89,9 +89,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--terms", type=int, default=10, help="number of c_k rows")
     ap.add_argument("--degree", type=int, default=18, help="Taylor degree of each row")
-    ap.add_argument("--dps", type=int, default=60, help="mpmath working digits")
     args = ap.parse_args()
-    rows = temme_coefficients(args.terms, args.degree, args.dps)
+    rows = temme_coefficients(args.terms, args.degree)
     print("_TEMME_C = (")
     for row in rows:
         print("    (")

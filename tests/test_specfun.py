@@ -169,13 +169,20 @@ class TestFractionPrefactorOverflow:
             assert abs(got[0] / want - 1.0) <= 1e-13
 
     def test_saturates_past_double_range(self):
+        # (180, 181) lies in Temme's window; (180, 300), past 1.6 a, takes
+        # the continued fraction, scalar and array.
         assert upper_incomplete_gamma(180.0, 181.0) == math.inf
+        assert upper_incomplete_gamma(180.0, 300.0) == math.inf
         # Q(6000, 9600) itself underflows.
         assert upper_incomplete_gamma(6000.0, 9600.0) == math.inf
         assert upper_incomplete_gamma_array(180.0, np.array([181.0]))[0] == math.inf
+        assert upper_incomplete_gamma_array(180.0, np.array([300.0]))[0] == math.inf
 
     def test_series_branch_raises(self):
-        # Gamma(172) itself is past the double range.
+        # Gamma(172) itself is past the double range.  (172, 30), below
+        # 0.2 a, takes the series; (172, 100) takes Temme's expansion.
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma(172.0, 30.0)
         with pytest.raises(OverflowError):
             upper_incomplete_gamma(172.0, 100.0)
         # So is Gamma(5000), below x = a + 1 in Temme's window.
