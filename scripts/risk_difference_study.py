@@ -5,7 +5,8 @@ For each (p, m, kappa) cell the paired estimator draws common random
 numbers for both procedures, so the truncation floor eps cancels exactly;
 pass --eps-sweep to demonstrate that the estimate is bit-identical across
 eps values under one seed.  The eps values of a cell share one Monte Carlo
-pass: each chunk is drawn once and every eps rescales the precision on it.
+pass: each chunk is drawn once, and each draw's pivotal test, in which the
+precision cancels, serves every eps.
 
 Example:
 

@@ -71,7 +71,8 @@ class Observation:
 @dataclass(frozen=True)
 class BlythContext:
     """Experiment configuration: dimension p, scale dof m, ball constant c,
-    shrinkage kappa >= 0 (0 selects the improper limit), truncation eps > 0."""
+    shrinkage kappa >= 0 (0 selects the improper limit), truncation eps > 0;
+    c, kappa and eps are finite."""
 
     p: int
     m: int
@@ -82,12 +83,12 @@ class BlythContext:
     def __post_init__(self) -> None:
         if self.p < 1 or self.m < 1:
             raise ValueError("p and m must be >= 1")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 def prior_params(ctx: BlythContext) -> NtGParams:

@@ -9,7 +9,9 @@ Subcommands:
 * ``blyth``      -- the scaling table over a kappa grid, as CSV,
 * ``regress``    -- OLS plus the standard confidence region from a CSV file.
 
-Exit codes: 0 pass, 1 check failure, 2 I/O error, 64 usage error.
+Exit codes: 0 pass, 1 check failure, 2 I/O error, 64 usage error, which
+includes a number the configuration rejects (a negative eps, an mc-n
+below 1000).
 Reports embed the resolved configuration and are byte-identical for a
 given configuration and seed.  The environment variable ``NTGLAB_SEED``
 supplies the default seed.
@@ -69,8 +71,11 @@ class RunConfig:
 
 
 def _run_config(args) -> RunConfig:
-    seed = int(os.environ.get("NTGLAB_SEED", "0")) if args.seed is None else args.seed
-    return RunConfig(seed=seed, mc_n=args.mc_n)
+    try:
+        seed = int(os.environ.get("NTGLAB_SEED", "0")) if args.seed is None else args.seed
+        return RunConfig(seed=seed, mc_n=args.mc_n)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -100,17 +105,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _resolve_c(args) -> float:
-    if args.c is not None:
-        return args.c
-    return default_c(args.p, args.m, args.level)
+def _valid_level(level: float) -> float:
+    if not 0.0 < level < 1.0:
+        raise _UsageError(f"level must lie in (0, 1), got {level}")
+    return level
+
+
+def _context(args, kappa: float, eps: float) -> BlythContext:
+    # The experiment the arguments describe: an argument it rejects is a
+    # usage error, while an error in computing the default c propagates.
+    if args.p < 1 or args.m < 1:
+        raise _UsageError(f"p and m must be >= 1, got p={args.p}, m={args.m}")
+    c = args.c if args.c is not None else default_c(args.p, args.m, _valid_level(args.level))
+    try:
+        return BlythContext(p=args.p, m=args.m, c=c, kappa=kappa, eps=eps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_risk_diff(args) -> int:
     config = _run_config(args)
-    c = _resolve_c(args)
     eps_values = [0.5, 1.0, 2.0] if args.eps_sweep else [args.eps]
-    ctx = BlythContext(p=args.p, m=args.m, c=c, kappa=args.kappa, eps=eps_values[0])
+    ctx = _context(args, args.kappa, eps_values[0])
+    c = ctx.c
     closed = risk_difference_closed(ctx)  # eps does not enter it
     sweep = risk_difference_sweep(ctx, eps_values, n=config.mc_n, seed=config.seed)
     rows = []
@@ -154,7 +171,7 @@ def cmd_blyth(args) -> int:
         raise _UsageError("empty kappa grid")
     if any(k <= 0 for k in kappa_grid):
         raise _UsageError("kappa grid entries must be positive")
-    c = _resolve_c(args)
+    c = _context(args, kappa_grid[0], args.eps).c
     rows = blyth_scaling(args.p, args.m, c, args.eps, kappa_grid)
     lines = ["kappa,K,delta_closed,K_times_delta"]
     for kap, k_const, delta, prod in rows:
@@ -167,6 +184,7 @@ def cmd_regress(args) -> int:
     p = args.coef_count
     if p not in (1, 2):
         raise _UsageError(f"coef-count must be 1 or 2, got {p}")
+    _valid_level(args.level)
     try:
         data = regress.load_csv(args.csv, args.response, intercept=args.intercept)
     except FileNotFoundError:

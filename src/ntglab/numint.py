@@ -146,10 +146,12 @@ def _mc_estimate_rows(
     seed: int,
     workers: int = 1,
 ) -> list[EstimateWithError]:
-    # Row form of mc_estimate: sampler(rng, size) returns (k, size) values,
-    # k estimates on each chunk's shared draws.  Every row is summed as a
-    # contiguous 1-D array and merged on its own, so each estimate is
+    # Row form of mc_estimate: sampler(rng, size) returns k rows of size
+    # values, k estimates on each chunk's shared draws.  Every row is summed
+    # as a contiguous 1-D array and merged on its own, so each estimate is
     # bit-identical to an mc_estimate call whose sampler returns that row.
+    # A row the sampler returns more than once, as the same array object,
+    # is summarised once.
     if n < 1:
         raise ValueError("n must be >= 1")
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
@@ -158,12 +160,14 @@ def _mc_estimate_rows(
 
     def run_chunk(i: int):
         rng = np.random.default_rng(seeds[i])
-        vals = np.ascontiguousarray(sampler(rng, sizes[i]), dtype=float)
-        stats = []
-        for row in vals:
-            mean = float(row.sum()) / row.size
-            stats.append((row.size, mean, float(np.square(row - mean).sum())))
-        return stats
+        rows = list(sampler(rng, sizes[i]))  # kept alive, so id() names a row
+        summaries = {}
+        for row in rows:
+            if id(row) not in summaries:
+                vals = np.ascontiguousarray(row, dtype=float)
+                mean = float(vals.sum()) / vals.size
+                summaries[id(row)] = (vals.size, mean, float(np.square(vals - mean).sum()))
+        return [summaries[id(row)] for row in rows]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -15,8 +15,11 @@ risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
 prior risk difference between the standard and the recentered ball is
 ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)`` whatever the truncation eps.
 ``risk_difference_sweep`` checks that by paired Monte Carlo over several
-eps at once: the eps values share one set of draws, and each rescales the
-precision on them.
+eps at once.  Both balls' coverage tests depend on pivotal quantities
+only, in which the precision cancels, so each draw is tested once for
+every eps; the few draws within a rounding bound of a threshold are
+tested again in model space at each eps, which keeps every estimate
+bit-identical to a run of the model-space arithmetic at that eps.
 """
 
 from __future__ import annotations
@@ -60,8 +63,17 @@ _DEFAULT_TOL = Tolerance(rel=1e-12, abs=1e-15)
 # 2: the largest needs seen were 75 at m <= 60, 212 at m = 120 and 490 at
 # m = 250.
 _MACH_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2^-1022
 _ROUNDING_ULPS = (128.0, 8.0)
-_SWEEP_BLOCK = 4096  # draws per block of risk_difference_sweep's per-eps arithmetic
+_SWEEP_BLOCK = 8192  # draws per block of risk_difference_sweep's pivotal tests
+# The pivot decides a draw only when u >= 2^-64, so that u^(-2/p) <= 2^128,
+# when lambda and kappa*lambda lie within 2^(+-_SWEEP_LOG2_RANGE) at every
+# eps (checked 2^8 inside that, for the rounding of the power), and when
+# the bound's magnitudes stay below _SWEEP_CAP: then no model-space
+# intermediate overflows (see _sweep_rows).
+_SWEEP_MIN_LOG2_U = -64.0
+_SWEEP_LOG2_RANGE = 512.0
+_SWEEP_CAP = 2.0 ** 400
 
 
 @dataclass(frozen=True)
@@ -344,47 +356,178 @@ def risk_difference_sweep(
     Since the two balls have equal volume, the risk difference reduces to
     the difference of coverage terms; both indicators are evaluated on
     common draws (common random numbers), which is what makes the O(kappa)
-    signal visible at feasible sample sizes.  The eps values share one set
-    of draws as well: each chunk draws (u, z1, z2, chi2) once, and every eps
-    rescales lambda = eps u^(-2/p) and evaluates both indicators on them,
-    so each estimate is bit-identical to a separate run at that eps with
-    the same seed, and the spread across eps tests the cancellation of eps.
+    signal visible at feasible sample sizes.  The eps values share the
+    draws as well.  A draw is (u, z1, z2, chi2), in that stream order, and
+    stands for lambda = eps u^(-2/p), mu = z1/sqrt(kappa lambda),
+    x = mu + z2/sqrt(lambda) and s = chi2/lambda.  With v = sqrt(kappa) z1
+    - z2, mu - x/(1+kappa) = v/((1+kappa) sqrt(lambda)), mu - x =
+    -z2/sqrt(lambda) and c s/m = (c/m) chi2/lambda, so lambda cancels from
+    both coverage tests:
+
+        ||mu - x/(1+kappa)||^2 < c s/m  <=>  S_k = ||v||^2 < T_k = (1+kappa)^2 (c/m) chi2,
+        ||mu - x||^2 < c s/m            <=>  S_0 = ||z2||^2 < T_0 = (c/m) chi2,
+
+    and each draw's value [S_k < T_k] - [S_0 < T_0] serves every eps.  A
+    draw within the rounding bound B of either threshold
+    (``_sweep_rows``), or with u < 2^-64, or whose lambda or kappa*lambda
+    may leave [2^-512, 2^512] at some eps, is evaluated again at each eps
+    by the model-space expressions, lambda, mu and x included, with
+    left-to-right sums over the p coordinates.  Off that fallback set the
+    two agree, so each estimate is bit-identical to a separate model-space
+    run at that eps with the same seed.  Where lambda or kappa*lambda
+    leaves the normal double range those expressions fail (past the largest
+    double both indicators read 0), and the pivot decides instead.
     ``ctx.eps`` is not read.
 
     At kappa = 0 the two indicators coincide and every difference is
     exactly 0.
     """
     eps_values = tuple(float(eps) for eps in eps_values)
-    if not all(eps > 0 for eps in eps_values):
-        raise ValueError(f"eps values must be positive, got {eps_values}")
+    if not all(0.0 < eps < math.inf for eps in eps_values):
+        raise ValueError(f"eps values must be positive and finite, got {eps_values}")
     if ctx.kappa == 0.0:
         zero = EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
         return (zero,) * len(eps_values)
-    p, kappa, k1, cm = ctx.p, ctx.kappa, 1.0 + ctx.kappa, ctx.c / ctx.m
 
-    def sq_dist(d):
-        # Sum of squares over the p rows of d (p, block), left to right, as
-        # np.sum adds fewer than 8 terms (from 8 on it adds pairwise, so at
-        # p >= 8 a d2 may differ from the (block, p) sum in its last ulps).
-        return np.sum(np.square(d, out=d), axis=0)
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        upow, z1, z2, chi2 = _prior_draws(p, ctx.m, rng, size)
-        out = np.empty((len(eps_values), size))
-        for lo in range(0, size, _SWEEP_BLOCK):
-            blk = slice(lo, lo + _SWEEP_BLOCK)
-            r1, r2 = z1[blk].T.copy(), z2[blk].T.copy()  # one contiguous row per coordinate
-            for row, eps in zip(out, eps_values):
-                lam = eps * upow[blk]
-                thresh = cm * (chi2[blk] / lam)
-                mu = r1 / np.sqrt(kappa * lam)
-                x = r2 / np.sqrt(lam)
-                x += mu
-                row[blk] = sq_dist(mu - x / k1) < thresh
-                row[blk] -= sq_dist(np.subtract(mu, x, out=x)) < thresh
-        return out
+    def sampler(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+        u = rng.random(size)
+        z1 = rng.standard_normal((size, ctx.p))
+        z2 = rng.standard_normal((size, ctx.p))
+        return _sweep_rows(ctx, eps_values, u, z1, z2, rng.chisquare(ctx.m, size))
 
     return tuple(_mc_estimate_rows(sampler, n, seed, workers))
+
+
+def _pivot_u_range(p: int, kappa: float, eps_values: Sequence[float]) -> tuple[float, float]:
+    # [u_lo, u_hi]: the u >= 2^-64 at which lambda = eps u^(-2/p) and
+    # kappa*lambda lie within 2^(+-(_SWEEP_LOG2_RANGE - 8)) at every eps; in
+    # log2, log2(lambda) = log2(eps) - (2/p) log2(u).
+    reach = _SWEEP_LOG2_RANGE - 8.0
+    logs = [g + h for g in map(math.log2, eps_values) for h in (0.0, math.log2(kappa))]
+    lo = max([_SWEEP_MIN_LOG2_U] + [0.5 * p * (g - reach) for g in logs])
+    hi = min(0.5 * p * (g + reach) for g in logs)
+    return 2.0 ** min(lo, 0.0), 2.0 ** min(hi, 0.0)
+
+
+def _ltr_sq_sum(d: np.ndarray) -> np.ndarray:
+    # Sum of squares over the p rows of d (p, k), left to right, squaring d
+    # in place: np.sum adds 8 or more contiguous terms pairwise.
+    total = np.square(d[0], out=d[0])
+    for row in d[1:]:
+        total += np.square(row, out=row)
+    return total
+
+
+def _sweep_rows(
+    ctx: BlythContext,
+    eps_values: Sequence[float],
+    u: np.ndarray,
+    z1: np.ndarray,
+    z2: np.ndarray,
+    chi2: np.ndarray,
+) -> list[np.ndarray]:
+    """``risk_difference_sweep``'s paired indicators on one chunk of draws:
+    u (k,), z1 and z2 (k, p), chi2 (k,); one row per eps, and eps values
+    whose rows agree share one array.
+
+    The pivot decides a draw when min(|S_k - T_k|, |S_0 - T_0|) > B, with
+
+        B = (16 + 8p) u_r [S_k + T_k + S_0 + T_0
+                           + 16 (1+kappa)^2/kappa^2 (S_k + S_0) + 8 S_0 + tau],
+        tau = (2p + c/m + 4) (1+kappa)^2 2^-510,
+
+    u_r = 2^-53 the unit roundoff.  B increases with S_k, S_0 and chi2, so
+    each block of ``_SWEEP_BLOCK`` draws takes it at its largest values, one
+    bound for all its draws.  The bound follows Higham (Accuracy and
+    Stability of Numerical Algorithms, 2002): fl(a op b) = (a op b)(1 + d),
+    |d| <= u_r, and gamma_n = n u_r/(1 - n u_r) for n such factors (3.1).
+    Let w_i = 2((1+kappa)|z1_i|/sqrt(kappa) + |z2_i|).  In model space, the
+    i-th coordinate of mu - x/(1+kappa), scaled by (1+kappa) sqrt(lambda),
+    is v_i + f_i with |f_i| <= gamma_7 w_i (mu takes 3 roundings, x 4,
+    x/(1+kappa) 6 and the difference 7, each relative to |mu_i| or |z2_i|
+    /sqrt(lambda)); that of mu - x, scaled by sqrt(lambda), is -z2_i + f'_i
+    with |f'_i| <= gamma_8 w_i/2; the pivot's v_i carries |g_i| <= gamma_3 w_i.
+    A sum of p rounded squares adds gamma_p relative in any order, and
+    2|v_i f_i| <= gamma (v_i^2 + w_i^2).  The thresholds carry gamma_2 (model
+    space) and gamma_5 (pivot).  To first order in u_r the model-space and
+    pivotal tests of the shrunk ball thus both match the exact one once
+    |S_k - T_k| > u_r [(10 + 4p) S_k + 10 ||w||^2 + 7 T_k], and those of the
+    standard ball once |S_0 - T_0| > u_r [(8 + 3p) S_0 + 3 ||w||^2 + 3 T_0];
+    ||w||^2 <= 8((1+kappa)^2/kappa ||z1||^2 + ||z2||^2) and kappa ||z1||^2 <=
+    2(S_k + S_0) give the bracket.  The factor 16 + 8p >= 1.6 (10 + 4p)
+    leaves room for the second-order terms, for replacing the exact S and T
+    by their rounded values and for the rounding of B itself.  With
+    gradual underflow a product or quotient errs by at most u_r 2^-1022
+    more, and sums are exact there; lambda <= 2^512 keeps their scaled
+    total below u_r tau.
+
+    The pivot also needs every model-space intermediate in range: u >=
+    2^-64 bounds u^(-2/p) by 2^128, lambda and kappa*lambda within
+    2^(+-512) (``_pivot_u_range``) and a bracket below 2^400 then bound
+    every one by 2^920.  Elsewhere each eps runs the model-space
+    expressions operation for operation, left-to-right sums included, and
+    the pivot decides only where lambda or kappa*lambda leaves the normal
+    range.
+    """
+    p, kappa, cm = ctx.p, ctx.kappa, ctx.c / ctx.m
+    k1 = 1.0 + kappa
+    root_k, t_k = math.sqrt(kappa), k1 * k1 * cm
+    shrink = 16.0 * (k1 / kappa) * (k1 / kappa)
+    tau = (2 * p + cm + 4) * k1 * k1 * 2.0 ** -510
+    ulps = (8 + 4 * p) * _MACH_EPS  # (16 + 8p) u_r
+    coef = (ulps * (1.0 + shrink), ulps * (9.0 + shrink), ulps * (t_k + cm), ulps * tau)
+    u_lo, u_hi = _pivot_u_range(p, kappa, eps_values)
+    pivot = np.empty(u.size)
+    fallback = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, u.size, _SWEEP_BLOCK):
+            blk = slice(lo, lo + _SWEEP_BLOCK)
+            for j in range(p):
+                v = z1[blk, j] * root_k
+                v -= z2[blk, j]
+                if j == 0:
+                    s_k, s_0 = np.square(v, out=v), np.square(z2[blk, j])
+                else:
+                    s_k += np.square(v, out=v)
+                    s_0 += np.square(z2[blk, j])
+            ch, ub = chi2[blk], u[blk]
+            d_k = s_k - t_k * ch
+            d_0 = s_0 - cm * ch
+            np.less(d_k, 0.0, out=pivot[blk])
+            pivot[blk] -= d_0 < 0.0
+            bound = coef[0] * s_k.max() + coef[1] * s_0.max() + coef[2] * ch.max() + coef[3]
+            margin = np.minimum(np.abs(d_k, out=d_k), np.abs(d_0, out=d_0), out=d_k)
+            if not bound < ulps * _SWEEP_CAP:  # past the cap, or NaN: flag the block
+                bound = math.inf
+            if margin.min() > bound and ub.min() >= u_lo and ub.max() <= u_hi:
+                continue
+            flagged = ~(margin > bound) | (ub < u_lo) | (ub > u_hi)
+            fallback.append(lo + np.flatnonzero(flagged))
+    if not fallback:
+        return [pivot] * len(eps_values)
+    idx = np.concatenate(fallback)
+    rows, piv = [], pivot[idx]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        upow = u[idx] ** (-2.0 / p)
+        r1, r2, ch = z1[idx].T.copy(), z2[idx].T.copy(), chi2[idx]
+        for eps in eps_values:
+            lam = eps * upow
+            kl = kappa * lam
+            thresh = cm * (ch / lam)
+            mu = r1 / np.sqrt(kl)
+            x = r2 / np.sqrt(lam)
+            x += mu
+            vals = (_ltr_sq_sum(mu - x / k1) < thresh).astype(float)
+            vals -= _ltr_sq_sum(np.subtract(mu, x, out=x)) < thresh
+            in_range = (np.minimum(lam, kl) >= _TINY) & (np.maximum(lam, kl) < math.inf)
+            vals = np.where(in_range, vals, piv)
+            if np.array_equal(vals, piv):
+                rows.append(pivot)
+            else:
+                row = pivot.copy()
+                row[idx] = vals
+                rows.append(row)
+    return rows
 
 
 def risk_difference_z(mc: EstimateWithError, closed: float, kappa: float) -> float:

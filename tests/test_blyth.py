@@ -54,6 +54,10 @@ class TestConstruction:
             _ctx(kappa=-0.1)
         with pytest.raises(ValueError):
             _ctx(eps=0.0)
+        for bad in (math.inf, math.nan):
+            for name in ("c", "kappa", "eps"):
+                with pytest.raises(ValueError):
+                    _ctx(**{name: bad})
         _ctx(kappa=0.0)  # the improper limit is a valid context
 
     def test_prior_params_wiring(self):

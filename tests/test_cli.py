@@ -237,6 +237,12 @@ class TestRegress:
             "regress", "--csv", str(bad), "--response", "y",
         ]) == EXIT_IO
 
+    def test_invalid_level_is_usage_error(self, tmp_path):
+        assert main([
+            "regress", "--csv", self._csv(tmp_path), "--response", "y",
+            "--level", "1.5",
+        ]) == EXIT_USAGE
+
     def test_unsupported_dimension(self, tmp_path):
         assert main([
             "regress", "--csv", self._csv(tmp_path), "--response", "y",
@@ -250,3 +256,27 @@ class TestUsage:
 
     def test_missing_required_option(self):
         assert main(["risk-diff", "--p", "2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--eps", "-1"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--eps", "nan"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "-1"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--c", "-2"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--level", "1.5"],
+        ["risk-diff", "--p", "0", "--m", "3", "--kappa", "0.5"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--mc-n", "10"],
+        ["verify", "--mc-n", "10"],
+        ["blyth", "--p", "2", "--m", "3", "--eps", "-1"],
+    ])
+    def test_invalid_number_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_error_inside_a_computation_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("inside the sweep")
+
+        monkeypatch.setattr(cli, "risk_difference_sweep", broken)
+        with pytest.raises(ValueError, match="inside the sweep"):
+            main(["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--mc-n", "1000"])

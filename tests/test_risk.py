@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from ntglab import blyth
@@ -10,6 +12,7 @@ from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d, mc_e
 from ntglab.risk import (
     Procedure,
     _cap_fraction,
+    _sweep_rows,
     ball_volume,
     bayes_risk,
     blyth_scaling,
@@ -650,6 +653,53 @@ def _separate_risk_difference(ctx, n, seed, workers=1):
 _SWEEP_EPS = (0.3, 0.5, 1.0, 2.0, 7.0)
 
 
+def _ltr_sum_sq(d):
+    # Sum of squares over the last axis of d (k, p), left to right.
+    total = np.square(d[:, 0])
+    for j in range(1, d.shape[1]):
+        total = total + np.square(d[:, j])
+    return total
+
+
+def _model_space_rows(ctx, eps_values, u, z1, z2, chi2):
+    # The oracle for _sweep_rows: _separate_risk_difference's arithmetic on
+    # given draws, with left-to-right sums over the coordinates, at each
+    # eps.  Where lambda or kappa*lambda leaves the normal range, those
+    # expressions fail (at lambda = inf both indicators read 0), and the
+    # pivotal test in floats, [S_k < T_k] - [S_0 < T_0], stands instead.
+    p, kappa, cm = ctx.p, ctx.kappa, ctx.c / ctx.m
+    k1 = 1.0 + kappa
+    with np.errstate(all="ignore"):
+        upow = u ** (-2.0 / p)
+        s_k, s_0 = _ltr_sum_sq(z1 * math.sqrt(kappa) - z2), _ltr_sum_sq(z2)
+        pivot = (s_k < (k1 * k1 * cm) * chi2).astype(float) - (s_0 < cm * chi2)
+        rows = []
+        for eps in eps_values:
+            lam = eps * upow
+            mu = z1 / np.sqrt(kappa * lam)[:, None]
+            x = mu + z2 / np.sqrt(lam)[:, None]
+            thresh = cm * (chi2 / lam)
+            vals = ((_ltr_sum_sq(mu - x / k1) < thresh).astype(float)
+                    - (_ltr_sum_sq(mu - x) < thresh).astype(float))
+            normal = [(v >= np.finfo(float).tiny) & (v < math.inf) for v in (lam, kappa * lam)]
+            rows.append(np.where(normal[0] & normal[1], vals, pivot))
+    return rows
+
+
+def _near_tie_draws(ctx, rng, k, ulps=8):
+    # k draws whose chi2 lies within ulps ulps of the chi2 at which S_k = T_k
+    # (odd draws) or S_0 = T_0 (even draws).
+    p, cm, k1 = ctx.p, ctx.c / ctx.m, 1.0 + ctx.kappa
+    u = rng.random(k)
+    z1, z2 = rng.standard_normal((k, p)), rng.standard_normal((k, p))
+    s_k, s_0 = _ltr_sum_sq(z1 * math.sqrt(ctx.kappa) - z2), _ltr_sum_sq(z2)
+    chi2 = np.where(np.arange(k) % 2 == 1, s_k / (k1 * k1 * cm), s_0 / cm)
+    for i, step in enumerate(rng.integers(-ulps, ulps + 1, k)):
+        for _ in range(abs(step)):
+            chi2[i] = np.nextafter(chi2[i], math.inf if step > 0 else 0.0)
+    return u, z1, z2, chi2
+
+
 class TestRiskDifferenceSweep:
     @pytest.mark.parametrize("n", [1000, 65536, 100_000, 200_001])
     def test_matches_separate_runs(self, n):
@@ -684,6 +734,59 @@ class TestRiskDifferenceSweep:
         with pytest.raises(ValueError):
             risk_difference_sweep(_ctx(), (1.0, 0.0), n=1000)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError):
+            risk_difference_sweep(_ctx(), (1.0, eps), n=1000)
+
+    def test_extreme_eps_give_the_unit_eps_estimate(self):
+        # At eps = 1e300 the model-space lambda of some draws overflows and
+        # the pivot decides them; at 1e-300 the model space stays in range.
+        ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
+        unit, tiny, huge = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300), n=10_000, seed=3)
+        assert tiny == unit and huge == unit
+
+    def test_ordinary_draws_share_one_row(self):
+        ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
+        rng = np.random.default_rng(8)
+        u, z1, z2 = rng.random(5000), rng.standard_normal((5000, 3)), rng.standard_normal((5000, 3))
+        rows = _sweep_rows(ctx, _SWEEP_EPS, u, z1, z2, rng.chisquare(4, 5000))
+        assert all(row is rows[0] for row in rows)
+
+
+class TestSweepRows:
+    """``_sweep_rows`` against the model-space oracle, on hand-built draws."""
+
+    def test_near_ties_take_the_model_space(self):
+        # Within 8 ulps of a threshold the model-space indicators differ
+        # between eps values on some draws: the fallback must reproduce them.
+        ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
+        draws = _near_tie_draws(ctx, np.random.default_rng(4), 4000)
+        got = _sweep_rows(ctx, _SWEEP_EPS, *draws)
+        want = _model_space_rows(ctx, _SWEEP_EPS, *draws)
+        assert any(not np.array_equal(want[0], w) for w in want[1:])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @given(
+        p=st.integers(1, 9),
+        kappa=st.floats(1e-3, 10.0),
+        eps_values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4),
+        special_u=st.lists(st.sampled_from([0.0, 2.0 ** -70, 2.0 ** -60]), max_size=6),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_model_space_bit_for_bit(self, p, kappa, eps_values, special_u, seed):
+        m = 1 + seed % 7
+        ctx = _ctx(p=p, m=m, c=default_c(p, m, 0.95), kappa=kappa)
+        rng = np.random.default_rng(seed)
+        u, z1, z2, chi2 = _near_tie_draws(ctx, rng, 48)
+        u[rng.choice(u.size, len(special_u), replace=False)] = special_u
+        got = _sweep_rows(ctx, eps_values, u, z1, z2, chi2)
+        want = _model_space_rows(ctx, eps_values, u, z1, z2, chi2)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
 
 class TestRiskDifference:
     def test_closed_hand_value(self):
@@ -713,7 +816,9 @@ class TestRiskDifference:
 
     def test_eps_cancels_exactly_under_common_draws(self):
         # lambda rescales with eps but the coverage indicators are scale
-        # free, so the paired estimate is bitwise eps-independent.
+        # free: the pivot tests each draw once for every eps, and the
+        # model space, which reruns the draws near a threshold, agrees with
+        # it on these, so the paired estimate is bitwise eps-independent.
         base = risk_difference_mc(_ctx(eps=1.0), n=50_000, seed=21)
         for eps in (0.5, 2.0):
             alt = risk_difference_mc(_ctx(eps=eps), n=50_000, seed=21)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ntglab import blyth, ntg
+from ntglab import blyth, ntg, verify
+from ntglab.specfun import upper_incomplete_gamma
 from ntglab.verify import (
     _mu_lambda_quadrature,
     _random_params,
+    check_lemma_bigint,
     lemma_bigint_check,
     lemma_d_check,
     lemma_smoments_check,
@@ -63,6 +65,22 @@ class TestLemmaBigint:
         # alpha + beta - gamma + 1 + p/2 = 0: log-divergent at the origin.
         with pytest.raises(ValueError):
             lemma_bigint_check(2, 0, 0, 2)
+
+    def test_check_evaluates_each_gamma_once(self, monkeypatch):
+        # (2, 1, 1, 3) and (3, 1, 0, 3) integrate Gamma(3, r^2) over many
+        # common nodes; evaluated separately they take 420 calls, 294 of
+        # them distinct.  The rows are those of the separate checks.
+        calls = []
+
+        def counted(a, x):
+            calls.append((a, x))
+            return upper_incomplete_gamma(a, x)
+
+        monkeypatch.setattr(verify, "upper_incomplete_gamma", counted)
+        rows = check_lemma_bigint()
+        assert len(calls) == len(set(calls)) == 294
+        for row, tup in zip(rows, ((1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3))):
+            assert row["observed"] == lemma_bigint_check(*tup)[0].value
 
 
 class TestLemmaD:
