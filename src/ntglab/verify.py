@@ -150,7 +150,7 @@ def _radial_weighted(upper_gamma: Callable[[float], float], r_pow: float) -> Est
     )
 
 
-def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
+def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_gamma=None):
     """Numeric vs. closed-form value of the weighted (t, z)-integral.
 
     Numeric side: the integrand ``t^alpha ||z||^{2 beta}
@@ -161,14 +161,13 @@ def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
     Closed side: ``pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
     / ((alpha+beta-gamma+1+p/2) Gamma(p/2))``.
 
+    ``upper_gamma(x)``, when given, returns Gamma(gamma_, x): checks of one
+    shape pass one memo and so share its values.
+
     Returns (numeric: EstimateWithError, closed: float).
     """
-    return _lemma_bigint(p, alpha, beta, gamma_, functools.partial(upper_incomplete_gamma, gamma_))
-
-
-def _lemma_bigint(p: int, alpha: float, beta: float, gamma_: float, upper_gamma):
-    # lemma_bigint_check with Gamma(gamma_, .) given, so that cases of one
-    # shape can share its values.
+    if upper_gamma is None:
+        upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
     denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
     if denom <= 0 or alpha + beta + 1.0 + 0.5 * p <= 0:
         raise ValueError(
@@ -218,8 +217,9 @@ def check_lemma_bigint(rel_tol: float = 1e-4) -> list[dict]:
     rows = []
     for tup in ((1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3)):
         g = tup[3]
-        memo = memos.setdefault(g, functools.cache(functools.partial(upper_incomplete_gamma, g)))
-        numeric, closed = _lemma_bigint(*tup, memo)
+        if g not in memos:
+            memos[g] = functools.cache(functools.partial(upper_incomplete_gamma, g))
+        numeric, closed = lemma_bigint_check(*tup, upper_gamma=memos[g])
         err = abs(numeric.value / closed - 1.0)
         rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= rel_tol))
     return rows
