@@ -740,11 +740,13 @@ class TestRiskDifferenceSweep:
             risk_difference_sweep(_ctx(), (1.0, eps), n=1000)
 
     def test_extreme_eps_give_the_unit_eps_estimate(self):
-        # At eps = 1e300 the model-space lambda of some draws overflows and
-        # the pivot decides them; at 1e-300 the model space stays in range.
+        # At 1e-300 and 1e300 lambda stays in the normal range but leaves
+        # the pivot's, so every draw is tested in model space; at 1e308
+        # lambda overflows on about half the draws, where the pivot decides
+        # (a model-space test there reads 0 for both balls).
         ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
-        unit, tiny, huge = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300), n=10_000, seed=3)
-        assert tiny == unit and huge == unit
+        unit, *extreme = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300, 1e308), n=10_000, seed=3)
+        assert all(est == unit for est in extreme)
 
     def test_ordinary_draws_share_one_row(self):
         ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
@@ -765,6 +767,23 @@ class TestSweepRows:
         got = _sweep_rows(ctx, _SWEEP_EPS, *draws)
         want = _model_space_rows(ctx, _SWEEP_EPS, *draws)
         assert any(not np.array_equal(want[0], w) for w in want[1:])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_near_overflow_lambda_takes_the_model_space(self, p):
+        # At eps = 1e300 lambda lies near the top of the double range, so
+        # for draws of order 1e-7 the model-space squares are subnormal and
+        # their rounding flips indicators a relative 1e-9 from a threshold,
+        # far outside the bound B: only the u range sends these draws to
+        # the model space.
+        ctx = _ctx(p=p, m=3, c=default_c(p, 3, 0.95), kappa=0.5)
+        rng = np.random.default_rng(p)
+        u, z1, z2, chi2 = _near_tie_draws(ctx, rng, 2000, ulps=0)
+        z1, z2, chi2 = 1e-7 * z1, 1e-7 * z2, 1e-14 * chi2 * (1.0 + 1e-9 * rng.standard_normal(2000))
+        got = _sweep_rows(ctx, (1e300, 1.0), u, z1, z2, chi2)
+        want = _model_space_rows(ctx, (1e300, 1.0), u, z1, z2, chi2)
+        assert not np.array_equal(want[0], want[1])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
