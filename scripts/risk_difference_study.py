@@ -3,10 +3,11 @@
 
 For each (p, m, kappa) cell the paired estimator draws common random
 numbers for both procedures, so the truncation floor eps cancels exactly;
-pass --eps-sweep to demonstrate that the estimate is bit-identical across
-eps values under one seed.  The eps values of a cell share one Monte Carlo
-pass: each chunk is drawn once, and each draw's pivotal test, in which the
-precision cancels, serves every eps.
+pass --eps-sweep to show the estimate at several eps values under one
+seed.  Each draw's coverage tests are pivotal: the precision, and with it
+eps, cancels from them, so one Monte Carlo pass gives a cell's estimate
+and it is the same at every eps by construction.  The test suite checks
+the pivot against the tests written with lambda, mu and x.
 
 Example:
 

@@ -149,6 +149,15 @@ def r_kappa(t: float, lam: float, ctx: BlythContext) -> float:
     )
 
 
+def _as_mu(mu, p: int) -> np.ndarray:
+    # mu as a float vector of the model's dimension p; rejects any other
+    # shape rather than broadcasting it.
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (p,):
+        raise ValueError(f"mu must have shape ({p},), got {mu.shape}")
+    return mu
+
+
 def cond_mu_density(
     ctx: BlythContext, obs: Observation, lam: float, mu: np.ndarray
 ) -> float:
@@ -157,8 +166,7 @@ def cond_mu_density(
     Defined for every lambda > 0, extending the formula below the truncation
     point by convention.
     """
-    mu = np.asarray(mu, dtype=float)
-    d2 = float(np.sum((mu - mu_kappa(obs.x, ctx.kappa)) ** 2))
+    d2 = float(np.sum((_as_mu(mu, ctx.p) - mu_kappa(obs.x, ctx.kappa)) ** 2))
     return r_kappa(d2, lam, ctx)
 
 
@@ -199,9 +207,9 @@ def q_joint(ctx: BlythContext, mu: np.ndarray, lam: float) -> float:
 
     At kappa = 0 this is the sigma-finite limit, independent of mu.
     """
+    mu = _as_mu(mu, ctx.p)
     if lam <= ctx.eps:
         return 0.0
-    mu = np.asarray(mu, dtype=float)
     return (
         math.exp(log_gamma(0.5 * ctx.m))
         * (1.0 + ctx.kappa) ** (0.5 * ctx.p)
@@ -228,10 +236,10 @@ def likelihood(x: np.ndarray, s: float, mu: np.ndarray, lam: float, m: int) -> f
     * lambda^{m/2} s^{m/2-1} e^{-lambda s/2} / (2^{m/2} Gamma(m/2)).
     """
     x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    p = x.size
+    mu = _as_mu(mu, p)
     if not (s > 0 and lam > 0):
         raise ValueError("s and lambda must be positive")
-    p = x.size
     d2 = float(np.sum((x - mu) ** 2))
     return (
         (lam / (2.0 * math.pi)) ** (0.5 * p)

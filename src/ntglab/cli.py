@@ -166,11 +166,14 @@ def cmd_risk_diff(args) -> int:
 
 
 def cmd_blyth(args) -> int:
-    kappa_grid = [float(k) for k in args.kappa_grid.split(",") if k.strip()]
+    try:
+        kappa_grid = [float(k) for k in args.kappa_grid.split(",") if k.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad kappa grid: {exc}") from None
     if not kappa_grid:
         raise _UsageError("empty kappa grid")
-    if any(k <= 0 for k in kappa_grid):
-        raise _UsageError("kappa grid entries must be positive")
+    if not all(0.0 < k < math.inf for k in kappa_grid):
+        raise _UsageError(f"kappa grid entries must be positive and finite, got {kappa_grid}")
     c = _context(args, kappa_grid[0], args.eps).c
     rows = blyth_scaling(args.p, args.m, c, args.eps, kappa_grid)
     lines = ["kappa,K,delta_closed,K_times_delta"]

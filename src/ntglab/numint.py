@@ -4,8 +4,7 @@
   doubly infinite intervals, raising ``QuadratureError`` when it misses
   its tolerance;
 * ``mc_estimate``: chunked Monte Carlo with a standard error, bit-identical
-  for any worker count; its private row form gives several estimates on
-  each chunk's shared draws.
+  for any worker count.
 
 Both return an ``EstimateWithError``.  What is integrated lives with its
 callers: the identity checks in ``verify``, the risks in ``risk``.
@@ -130,44 +129,19 @@ def mc_estimate(
     sequence, so the result is bit-identical for any worker count.
     The values must be one-dimensional, one per draw.
     """
-
-    def rows(rng: np.random.Generator, size: int) -> np.ndarray:
-        vals = np.asarray(sampler(rng, size), dtype=float)
-        if vals.ndim != 1:
-            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
-        return vals[None, :]
-
-    return _mc_estimate_rows(rows, n, seed, workers)[0]
-
-
-def _mc_estimate_rows(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> list[EstimateWithError]:
-    # Row form of mc_estimate: sampler(rng, size) returns k rows of size
-    # values, k estimates on each chunk's shared draws.  Every row is summed
-    # as a contiguous 1-D array and merged on its own, so each estimate is
-    # bit-identical to an mc_estimate call whose sampler returns that row.
-    # A row the sampler returns more than once, as the same array object,
-    # is summarised once.
     if n < 1:
         raise ValueError("n must be >= 1")
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)  # independent of scheduling
     sizes = [min(_MC_CHUNK, n - i * _MC_CHUNK) for i in range(n_chunks)]
 
-    def run_chunk(i: int):
-        rng = np.random.default_rng(seeds[i])
-        rows = list(sampler(rng, sizes[i]))  # kept alive, so id() names a row
-        summaries = {}
-        for row in rows:
-            if id(row) not in summaries:
-                vals = np.ascontiguousarray(row, dtype=float)
-                mean = float(vals.sum()) / vals.size
-                summaries[id(row)] = (vals.size, mean, float(np.square(vals - mean).sum()))
-        return [summaries[id(row)] for row in rows]
+    def run_chunk(i: int) -> tuple[int, float, float]:
+        vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]), dtype=float)
+        if vals.ndim != 1:
+            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
+        vals = np.ascontiguousarray(vals)
+        mean = float(vals.sum()) / vals.size
+        return vals.size, mean, float(np.square(vals - mean).sum())
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -181,15 +155,12 @@ def _mc_estimate_rows(
     # order, so the result does not depend on timing (Chan, Golub and
     # LeVeque 1983); unlike sum(x^2)/n - mean^2 this does not cancel when
     # the mean dwarfs the spread.
-    estimates = []
-    for row_stats in zip(*results):
-        count, mean, m2 = row_stats[0]
-        for nb, mean_b, m2_b in row_stats[1:]:
-            delta = mean_b - mean
-            total = count + nb
-            mean += delta * nb / total
-            m2 += m2_b + delta * delta * count * nb / total
-            count = total
-        se = math.sqrt(m2 / count / count)
-        estimates.append(EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo"))
-    return estimates
+    count, mean, m2 = results[0]
+    for nb, mean_b, m2_b in results[1:]:
+        delta = mean_b - mean
+        total = count + nb
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * count * nb / total
+        count = total
+    se = math.sqrt(m2 / count / count)
+    return EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo")

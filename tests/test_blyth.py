@@ -166,6 +166,16 @@ class TestQIdentities:
         assert q_joint(ctx, np.zeros(2), 0.9) == 0.0
         assert q_joint(ctx, np.zeros(2), 1.1) > 0.0
 
+    @pytest.mark.parametrize("lam", [0.9, 1.5])  # below and above the truncation
+    def test_q_joint_rejects_mu_of_the_wrong_shape(self, lam):
+        with pytest.raises(ValueError, match="shape"):
+            q_joint(_ctx(eps=1.0), [0.1, 0.2, 0.3], lam)
+
+    def test_cond_mu_density_rejects_mu_of_the_wrong_shape(self):
+        obs = Observation(x=np.array([1.0, -0.5]), s=1.4)
+        with pytest.raises(ValueError, match="shape"):
+            cond_mu_density(_ctx(), obs, 1.5, [0.1])
+
     def test_factorization(self):
         # likelihood * q_joint = q_obs * lambda-posterior * (mu | lambda),
         # pointwise, including at the improper limit kappa = 0.
@@ -483,3 +493,7 @@ class TestLikelihood:
             likelihood(np.zeros(1), 0.0, np.zeros(1), 1.0, 2)
         with pytest.raises(ValueError):
             likelihood(np.zeros(1), 1.0, np.zeros(1), 0.0, 2)
+
+    def test_mu_of_the_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            likelihood(np.array([0.3, -0.2]), 1.0, np.array([0.1]), 1.5, 2)

@@ -184,11 +184,12 @@ class TestBlyth:
             # repr round-trips doubles losslessly.
             assert parsed == [row[0], row[1], row[2], row[3]]
 
-    def test_bad_grid_is_usage_error(self):
-        assert main(["blyth", "--p", "2", "--m", "2", "--c", "1.0",
-                     "--kappa-grid", ","]) == EXIT_USAGE
-        assert main(["blyth", "--p", "2", "--m", "2", "--c", "1.0",
-                     "--kappa-grid", "0.1,-0.2"]) == EXIT_USAGE
+    def test_bad_grid_is_usage_error(self, capsys):
+        for grid in (",", "0.1,-0.2", "abc", "0.2,nan", "0.2,inf"):
+            assert main(["blyth", "--p", "2", "--m", "2", "--c", "1.0",
+                         "--kappa-grid", grid]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestRegress:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ntglab.numint import EstimateWithError, _mc_estimate_rows, integrate_1d, mc_estimate
+from ntglab.numint import EstimateWithError, integrate_1d, mc_estimate
 from ntglab.specfun import upper_incomplete_gamma
 
 
@@ -92,35 +92,3 @@ class TestMcEstimate:
         a = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
         b = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
         assert a == b
-
-
-class TestMcEstimateRows:
-    def test_each_row_matches_its_own_estimate(self):
-        def rows(rng, n):
-            u = rng.random(n)
-            return [u, np.sqrt(u), u]
-
-        got = _mc_estimate_rows(rows, 150_000, seed=4)
-        for k, est in enumerate(got):
-            want = mc_estimate(lambda rng, n: rows(rng, n)[k], 150_000, seed=4)
-            assert est == want
-
-    def test_a_shared_row_is_summarised_once(self):
-        class Counted:
-            # An array-like that counts its conversions to an array.
-            calls = 0
-
-            def __init__(self, values):
-                self.values = values
-
-            def __array__(self, dtype=None, copy=None):
-                Counted.calls += 1
-                return self.values
-
-        def rows(rng, n):
-            shared = Counted(rng.random(n))
-            return [shared, shared, shared]
-
-        got = _mc_estimate_rows(rows, 150_000, seed=4)  # three chunks
-        assert Counted.calls == 3
-        assert got == [mc_estimate(lambda rng, n: rng.random(n), 150_000, seed=4)] * 3

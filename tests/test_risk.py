@@ -12,7 +12,7 @@ from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d, mc_e
 from ntglab.risk import (
     Procedure,
     _cap_fraction,
-    _sweep_rows,
+    _pivot_values,
     ball_volume,
     bayes_risk,
     blyth_scaling,
@@ -662,41 +662,85 @@ def _ltr_sum_sq(d):
 
 
 def _model_space_rows(ctx, eps_values, u, z1, z2, chi2):
-    # The oracle for _sweep_rows: _separate_risk_difference's arithmetic on
-    # given draws, with left-to-right sums over the coordinates, at each
-    # eps.  Where lambda or kappa*lambda leaves the normal range, those
-    # expressions fail (at lambda = inf both indicators read 0), and the
-    # pivotal test in floats, [S_k < T_k] - [S_0 < T_0], stands instead.
+    # The oracle for _pivot_values: _separate_risk_difference's arithmetic
+    # on given draws, with left-to-right sums over the coordinates, at each
+    # eps.  Where lambda or kappa*lambda leaves the double range these
+    # expressions fail (at lambda = inf both indicators read 0).
     p, kappa, cm = ctx.p, ctx.kappa, ctx.c / ctx.m
     k1 = 1.0 + kappa
+    rows = []
     with np.errstate(all="ignore"):
-        upow = u ** (-2.0 / p)
-        s_k, s_0 = _ltr_sum_sq(z1 * math.sqrt(kappa) - z2), _ltr_sum_sq(z2)
-        pivot = (s_k < (k1 * k1 * cm) * chi2).astype(float) - (s_0 < cm * chi2)
-        rows = []
         for eps in eps_values:
-            lam = eps * upow
+            lam = eps * u ** (-2.0 / p)
             mu = z1 / np.sqrt(kappa * lam)[:, None]
             x = mu + z2 / np.sqrt(lam)[:, None]
             thresh = cm * (chi2 / lam)
-            vals = ((_ltr_sum_sq(mu - x / k1) < thresh).astype(float)
-                    - (_ltr_sum_sq(mu - x) < thresh).astype(float))
-            normal = [(v >= np.finfo(float).tiny) & (v < math.inf) for v in (lam, kappa * lam)]
-            rows.append(np.where(normal[0] & normal[1], vals, pivot))
+            rows.append((_ltr_sum_sq(mu - x / k1) < thresh).astype(float)
+                        - (_ltr_sum_sq(mu - x) < thresh).astype(float))
     return rows
 
 
+def _pivot_agrees(ctx, eps_values, u, z1, z2, chi2):
+    """The draws on which the pivot provably agrees with the model space.
+
+    Those are the draws with u >= 2^-64, with lambda and kappa*lambda within
+    2^(+-504) at every eps, and whose margin min(|S_k - T_k|, |S_0 - T_0|)
+    exceeds the rounding bound
+
+        B = (16 + 8p) u_r [S_k + T_k + S_0 + T_0
+                           + 16 (1+kappa)^2/kappa^2 (S_k + S_0) + 8 S_0 + tau],
+        tau = (2p + c/m + 4) (1+kappa)^2 2^-510,
+
+    u_r = 2^-53 the unit roundoff.  The bound follows Higham (Accuracy and
+    Stability of Numerical Algorithms, 2002): fl(a op b) = (a op b)(1 + d),
+    |d| <= u_r, and gamma_n = n u_r/(1 - n u_r) for n such factors (3.1).
+    Let w_i = 2((1+kappa)|z1_i|/sqrt(kappa) + |z2_i|).  In model space, the
+    i-th coordinate of mu - x/(1+kappa), scaled by (1+kappa) sqrt(lambda),
+    is v_i + f_i with |f_i| <= gamma_7 w_i (mu takes 3 roundings, x 4,
+    x/(1+kappa) 6 and the difference 7, each relative to |mu_i| or |z2_i|
+    /sqrt(lambda)); that of mu - x, scaled by sqrt(lambda), is -z2_i + f'_i
+    with |f'_i| <= gamma_8 w_i/2; the pivot's v_i carries |g_i| <= gamma_3 w_i.
+    A sum of p rounded squares adds gamma_p relative in any order, and
+    2|v_i f_i| <= gamma (v_i^2 + w_i^2).  The thresholds carry gamma_2 (model
+    space) and gamma_5 (pivot).  To first order in u_r the model-space and
+    pivotal tests of the shrunk ball thus both match the exact one once
+    |S_k - T_k| > u_r [(10 + 4p) S_k + 10 ||w||^2 + 7 T_k], and those of the
+    standard ball once |S_0 - T_0| > u_r [(8 + 3p) S_0 + 3 ||w||^2 + 3 T_0];
+    ||w||^2 <= 8((1+kappa)^2/kappa ||z1||^2 + ||z2||^2) and kappa ||z1||^2 <=
+    2(S_k + S_0) give the bracket.  The factor 16 + 8p >= 1.6 (10 + 4p)
+    leaves room for the second-order terms, for replacing the exact S and T
+    by their rounded values and for the rounding of B itself.  With
+    gradual underflow a product or quotient errs by at most u_r 2^-1022
+    more, and sums are exact there; lambda <= 2^504 keeps their scaled
+    total below u_r tau.  The ranges of u and lambda keep every model-space
+    intermediate finite and normal.
+    """
+    p, kappa, cm = ctx.p, ctx.kappa, ctx.c / ctx.m
+    k1 = 1.0 + kappa
+    s_k, s_0 = _ltr_sum_sq(z1 * math.sqrt(kappa) - z2), _ltr_sum_sq(z2)
+    t_k, t_0 = (k1 * k1 * cm) * chi2, cm * chi2
+    tau = (2 * p + cm + 4) * k1 * k1 * 2.0 ** -510
+    bracket = s_k + t_k + s_0 + t_0 + 16.0 * (k1 / kappa) ** 2 * (s_k + s_0) + 8.0 * s_0 + tau
+    margin = np.minimum(np.abs(s_k - t_k), np.abs(s_0 - t_0))
+    keep = (margin > (8 + 4 * p) * np.finfo(float).eps * bracket) & (u >= 2.0 ** -64)
+    with np.errstate(divide="ignore"):
+        for eps in eps_values:
+            lam = eps * u ** (-2.0 / p)
+            for v in (lam, kappa * lam):
+                keep &= (v >= 2.0 ** -504) & (v <= 2.0 ** 504)
+    return keep
+
+
 def _near_tie_draws(ctx, rng, k, ulps=8):
-    # k draws whose chi2 lies within ulps ulps of the chi2 at which S_k = T_k
-    # (odd draws) or S_0 = T_0 (even draws).
+    # k draws whose chi2 lies up to about ulps ulps (a relative offset of
+    # ulps 2^-53) from the chi2 at which S_k = T_k (odd draws) or S_0 = T_0
+    # (even draws); at ulps = 0 it is that chi2.
     p, cm, k1 = ctx.p, ctx.c / ctx.m, 1.0 + ctx.kappa
     u = rng.random(k)
     z1, z2 = rng.standard_normal((k, p)), rng.standard_normal((k, p))
     s_k, s_0 = _ltr_sum_sq(z1 * math.sqrt(ctx.kappa) - z2), _ltr_sum_sq(z2)
     chi2 = np.where(np.arange(k) % 2 == 1, s_k / (k1 * k1 * cm), s_0 / cm)
-    for i, step in enumerate(rng.integers(-ulps, ulps + 1, k)):
-        for _ in range(abs(step)):
-            chi2[i] = np.nextafter(chi2[i], math.inf if step > 0 else 0.0)
+    chi2 *= 1.0 + rng.integers(-ulps, ulps + 1, k) * 2.0 ** -53
     return u, z1, z2, chi2
 
 
@@ -740,71 +784,57 @@ class TestRiskDifferenceSweep:
             risk_difference_sweep(_ctx(), (1.0, eps), n=1000)
 
     def test_extreme_eps_give_the_unit_eps_estimate(self):
-        # At 1e-300 and 1e300 lambda stays in the normal range but leaves
-        # the pivot's, so every draw is tested in model space; at 1e308
-        # lambda overflows on about half the draws, where the pivot decides
-        # (a model-space test there reads 0 for both balls).
+        # The pivotal tests do not read eps: at 1e308, where lambda
+        # overflows on about half the draws in model space, the estimate is
+        # the unit-eps one.
         ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
         unit, *extreme = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300, 1e308), n=10_000, seed=3)
         assert all(est == unit for est in extreme)
 
-    def test_ordinary_draws_share_one_row(self):
-        ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
-        rng = np.random.default_rng(8)
-        u, z1, z2 = rng.random(5000), rng.standard_normal((5000, 3)), rng.standard_normal((5000, 3))
-        rows = _sweep_rows(ctx, _SWEEP_EPS, u, z1, z2, rng.chisquare(4, 5000))
-        assert all(row is rows[0] for row in rows)
-
 
 class TestSweepRows:
-    """``_sweep_rows`` against the model-space oracle, on hand-built draws."""
-
-    def test_near_ties_take_the_model_space(self):
-        # Within 8 ulps of a threshold the model-space indicators differ
-        # between eps values on some draws: the fallback must reproduce them.
-        ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
-        draws = _near_tie_draws(ctx, np.random.default_rng(4), 4000)
-        got = _sweep_rows(ctx, _SWEEP_EPS, *draws)
-        want = _model_space_rows(ctx, _SWEEP_EPS, *draws)
-        assert any(not np.array_equal(want[0], w) for w in want[1:])
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_near_overflow_lambda_takes_the_model_space(self, p):
-        # At eps = 1e300 lambda lies near the top of the double range, so
-        # for draws of order 1e-7 the model-space squares are subnormal and
-        # their rounding flips indicators a relative 1e-9 from a threshold,
-        # far outside the bound B: only the u range sends these draws to
-        # the model space.
-        ctx = _ctx(p=p, m=3, c=default_c(p, 3, 0.95), kappa=0.5)
-        rng = np.random.default_rng(p)
-        u, z1, z2, chi2 = _near_tie_draws(ctx, rng, 2000, ulps=0)
-        z1, z2, chi2 = 1e-7 * z1, 1e-7 * z2, 1e-14 * chi2 * (1.0 + 1e-9 * rng.standard_normal(2000))
-        got = _sweep_rows(ctx, (1e300, 1.0), u, z1, z2, chi2)
-        want = _model_space_rows(ctx, (1e300, 1.0), u, z1, z2, chi2)
-        assert not np.array_equal(want[0], want[1])
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    """The sweep's one row of values, ``_pivot_values``, against the
+    model-space oracle, on hand-built draws."""
 
     @given(
         p=st.integers(1, 9),
         kappa=st.floats(1e-3, 10.0),
         eps_values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4),
         special_u=st.lists(st.sampled_from([0.0, 2.0 ** -70, 2.0 ** -60]), max_size=6),
+        log2_ulps=st.integers(0, 40),
         seed=st.integers(0, 2 ** 32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_model_space_bit_for_bit(self, p, kappa, eps_values, special_u, seed):
+    def test_matches_model_space_bit_for_bit(self, p, kappa, eps_values, special_u, log2_ulps,
+                                             seed):
+        # Near ties straddle the bound B: those inside it, and u or lambda
+        # out of range, may differ in model space between eps values.
         m = 1 + seed % 7
         ctx = _ctx(p=p, m=m, c=default_c(p, m, 0.95), kappa=kappa)
         rng = np.random.default_rng(seed)
-        u, z1, z2, chi2 = _near_tie_draws(ctx, rng, 48)
+        ties = _near_tie_draws(ctx, rng, 48, ulps=2 ** log2_ulps)
+        plain = (rng.random(48), rng.standard_normal((48, p)), rng.standard_normal((48, p)),
+                 rng.chisquare(m, 48))
+        u, z1, z2, chi2 = (np.concatenate(pair) for pair in zip(ties, plain))
         u[rng.choice(u.size, len(special_u), replace=False)] = special_u
-        got = _sweep_rows(ctx, eps_values, u, z1, z2, chi2)
-        want = _model_space_rows(ctx, eps_values, u, z1, z2, chi2)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        keep = _pivot_agrees(ctx, eps_values, u, z1, z2, chi2)
+        got = _pivot_values(ctx, z1, z2, chi2)
+        for want in _model_space_rows(ctx, eps_values, u, z1, z2, chi2):
+            np.testing.assert_array_equal(got[keep], want[keep])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_near_overflow_lambda_keeps_the_unit_eps_row(self, p):
+        # At eps = 1e300 lambda lies near the top of the double range, so
+        # for draws of order 1e-7 the model-space squares are subnormal and
+        # their rounding flips indicators a relative 1e-9 from a threshold,
+        # far outside the bound B; the pivot gives the unit-eps values.
+        ctx = _ctx(p=p, m=3, c=default_c(p, 3, 0.95), kappa=0.5)
+        rng = np.random.default_rng(p)
+        u, z1, z2, chi2 = _near_tie_draws(ctx, rng, 2000, ulps=0)
+        z1, z2, chi2 = 1e-7 * z1, 1e-7 * z2, 1e-14 * chi2 * (1.0 + 1e-9 * rng.standard_normal(2000))
+        far, unit = _model_space_rows(ctx, (1e300, 1.0), u, z1, z2, chi2)
+        assert not np.array_equal(far, unit)
+        np.testing.assert_array_equal(_pivot_values(ctx, z1, z2, chi2), unit)
 
 
 class TestRiskDifference:
@@ -835,9 +865,8 @@ class TestRiskDifference:
 
     def test_eps_cancels_exactly_under_common_draws(self):
         # lambda rescales with eps but the coverage indicators are scale
-        # free: the pivot tests each draw once for every eps, and the
-        # model space, which reruns the draws near a threshold, agrees with
-        # it on these, so the paired estimate is bitwise eps-independent.
+        # free: the pivot tests each draw once for every eps, so the paired
+        # estimate is bitwise eps-independent.
         base = risk_difference_mc(_ctx(eps=1.0), n=50_000, seed=21)
         for eps in (0.5, 2.0):
             alt = risk_difference_mc(_ctx(eps=eps), n=50_000, seed=21)
