@@ -822,6 +822,26 @@ class TestSweepRows:
         for want in _model_space_rows(ctx, eps_values, u, z1, z2, chi2):
             np.testing.assert_array_equal(got[keep], want[keep])
 
+    def test_near_ties_take_the_model_space(self):
+        # Within 8 ulps of a threshold the model-space indicators differ
+        # between eps values on some draws; the bound B sets each such draw
+        # aside, and on the ordinary draws mixed in the pivot takes every
+        # model-space row.
+        ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
+        rng = np.random.default_rng(4)
+        ties = _near_tie_draws(ctx, rng, 4000)
+        plain = (rng.random(4000), rng.standard_normal((4000, 2)), rng.standard_normal((4000, 2)),
+                 rng.chisquare(5, 4000))
+        draws = [np.concatenate(pair) for pair in zip(ties, plain)]
+        want = _model_space_rows(ctx, _SWEEP_EPS, *draws)
+        split = np.any([w != want[0] for w in want[1:]], axis=0)
+        assert np.any(split[:4000])
+        keep = _pivot_agrees(ctx, _SWEEP_EPS, *draws)
+        assert not np.any(keep[:4000]) and np.count_nonzero(keep[4000:]) > 3900
+        got = _pivot_values(ctx, *draws[1:])
+        for w in want:
+            np.testing.assert_array_equal(got[keep], w[keep])
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_near_overflow_lambda_keeps_the_unit_eps_row(self, p):
         # At eps = 1e300 lambda lies near the top of the double range, so
