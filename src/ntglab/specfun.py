@@ -5,7 +5,13 @@ gamma function for arbitrary real shape -- including the negative shapes
 that arise from priors with shape parameter ``-p/2`` -- and the CDF and
 quantile function of the F-distribution.  ``upper_incomplete_gamma_array``
 evaluates the same branches elementwise over a numpy array for shapes
-a >= 1/2.  At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
+a >= 1/2, a block of series terms or continued-fraction steps at a time:
+running products and sums down the block give the series, and the
+fraction runs 16 Lentz steps with no per-step test and no guard against
+zero denominators, which cannot occur for x >= a + 1 (the proof is at
+``_upper_cf_array``).  Each element goes through the scalar loop's
+floating-point operations.
+At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
 the continued fraction need O(sqrt(a)) terms, Temme's uniform expansion
 (Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives Gamma(a) Q(a, x) from
 one erfc, one exp and one Horner pass over a polynomial memoised per shape;
@@ -45,6 +51,11 @@ _TINY = 1e-300
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 # Term cap of every series and continued fraction below.
 _MAX_ITER = 500
+# Rows of the first block of the array kernels' series (later blocks
+# double) and steps of each block of their continued fraction.
+_BLOCK = 16
+# Columns from which the series' running products and sums go row by row.
+_WIDE = 256
 # Iteration cap of the safeguarded Newton solver.
 _NEWTON_CAP = 200
 
@@ -471,24 +482,53 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return g
 
 
+def _accumulate(ufunc, rows: np.ndarray) -> None:
+    # ufunc.accumulate down axis 0, in place: row i becomes
+    # ufunc(row i-1, row i), strictly top to bottom.  numpy's accumulate
+    # steps one element at a time (about 6 ns each) and a loop one row at a
+    # time (about 2 us each), so blocks of _WIDE or more columns take the
+    # loop; the two agree bit for bit.
+    if rows.shape[1] < _WIDE:
+        ufunc.accumulate(rows, axis=0, out=rows)
+    else:
+        for i in range(1, rows.shape[0]):
+            ufunc(rows[i - 1], rows[i], out=rows[i])
+
+
+def _take_converged(done: np.ndarray, values: np.ndarray, out: np.ndarray, active):
+    # Each column of a block that converged gives out[active[column]] its
+    # value at the first converged row; returns the mask of the others.
+    cols = np.arange(done.shape[1])
+    first = done.argmax(axis=0)
+    hit = done[first, cols]
+    out[active[hit]] = values[first, cols][hit]
+    return ~hit
+
+
 def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # _lower_series elementwise; each entry stops at the same term as the
-    # scalar loop, and only unconverged entries keep iterating.
-    term = np.full(x.shape, 1.0 / a)
-    total = term.copy()
+    # _lower_series elementwise, a block of terms at a time.  Down each
+    # column, running products of x/(a+n) form term *= x/(a+n) and running
+    # sums total += term, both strictly in order (_accumulate), so every
+    # term and total is the scalar loop's, bit for bit; an entry's answer is
+    # its total at the first term below total * _EPS.  Blocks start at
+    # _BLOCK rows and double; only unconverged entries enter the next one.
     out = np.empty(x.shape)
     active = np.arange(x.size)
     xa = x
-    n = 0
+    term = total = np.full(x.shape, 1.0 / a)
+    n, rows = 0, _BLOCK
     while active.size and n < _MAX_ITER:
-        n += 1
-        term *= xa / (a + n)
-        total += term
-        done = np.abs(term) < np.abs(total) * _EPS
-        if done.any():
-            out[active[done]] = total[done]
-            keep = ~done
-            active, xa, term, total = active[keep], xa[keep], term[keep], total[keep]
+        k = min(rows, _MAX_ITER - n)
+        terms = xa / (a + np.arange(n + 1, n + k + 1, dtype=float))[:, None]
+        terms[0] *= term
+        _accumulate(np.multiply, terms)
+        totals = terms.copy()
+        totals[0] += total
+        _accumulate(np.add, totals)
+        n, rows = n + k, 2 * rows
+        done = terms < totals * _EPS
+        keep = _take_converged(done, totals, out, active)
+        active, xa, term, total = active[keep], xa[keep], terms[-1, keep], totals[-1, keep]
     if active.size:
         raise ConvergenceError(
             f"incomplete-gamma series did not converge for a={a} at "
@@ -498,30 +538,43 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # _upper_cf elementwise (modified Lentz on the Legendre fraction).
+    # _upper_cf elementwise (modified Lentz on the Legendre fraction), in
+    # blocks of _BLOCK steps with no per-step test: each step's delta and h
+    # go to a buffer, and after the block an entry takes h at its first
+    # step with |delta - 1| < _EPS.  Steps past that point are discarded,
+    # so each answer is the scalar loop's, bit for bit.
+    #
+    # The scalar form's _TINY guards cannot fire on this kernel's domain,
+    # a >= 1/2 and x >= a + 1.  With b_n = x + 2n + 1 - a, a_n = -n(n - a)
+    # and D_n = a_n d_{n-1} + b_n (d_n = 1/D_n), induction gives
+    # D_n >= b_n/2 and c_n >= b_n/2 >= 1.  If a_n >= 0 this is immediate.
+    # Otherwise |a_n| d_{n-1} <= 2n(n - a)/b_{n-1} <= n - a, as
+    # b_{n-1} >= 2n, and b_n - (n - a) >= b_n/2 is x + a + 1 >= 0; the same
+    # bound holds for |a_n|/c_{n-1}.  (Over a grid of a in [1/2, 1e5] and
+    # x from a + 1 to 1e6 above it, the smallest of D_n/b_n and c_n/b_n in
+    # _MAX_ITER steps is 0.53.)
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _TINY)
     d = 1.0 / b
-    h = d.copy()
+    h = d
     out = np.empty(x.shape)
     active = np.arange(x.size)
     n = 0
     while active.size and n < _MAX_ITER:
-        n += 1
-        an = -n * (n - a)
-        b = b + 2.0
-        d = an * d + b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            out[active[done]] = h[done]
-            keep = ~done
-            active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
+        k = min(_BLOCK, _MAX_ITER - n)
+        deltas = np.empty((k, active.size))
+        hs = np.empty((k, active.size))
+        for row in range(k):
+            n += 1
+            an = -n * (n - a)
+            b = b + 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = np.multiply(d, c, out=deltas[row])
+            h = np.multiply(h, delta, out=hs[row])
+        done = np.abs(deltas - 1.0) < _EPS
+        keep = _take_converged(done, hs, out, active)
+        active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
     if active.size:
         raise ConvergenceError(
             f"incomplete-gamma continued fraction did not converge for a={a} "
@@ -540,10 +593,17 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     """Gamma(a, x) elementwise over an array x > 0, for a scalar a >= 1/2.
 
     Runs the same series / continued-fraction split at ``x = a + 1`` as
-    ``upper_incomplete_gamma``, under masks, so each element matches the
-    scalar form to rounding; the elements in Temme's window go through the
-    scalar branch itself.  Returns an array of the shape of ``x``;
-    ``x = inf`` gives 0, and overflow behaves as in the scalar form.
+    ``upper_incomplete_gamma``; the elements in Temme's window go through
+    the scalar branch itself.  The series and the fraction run over blocks:
+    the series' terms and partial sums are running products and sums down
+    a block of rows (16, then doubling), and the fraction takes 16 Lentz
+    steps per block with no convergence test and no ``_TINY`` guard, which
+    its denominators, at least half of b_n = x + 2n + 1 - a >= 2, never
+    need.  An element's value is read at its first converged row, so its
+    terms, sums and Lentz steps are the scalar loop's, bit for bit; the
+    prefactor, formed with numpy's exp and log, matches the scalar form to
+    rounding.  Returns an array of the shape of ``x``; ``x = inf`` gives 0,
+    and overflow behaves as in the scalar form.
     """
     if not (math.isfinite(a) and a >= 0.5):
         raise ValueError(f"the array form needs a finite shape a >= 1/2, got a={a}")

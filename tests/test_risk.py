@@ -13,6 +13,7 @@ from ntglab.risk import (
     Procedure,
     _cap_fraction,
     _pivot_values,
+    _prior_draws,
     ball_volume,
     bayes_risk,
     blyth_scaling,
@@ -285,6 +286,12 @@ class TestCoverage:
         est = coverage(phi0(ctx), np.zeros(p), 1.3, ctx, n=200_000, seed=5)
         assert abs(est.value - level) <= 4.0 * est.error
 
+    def test_mu_of_the_wrong_shape_raises(self):
+        # A mu of shape (1,) at p = 2 would broadcast against x.
+        ctx = _ctx()
+        with pytest.raises(ValueError, match="shape"):
+            coverage(phi0(ctx), [0.1], 1.0, ctx, n=2000, seed=1)
+
 
 class TestLoss:
     def test_zero_procedure(self):
@@ -331,6 +338,12 @@ class TestLoss:
             mu = rng.normal(size=2)
             lam = float(rng.uniform(0.5, 3.0))
             assert loss(phi0(ctx), ctx, x, s, mu, lam) >= -1.0
+
+    @pytest.mark.parametrize("mu", [[0.1], [0.1, 0.2, 0.3], np.zeros((2, 2)), 0.1])
+    def test_mu_of_the_wrong_shape_raises(self, mu):
+        ctx = _ctx()
+        with pytest.raises(ValueError, match="shape"):
+            loss(phi0(ctx), ctx, [0.3, 0.1], 1.2, mu, 1.0)
 
 
 class TestCapFraction:
@@ -790,6 +803,15 @@ class TestRiskDifferenceSweep:
         ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
         unit, *extreme = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300, 1e308), n=10_000, seed=3)
         assert all(est == unit for est in extreme)
+
+    @pytest.mark.parametrize("size", [1, 1000, 65536])
+    def test_skipped_u_leaves_the_stream_where_drawing_it_would(self, size):
+        # The sweep does not read u, and advances the generator past it.
+        drawn = _prior_draws(3, 5, np.random.default_rng(9), size)
+        skipped = _prior_draws(3, 5, np.random.default_rng(9), size, need_u=False)
+        assert skipped[0] is None
+        for want, got in zip(drawn[1:], skipped[1:]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSweepRows:

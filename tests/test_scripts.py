@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -66,3 +67,16 @@ def test_temme_coefficients(monkeypatch, capsys):
     full = _run("temme_coefficients", ["--terms", str(terms), "--degree", str(degree)],
                 monkeypatch, capsys)
     assert _table(full) == specfun._TEMME_C
+
+
+def test_specfun_layer_bench(monkeypatch, capsys):
+    out = json.loads("\n".join(_run(
+        "specfun_layer_bench", ["--seconds", "0.001", "--sizes", "4"], monkeypatch, capsys)))
+    assert set(out["scalar_us_per_call"]) == {
+        "series", "continued_fraction", "temme", "small_shape", "recurrence"}
+    figures = [v for branch in out["scalar_us_per_call"].values() for v in branch.values()]
+    assert set(out["array_us_per_element"]) == {"series", "continued_fraction"}
+    for side in out["array_us_per_element"].values():
+        assert set(side) == {"a=1.5,n=4", "a=10.5,n=4"}
+        figures += side.values()
+    assert all(math.isfinite(v) and v > 0.0 for v in figures)

@@ -261,6 +261,171 @@ class TestUpperIncompleteGammaArray:
                 upper_incomplete_gamma_array(1.5, np.array([1.0, bad]))
 
 
+# The array kernels as they were before they went blockwise: one masked
+# step at a time, with the scalar form's _TINY guards, compacting the
+# active set whenever an entry converges.  The blocked kernels must agree
+# with them bit for bit.
+def _masked_lower_series(a, x):
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
+    out = np.empty(x.shape)
+    active = np.arange(x.size)
+    xa = x
+    n = 0
+    while active.size and n < specfun._MAX_ITER:
+        n += 1
+        term *= xa / (a + n)
+        total += term
+        done = np.abs(term) < np.abs(total) * specfun._EPS
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, xa, term, total = active[keep], xa[keep], term[keep], total[keep]
+    if active.size:
+        raise specfun.ConvergenceError("series", partial=total)
+    return out * np.exp(-x + a * np.log(x) - math.lgamma(a))
+
+
+def _masked_upper_cf(a, x):
+    tiny = specfun._TINY
+    b = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    out = np.empty(x.shape)
+    active = np.arange(x.size)
+    n = 0
+    while active.size and n < specfun._MAX_ITER:
+        n += 1
+        an = -n * (n - a)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < specfun._EPS
+        if done.any():
+            out[active[done]] = h[done]
+            keep = ~done
+            active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
+    if active.size:
+        raise specfun.ConvergenceError("continued fraction", partial=h)
+    log_pref = -x + a * np.log(x)
+    big = log_pref > 700.0
+    if big.any():
+        log_pref[big] += np.log(out[big])
+        out[big] = 1.0
+    with np.errstate(over="ignore"):
+        return np.exp(log_pref) * out
+
+
+def _outcome(kernel, a, x):
+    # The kernel's values, or the partial result it raised with, as raw bits.
+    try:
+        value = kernel(a, x)
+    except specfun.ConvergenceError as exc:
+        return "raised", exc.partial.view(np.int64).tolist()
+    return "value", value.view(np.int64).tolist()
+
+
+def _assert_kernels_match_oracle(a, x):
+    # The series serves x < a + 1, the continued fraction x >= a + 1.
+    below, above = x[x < a + 1.0], x[x >= a + 1.0]
+    assert _outcome(specfun._lower_series_array, a, below) == _outcome(
+        _masked_lower_series, a, below)
+    assert _outcome(specfun._upper_cf_array, a, above) == _outcome(
+        _masked_upper_cf, a, above)
+
+
+# Shapes in [1/2, 400], half-integers (the shapes m/2 and (m+p)/2 the
+# densities use) as often as the rest.
+_SHAPES = st.one_of(
+    st.integers(min_value=1, max_value=800).map(lambda k: 0.5 * k),
+    st.floats(min_value=0.5, max_value=400.0),
+)
+
+
+@st.composite
+def _shape_and_points(draw):
+    # 1-300 points on both sides of x = a + 1: spread over decades below it
+    # and up to 50 (a + 1) above it, so that entries converge in the same
+    # block and in different ones, plus a + 1 itself and points within
+    # 1e-12 of it, where the series and the fraction take longest.
+    a = draw(_SHAPES)
+    size = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    weights = rng.dirichlet(np.full(4, draw(st.sampled_from([0.2, 1.0, 5.0]))))
+    kind = rng.choice(4, size=size, p=weights)
+    edge = a + 1.0
+    x = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [edge * 10.0 ** rng.uniform(-6.0, 0.0, size),
+         edge * 50.0 ** rng.uniform(0.0, 1.0, size),
+         np.full(size, edge)],
+        edge + rng.uniform(-1e-12, 1e-12, size),
+    )
+    return a, x[x > 0.0]
+
+
+class TestArrayKernelsAgainstMaskedOracle:
+    @given(_shape_and_points())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, case):
+        _assert_kernels_match_oracle(*case)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 9.5, 19.5, 24.5, 60.0, 399.5])
+    def test_wide_blocks_bit_identical(self, a):
+        # 4,096 points on each side, so that the series' running products
+        # and sums go row by row (specfun._WIDE) as well as by accumulate.
+        edge = a + 1.0
+        x = np.concatenate([np.geomspace(1e-6 * edge, edge, 4096, endpoint=False),
+                            np.geomspace(edge, 50.0 * edge, 4096)])
+        _assert_kernels_match_oracle(a, x)
+
+    @pytest.mark.parametrize("kernel, oracle, x", [
+        (specfun._lower_series_array, _masked_lower_series,
+         np.array([0.01, 2.0, 3.0, 3.4, 0.5])),
+        (specfun._upper_cf_array, _masked_upper_cf,
+         np.array([3.5, 4.0, 1e5, 6.0, 3.5 + 1e-12])),
+    ])
+    def test_cap_raises_with_the_partial_result(self, kernel, oracle, x, monkeypatch):
+        # At a cap of 8 terms, only the entries far from a + 1 converge; the
+        # error carries the unconverged entries' last partial result.
+        monkeypatch.setattr(specfun, "_MAX_ITER", 8)
+        with pytest.raises(specfun.ConvergenceError) as exc:
+            kernel(2.5, x)
+        with pytest.raises(specfun.ConvergenceError) as want:
+            oracle(2.5, x)
+        assert 0 < exc.value.partial.size < x.size
+        assert exc.value.partial.tolist() == want.value.partial.tolist()
+
+    def test_fraction_denominators_stay_above_half_of_b(self):
+        # The blocked fraction drops the _TINY guards on the claim that
+        # D_n = a_n d_{n-1} + b_n and c_n = b_n + a_n / c_{n-1} stay at or
+        # above b_n / 2 >= 1 for a >= 1/2 and x >= a + 1, with
+        # b_n = x + 2n + 1 - a and a_n = -n (n - a).  Run the recurrences
+        # unguarded for the full term cap over a grid of both.
+        a = np.concatenate([np.geomspace(0.5, 1e5, 60), np.arange(1, 200) / 2.0])
+        lift = np.concatenate([[0.0, 1e-12], np.geomspace(1e-9, 1e6, 40)])
+        a, lift = (v.ravel() for v in np.meshgrid(a, lift))
+        x = a + 1.0 + lift
+        b = x + 1.0 - a
+        c = np.full(x.shape, 1.0 / specfun._TINY)
+        d = 1.0 / b
+        lowest = np.inf
+        for n in range(1, specfun._MAX_ITER + 1):
+            an = -n * (n - a)
+            b = b + 2.0
+            big_d = an * d + b
+            c = b + an / c
+            lowest = min(lowest, float(np.min(big_d / b)), float(np.min(c / b)))
+            d = 1.0 / big_d
+        assert lowest >= 0.5
+
+
 class TestFCdf:
     def test_endpoints(self):
         assert f_cdf(3, 5, 0.0) == 0.0
