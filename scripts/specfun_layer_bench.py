@@ -6,9 +6,11 @@ Prints one JSON object: the microseconds per call of each scalar branch of
 expansion, the small-shape series and the downward recurrence), each at
 the points listed in ``SCALAR_POINTS``, and the microseconds per element of
 ``specfun.upper_incomplete_gamma_array`` on arrays that lie wholly on the
-series side (x < a + 1) or the continued-fraction side (x >= a + 1).  Each
-figure is the best of timed rounds within --seconds, so it measures the
-code and not the machine's noise; the machine facts go with it.
+series side (x < a + 1) or the continued-fraction side (x >= a + 1),
+with the peak bytes per element that one such call allocates (as
+``tracemalloc`` sees numpy's buffers).  Each time is the best of timed
+rounds within --seconds, so it measures the code and not the machine's
+noise; the machine facts go with it.
 
 Example:
 
@@ -20,6 +22,7 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +62,16 @@ def _best_seconds(call, budget: float) -> float:
     return best
 
 
+def _peak_bytes(call) -> int:
+    # Peak bytes allocated during one call.
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _side(a: float, size: int, side: str) -> np.ndarray:
     # size points spread over one side of the split at x = a + 1.
     edge = a + 1.0
@@ -82,15 +95,16 @@ def main() -> None:
                 lambda a=a, x=x: specfun.upper_incomplete_gamma(a, x), args.seconds), 3)
             for a, x in points
         }
-    array = {}
+    array, peak = {}, {}
     for side in ("series", "continued_fraction"):
-        array[side] = {}
+        array[side], peak[side] = {}, {}
         for a in ARRAY_SHAPES:
             for size in args.sizes:
                 x = _side(a, size, side)
-                took = _best_seconds(
-                    lambda a=a, x=x: specfun.upper_incomplete_gamma_array(a, x), args.seconds)
-                array[side][f"a={a:g},n={size}"] = round(1e6 * took / size, 4)
+                call = lambda a=a, x=x: specfun.upper_incomplete_gamma_array(a, x)
+                key = f"a={a:g},n={size}"
+                array[side][key] = round(1e6 * _best_seconds(call, args.seconds) / size, 4)
+                peak[side][key] = round(_peak_bytes(call) / size, 1)
     print(json.dumps({
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -101,6 +115,7 @@ def main() -> None:
         "seconds_per_figure": args.seconds,
         "scalar_us_per_call": scalar,
         "array_us_per_element": array,
+        "array_peak_bytes_per_element": peak,
     }, indent=1))
 
 

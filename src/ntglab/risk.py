@@ -277,20 +277,13 @@ def posterior_risk(
                 f"at {n // 2}- and {n}-node rules", partial=(value, error))
 
 
-def _prior_draws(p: int, m: int, rng: np.random.Generator, size: int, need_u: bool = True):
+def _prior_draws(p: int, m: int, rng: np.random.Generator, size: int):
     # One chunk's standardised draws for (mu, lambda) from the
     # NtG(p,0,kappa,-p/2,0,eps) prior and (x, s) from the model, in stream
     # order: u, z1, z2, chi2, which stand for lambda = eps u^(-2/p),
     # mu = z1/sqrt(kappa lambda), x = mu + z2/sqrt(lambda), s = chi2/lambda.
-    # None of them depends on eps or kappa.  Without need_u, u is None and
-    # its draws are skipped rather than made: PCG64's random() takes one
-    # 64-bit output per double, so advancing by size leaves the stream
-    # where drawing u would.
-    if need_u:
-        u = rng.random(size)
-    else:
-        u = None
-        rng.bit_generator.advance(size)
+    # None of them depends on eps or kappa.
+    u = rng.random(size)
     z1 = rng.standard_normal((size, p))
     z2 = rng.standard_normal((size, p))
     return u, z1, z2, rng.chisquare(m, size)
@@ -386,7 +379,7 @@ def risk_difference_sweep(
         return (zero,) * len(eps_values)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        _, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size, need_u=False)
+        _, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size)
         return _pivot_values(ctx, z1, z2, chi2)
 
     return (mc_estimate(sampler, n, seed, workers),) * len(eps_values)

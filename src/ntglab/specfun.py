@@ -5,12 +5,12 @@ gamma function for arbitrary real shape -- including the negative shapes
 that arise from priors with shape parameter ``-p/2`` -- and the CDF and
 quantile function of the F-distribution.  ``upper_incomplete_gamma_array``
 evaluates the same branches elementwise over a numpy array for shapes
-a >= 1/2, a block of series terms or continued-fraction steps at a time:
-running products and sums down the block give the series, and the
-fraction runs 16 Lentz steps with no per-step test and no guard against
-zero denominators, which cannot occur for x >= a + 1 (the proof is at
-``_upper_cf_array``).  Each element goes through the scalar loop's
-floating-point operations.
+a >= 1/2, a block of series terms or continued-fraction steps at a time
+(at most 65,536 entries a block): running products and sums down the
+block give the series, and the fraction runs 16 Lentz steps with no
+per-step test and no guard against zero denominators, which cannot occur
+for x >= a + 1 (the proof is at ``_upper_cf_array``).  Each element goes
+through the scalar loop's floating-point operations.
 At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
 the continued fraction need O(sqrt(a)) terms, Temme's uniform expansion
 (Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives Gamma(a) Q(a, x) from
@@ -54,8 +54,10 @@ _MAX_ITER = 500
 # Rows of the first block of the array kernels' series (later blocks
 # double) and steps of each block of their continued fraction.
 _BLOCK = 16
-# Columns from which the series' running products and sums go row by row.
-_WIDE = 256
+# Cap on rows x entries of one such block (512 KiB a buffer of doubles):
+# wider arrays take shorter blocks, down to one row, so a kernel's memory
+# stays linear in the array's length.
+_BLOCK_CELLS = 1 << 16
 # Iteration cap of the safeguarded Newton solver.
 _NEWTON_CAP = 200
 
@@ -482,19 +484,6 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return g
 
 
-def _accumulate(ufunc, rows: np.ndarray) -> None:
-    # ufunc.accumulate down axis 0, in place: row i becomes
-    # ufunc(row i-1, row i), strictly top to bottom.  numpy's accumulate
-    # steps one element at a time (about 6 ns each) and a loop one row at a
-    # time (about 2 us each), so blocks of _WIDE or more columns take the
-    # loop; the two agree bit for bit.
-    if rows.shape[1] < _WIDE:
-        ufunc.accumulate(rows, axis=0, out=rows)
-    else:
-        for i in range(1, rows.shape[0]):
-            ufunc(rows[i - 1], rows[i], out=rows[i])
-
-
 def _take_converged(done: np.ndarray, values: np.ndarray, out: np.ndarray, active):
     # Each column of a block that converged gives out[active[column]] its
     # value at the first converged row; returns the mask of the others.
@@ -508,23 +497,24 @@ def _take_converged(done: np.ndarray, values: np.ndarray, out: np.ndarray, activ
 def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # _lower_series elementwise, a block of terms at a time.  Down each
     # column, running products of x/(a+n) form term *= x/(a+n) and running
-    # sums total += term, both strictly in order (_accumulate), so every
-    # term and total is the scalar loop's, bit for bit; an entry's answer is
-    # its total at the first term below total * _EPS.  Blocks start at
-    # _BLOCK rows and double; only unconverged entries enter the next one.
+    # sums total += term, both strictly top to bottom (ufunc.accumulate),
+    # so every term and total is the scalar loop's, bit for bit; an entry's
+    # answer is its total at the first term below total * _EPS.  Blocks
+    # start at _BLOCK rows and double, within _BLOCK_CELLS; only
+    # unconverged entries enter the next one.
     out = np.empty(x.shape)
     active = np.arange(x.size)
     xa = x
     term = total = np.full(x.shape, 1.0 / a)
     n, rows = 0, _BLOCK
     while active.size and n < _MAX_ITER:
-        k = min(rows, _MAX_ITER - n)
+        k = min(rows, _MAX_ITER - n, max(1, _BLOCK_CELLS // active.size))
         terms = xa / (a + np.arange(n + 1, n + k + 1, dtype=float))[:, None]
         terms[0] *= term
-        _accumulate(np.multiply, terms)
+        np.multiply.accumulate(terms, axis=0, out=terms)
         totals = terms.copy()
         totals[0] += total
-        _accumulate(np.add, totals)
+        np.add.accumulate(totals, axis=0, out=totals)
         n, rows = n + k, 2 * rows
         done = terms < totals * _EPS
         keep = _take_converged(done, totals, out, active)
@@ -539,10 +529,11 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     # _upper_cf elementwise (modified Lentz on the Legendre fraction), in
-    # blocks of _BLOCK steps with no per-step test: each step's delta and h
-    # go to a buffer, and after the block an entry takes h at its first
-    # step with |delta - 1| < _EPS.  Steps past that point are discarded,
-    # so each answer is the scalar loop's, bit for bit.
+    # blocks of _BLOCK steps (fewer within _BLOCK_CELLS) with no per-step
+    # test: each step's delta and h go to a buffer, and after the block an
+    # entry takes h at its first step with |delta - 1| < _EPS.  Steps past
+    # that point are discarded, so each answer is the scalar loop's, bit
+    # for bit.
     #
     # The scalar form's _TINY guards cannot fire on this kernel's domain,
     # a >= 1/2 and x >= a + 1.  With b_n = x + 2n + 1 - a, a_n = -n(n - a)
@@ -561,7 +552,7 @@ def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     active = np.arange(x.size)
     n = 0
     while active.size and n < _MAX_ITER:
-        k = min(_BLOCK, _MAX_ITER - n)
+        k = min(_BLOCK, _MAX_ITER - n, max(1, _BLOCK_CELLS // active.size))
         deltas = np.empty((k, active.size))
         hs = np.empty((k, active.size))
         for row in range(k):
@@ -597,9 +588,11 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     the scalar branch itself.  The series and the fraction run over blocks:
     the series' terms and partial sums are running products and sums down
     a block of rows (16, then doubling), and the fraction takes 16 Lentz
-    steps per block with no convergence test and no ``_TINY`` guard, which
-    its denominators, at least half of b_n = x + 2n + 1 - a >= 2, never
-    need.  An element's value is read at its first converged row, so its
+    steps per block; a block holds at most 65,536 entries, so long arrays
+    take fewer rows a block, down to one, and memory stays linear in the
+    length.  The fraction has no convergence test within a block and no
+    ``_TINY`` guard, which its denominators, at least half of
+    b_n = x + 2n + 1 - a >= 2, never need.  An element's value is read at its first converged row, so its
     terms, sums and Lentz steps are the scalar loop's, bit for bit; the
     prefactor, formed with numpy's exp and log, matches the scalar form to
     rounding.  Returns an array of the shape of ``x``; ``x = inf`` gives 0,

@@ -13,7 +13,6 @@ from ntglab.risk import (
     Procedure,
     _cap_fraction,
     _pivot_values,
-    _prior_draws,
     ball_volume,
     bayes_risk,
     blyth_scaling,
@@ -803,15 +802,6 @@ class TestRiskDifferenceSweep:
         ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
         unit, *extreme = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300, 1e308), n=10_000, seed=3)
         assert all(est == unit for est in extreme)
-
-    @pytest.mark.parametrize("size", [1, 1000, 65536])
-    def test_skipped_u_leaves_the_stream_where_drawing_it_would(self, size):
-        # The sweep does not read u, and advances the generator past it.
-        drawn = _prior_draws(3, 5, np.random.default_rng(9), size)
-        skipped = _prior_draws(3, 5, np.random.default_rng(9), size, need_u=False)
-        assert skipped[0] is None
-        for want, got in zip(drawn[1:], skipped[1:]):
-            np.testing.assert_array_equal(got, want)
 
 
 class TestSweepRows:

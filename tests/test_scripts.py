@@ -75,8 +75,9 @@ def test_specfun_layer_bench(monkeypatch, capsys):
     assert set(out["scalar_us_per_call"]) == {
         "series", "continued_fraction", "temme", "small_shape", "recurrence"}
     figures = [v for branch in out["scalar_us_per_call"].values() for v in branch.values()]
-    assert set(out["array_us_per_element"]) == {"series", "continued_fraction"}
-    for side in out["array_us_per_element"].values():
-        assert set(side) == {"a=1.5,n=4", "a=10.5,n=4"}
-        figures += side.values()
+    for key in ("array_us_per_element", "array_peak_bytes_per_element"):
+        assert set(out[key]) == {"series", "continued_fraction"}
+        for side in out[key].values():
+            assert set(side) == {"a=1.5,n=4", "a=10.5,n=4"}
+            figures += side.values()
     assert all(math.isfinite(v) and v > 0.0 for v in figures)

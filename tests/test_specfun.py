@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,10 +377,13 @@ class TestArrayKernelsAgainstMaskedOracle:
     def test_bit_identical(self, case):
         _assert_kernels_match_oracle(*case)
 
-    @pytest.mark.parametrize("a", [0.5, 1.5, 9.5, 19.5, 24.5, 60.0, 399.5])
-    def test_wide_blocks_bit_identical(self, a):
-        # 4,096 points on each side, so that the series' running products
-        # and sums go row by row (specfun._WIDE) as well as by accumulate.
+    @pytest.mark.parametrize("cells", [1, 5000, specfun._BLOCK_CELLS])
+    @pytest.mark.parametrize("a", [0.5, 1.5, 9.5, 24.5, 399.5])
+    def test_capped_blocks_bit_identical(self, a, cells, monkeypatch):
+        # 4,096 points on each side under caps on the rows x entries of a
+        # block (specfun._BLOCK_CELLS) from one row a block to the default,
+        # so that blocks shrink with the active count as well as double.
+        monkeypatch.setattr(specfun, "_BLOCK_CELLS", cells)
         edge = a + 1.0
         x = np.concatenate([np.geomspace(1e-6 * edge, edge, 4096, endpoint=False),
                             np.geomspace(edge, 50.0 * edge, 4096)])
@@ -401,6 +405,19 @@ class TestArrayKernelsAgainstMaskedOracle:
             oracle(2.5, x)
         assert 0 < exc.value.partial.size < x.size
         assert exc.value.partial.tolist() == want.value.partial.tolist()
+
+    def test_memory_stays_linear_in_the_length(self):
+        # A block holds at most _BLOCK_CELLS entries, so a wide array's peak
+        # allocation is a few arrays of its length, not a block of rows of it.
+        a, n = 1.5, 100_000
+        x = np.geomspace(1e-3 * (a + 1.0), 50.0 * (a + 1.0), n)
+        tracemalloc.start()
+        try:
+            specfun.upper_incomplete_gamma_array(a, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (16 * n + 4 * specfun._BLOCK_CELLS)
 
     def test_fraction_denominators_stay_above_half_of_b(self):
         # The blocked fraction drops the _TINY guards on the claim that
