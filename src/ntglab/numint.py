@@ -3,8 +3,9 @@
 * ``integrate_1d``: adaptive 1-D quadrature on finite, semi-infinite and
   doubly infinite intervals, raising ``QuadratureError`` when it misses
   its tolerance;
-* ``mc_estimate``: chunked Monte Carlo with a standard error, bit-identical
-  for any worker count.
+* ``mc_estimate``: chunked Monte Carlo with a standard error, run on every
+  core of the affinity mask by default and bit-identical for any worker
+  count.
 
 Both return an ``EstimateWithError``.  What is integrated lives with its
 callers: the identity checks in ``verify``, the risks in ``risk``.
@@ -12,7 +13,10 @@ callers: the identity checks in ``verify``, the risks in ``risk``.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,7 +124,7 @@ def mc_estimate(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
     seed: int,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EstimateWithError:
     """Sample mean with standard error, chunked into fixed substreams.
 
@@ -128,28 +132,43 @@ def mc_estimate(
     split into fixed-size chunks, each driven by its own spawned seed
     sequence, so the result is bit-identical for any worker count.
     The values must be one-dimensional, one per draw.
+
+    ``workers`` threads run the chunks: the caller and up to ``workers - 1``
+    helpers from one shared pool.  None means every core of the process's
+    affinity mask; either way no more than there are chunks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
+    elif not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)  # independent of scheduling
     sizes = [min(_MC_CHUNK, n - i * _MC_CHUNK) for i in range(n_chunks)]
+    results: list = [None] * n_chunks
+    chunks = iter(range(n_chunks))  # the shared counter; next() on it is atomic
 
-    def run_chunk(i: int) -> tuple[int, float, float]:
-        vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]), dtype=float)
-        if vals.ndim != 1:
-            raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
-        vals = np.ascontiguousarray(vals)
-        mean = float(vals.sum()) / vals.size
-        return vals.size, mean, float(np.square(vals - mean).sum())
+    def drain() -> None:
+        for i in chunks:
+            vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]), dtype=float)
+            if vals.ndim != 1:
+                raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
+            vals = np.ascontiguousarray(vals)
+            mean = float(vals.sum()) / vals.size
+            results[i] = vals.size, mean, float(np.square(vals - mean).sum())
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(i) for i in range(n_chunks)]
+    helpers = [_pool().submit(drain) for _ in range(min(workers, n_chunks) - 1)]
+    try:
+        drain()
+    finally:
+        # The caller has claimed every chunk left: a helper still queued is
+        # cancelled, not awaited, so nested and concurrent calls cannot
+        # deadlock on a busy pool.  A running one is awaited and re-raises.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
 
     # Merge per-chunk (count, mean, sum of squared deviations) in chunk
     # order, so the result does not depend on timing (Chan, Golub and
@@ -164,3 +183,8 @@ def mc_estimate(
         count = total
     se = math.sqrt(m2 / count / count)
     return EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo")
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(thread_name_prefix="ntglab-mc")  # threads start on first use

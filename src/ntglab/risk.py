@@ -132,7 +132,7 @@ def coverage(
     ctx: BlythContext,
     n: int = 10 ** 5,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EstimateWithError:
     """MC estimate of the coverage probability E_{mu,lambda}[phi]; mu must
     have shape (p,)."""
@@ -294,7 +294,7 @@ def bayes_risk(
     ctx: BlythContext,
     n: int = 10 ** 5,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EstimateWithError:
     """Prior-averaged risk by Monte Carlo over (mu, lambda, x, s).
 
@@ -333,7 +333,7 @@ def risk_difference_mc(
     ctx: BlythContext,
     n: int = 10 ** 6,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EstimateWithError:
     """Paired Monte Carlo estimate of the risk difference at ``ctx.eps``:
     the one-eps case of ``risk_difference_sweep``."""
@@ -345,7 +345,7 @@ def risk_difference_sweep(
     eps_values: Sequence[float],
     n: int = 10 ** 6,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> tuple[EstimateWithError, ...]:
     """Paired Monte Carlo estimates of the risk difference, one per eps.
 

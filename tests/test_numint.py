@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,10 +74,80 @@ class TestMcEstimate:
         def sampler(rng, n):
             return rng.standard_normal(n) ** 2
 
-        one = mc_estimate(sampler, 300_000, seed=21, workers=1)
-        four = mc_estimate(sampler, 300_000, seed=21, workers=4)
-        assert one.value == four.value
-        assert one.error == four.error
+        # Four workers, then the default, every core of the affinity mask,
+        # at 1, 1, 2 and 16 chunks; the last chunk of 10^6 + 1 draws is short.
+        cases = [(300_000, 4), (1000, None), (65_536, None), (100_000, None),
+                 (10 ** 6 + 1, None)]
+        for n, workers in cases:
+            one = mc_estimate(sampler, n, seed=21, workers=1)
+            other = mc_estimate(sampler, n, seed=21, workers=workers)
+            assert (one.value, one.error) == (other.value, other.error), (n, workers)
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+    def test_rejects_workers_that_are_not_positive_ints(self, workers):
+        with pytest.raises(ValueError):
+            mc_estimate(lambda rng, n: rng.random(n), 1000, seed=0, workers=workers)
+
+    def test_nested_calls_finish_and_match_serial(self):
+        # Forty outer chunks on forty workers, more than the pool's 32
+        # threads at most: every pool thread runs an outer chunk whose inner
+        # call queues its helper behind the outer call's queued helpers.
+        def outer(workers):
+            def sampler(rng, n):
+                inner = mc_estimate(lambda r, k: r.random(k), 2 << 16,
+                                    int(rng.integers(1 << 32)), workers)
+                return rng.random(n) + inner.value
+
+            return mc_estimate(sampler, 40 << 16, seed=4, workers=workers)
+
+        serial = outer(1)
+        got = {}
+        thread = threading.Thread(target=lambda: got.update(nested=outer(40)), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "nested mc_estimate calls did not finish"
+        assert got["nested"] == serial
+
+    def test_chunk_error_propagates_and_the_next_call_succeeds(self):
+        class ChunkError(RuntimeError):
+            pass
+
+        def failing(rng, n):
+            if n < 1 << 16:  # the last of three chunks
+                raise ChunkError
+            return rng.random(n)
+
+        with pytest.raises(ChunkError):
+            mc_estimate(failing, 150_000, seed=1, workers=4)
+        uniform = lambda rng, n: rng.random(n)  # noqa: E731
+        assert (mc_estimate(uniform, 150_000, seed=1, workers=4)
+                == mc_estimate(uniform, 150_000, seed=1, workers=1))
+
+    def test_concurrent_callers_each_get_the_serial_result(self):
+        # Eight callers at once, each asking for more workers than there
+        # are cores, with thread switches forced often: a chunk result lost
+        # or stored under another call's index changes some estimate.
+        def sampler(rng, n):
+            return rng.standard_normal(n) ** 2
+
+        serial = [mc_estimate(sampler, 200_000, seed=s, workers=1) for s in range(8)]
+        got = [None] * 8
+
+        def call(s):
+            got[s] = mc_estimate(sampler, 200_000, seed=s, workers=4)
+
+        threads = [threading.Thread(target=call, args=(s,), daemon=True) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == serial
 
     def test_variance_does_not_cancel(self):
         # A mean far above the spread: sum(x^2)/n - mean^2 loses every digit.

@@ -81,3 +81,14 @@ def test_specfun_layer_bench(monkeypatch, capsys):
             assert set(side) == {"a=1.5,n=4", "a=10.5,n=4"}
             figures += side.values()
     assert all(math.isfinite(v) and v > 0.0 for v in figures)
+
+
+def test_mc_layer_bench(monkeypatch, capsys):
+    out = json.loads("\n".join(_run(
+        "mc_layer_bench", ["--seconds", "0.001", "--n", "2000"], monkeypatch, capsys)))
+    assert out["n"] == 2000
+    assert set(out["draws_per_s"]) == {
+        "p=1,m=2,kappa=0.5", "p=1,m=5,kappa=1", "p=2,m=2,kappa=1", "p=2,m=5,kappa=0.25"}
+    for cell in out["draws_per_s"].values():
+        assert set(cell) == {"workers=1", "default"}
+        assert all(math.isfinite(v) and v > 0 for v in cell.values())
