@@ -173,9 +173,9 @@ def standard_region(fit: OlsFit, p: int, level: float) -> StandardRegion:
 def load_csv(path, response: str, intercept: bool = False) -> RegressionData:
     """Read a header + numeric-rows CSV into regression data.
 
-    The named response column becomes y; the remaining columns form the
-    design matrix in file order, optionally with a prepended intercept
-    column of ones.
+    Every cell must be a finite number.  The named response column becomes
+    y; the remaining columns form the design matrix in file order,
+    optionally with a prepended intercept column of ones.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -198,12 +198,15 @@ def load_csv(path, response: str, intercept: bool = False) -> RegressionData:
             vals = []
             for j, cell in enumerate(row):
                 try:
-                    vals.append(float(cell))
+                    val = float(cell)
                 except ValueError:
+                    val = math.nan  # reported below, with nan and inf cells
+                if not math.isfinite(val):
                     raise CsvFormatError(
                         f"{path}: row {i}, column {header[j]!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
+                        f"non-numeric or non-finite cell {cell!r}"
+                    )
+                vals.append(val)
             rows.append(vals)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")

@@ -14,12 +14,11 @@ posterior risk, leaving the posterior density of mu, radial about
 risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
 prior risk difference between the standard and the recentered ball is
 ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)`` whatever the truncation eps.
-``risk_difference_sweep`` checks that by paired Monte Carlo over several
-eps at once.  Both balls' coverage tests depend on pivotal quantities
-only, in which the precision cancels, so each draw is tested once and the
-one estimate serves every eps: its eps-independence is structural.  The
-same tests written with lambda, mu and x live in the test suite, as the
-oracle the pivot is checked against.
+``risk_difference_mc`` checks that by paired Monte Carlo.  Both balls'
+coverage tests depend on pivotal quantities only, in which the precision
+cancels, so the estimate does not read eps and serves every eps: its
+eps-independence is structural.  The same tests written with lambda, mu
+and x live in the test suite, as the oracle the pivot is checked against.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "bayes_risk",
     "risk_difference_closed",
     "risk_difference_mc",
-    "risk_difference_sweep",
     "risk_difference_z",
     "blyth_scaling",
     "perturb",
@@ -64,9 +62,9 @@ _DEFAULT_TOL = Tolerance(rel=1e-12, abs=1e-15)
 # m = 250.
 _MACH_EPS = float(np.finfo(float).eps)
 _ROUNDING_ULPS = (128.0, 8.0)
-# Draws per block of risk_difference_sweep's pivotal tests: blocks ran
+# Draws per block of risk_difference_mc's pivotal tests: blocks ran
 # faster than whole 65,536-draw chunks.
-_SWEEP_BLOCK = 8192
+_PIVOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,6 @@ def coverage(
     ctx: BlythContext,
     n: int = 10 ** 5,
     seed: int = 0,
-    workers: int | None = None,
 ) -> EstimateWithError:
     """MC estimate of the coverage probability E_{mu,lambda}[phi]; mu must
     have shape (p,)."""
@@ -144,7 +141,7 @@ def coverage(
         s = rng.chisquare(m, size) / lam
         return np.asarray(proc.eval(x, s, mu), dtype=float)
 
-    return mc_estimate(sampler, n, seed, workers)
+    return mc_estimate(sampler, n, seed)
 
 
 def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
@@ -294,7 +291,6 @@ def bayes_risk(
     ctx: BlythContext,
     n: int = 10 ** 5,
     seed: int = 0,
-    workers: int | None = None,
 ) -> EstimateWithError:
     """Prior-averaged risk by Monte Carlo over (mu, lambda, x, s).
 
@@ -317,7 +313,7 @@ def bayes_risk(
         cov = np.asarray(proc.eval(x, s, mu), dtype=float)
         return w * vol - cov
 
-    return mc_estimate(sampler, n, seed, workers)
+    return mc_estimate(sampler, n, seed)
 
 
 def risk_difference_closed(ctx: BlythContext) -> float:
@@ -329,25 +325,8 @@ def risk_difference_closed(ctx: BlythContext) -> float:
     return f_cdf(ctx.p, ctx.m, t0 * (1.0 + ctx.kappa)) - f_cdf(ctx.p, ctx.m, t0)
 
 
-def risk_difference_mc(
-    ctx: BlythContext,
-    n: int = 10 ** 6,
-    seed: int = 0,
-    workers: int | None = None,
-) -> EstimateWithError:
-    """Paired Monte Carlo estimate of the risk difference at ``ctx.eps``:
-    the one-eps case of ``risk_difference_sweep``."""
-    return risk_difference_sweep(ctx, (ctx.eps,), n, seed, workers)[0]
-
-
-def risk_difference_sweep(
-    ctx: BlythContext,
-    eps_values: Sequence[float],
-    n: int = 10 ** 6,
-    seed: int = 0,
-    workers: int | None = None,
-) -> tuple[EstimateWithError, ...]:
-    """Paired Monte Carlo estimates of the risk difference, one per eps.
+def risk_difference_mc(ctx: BlythContext, n: int = 10 ** 6, seed: int = 0) -> EstimateWithError:
+    """Paired Monte Carlo estimate of the risk difference, for every eps.
 
     Since the two balls have equal volume, the risk difference reduces to
     the difference of coverage terms; both indicators are evaluated on
@@ -363,38 +342,33 @@ def risk_difference_sweep(
         ||mu - x||^2 < c s/m            <=>  S_0 = ||z2||^2 < T_0 = (c/m) chi2,
 
     and each draw's value [S_k < T_k] - [S_0 < T_0] (``_pivot_values``)
-    does not depend on eps.  One estimate thus serves every eps, and is
-    returned once per eps; ``ctx.eps`` is not read.  Unlike the tests in
-    terms of lambda, mu and x, the pivotal ones cannot overflow or
-    underflow at an extreme eps.
+    does not depend on eps.  The estimate thus serves every eps, and
+    ``ctx.eps`` is not read.  Unlike the tests in terms of lambda, mu and
+    x, the pivotal ones cannot overflow or underflow at an extreme eps.
 
     At kappa = 0 the two indicators coincide and every difference is
     exactly 0.
     """
-    eps_values = tuple(float(eps) for eps in eps_values)
-    if not all(0.0 < eps < math.inf for eps in eps_values):
-        raise ValueError(f"eps values must be positive and finite, got {eps_values}")
     if ctx.kappa == 0.0:
-        zero = EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
-        return (zero,) * len(eps_values)
+        return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         _, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size)
         return _pivot_values(ctx, z1, z2, chi2)
 
-    return (mc_estimate(sampler, n, seed, workers),) * len(eps_values)
+    return mc_estimate(sampler, n, seed)
 
 
 def _pivot_values(ctx: BlythContext, z1: np.ndarray, z2: np.ndarray, chi2: np.ndarray):
     """[S_k < T_k] - [S_0 < T_0] for draws z1 and z2 (k, p) and chi2 (k,),
-    see ``risk_difference_sweep``, in blocks of ``_SWEEP_BLOCK`` draws,
+    see ``risk_difference_mc``, in blocks of ``_PIVOT_BLOCK`` draws,
     with S_k and S_0 summed left to right over the p coordinates."""
     p, cm = ctx.p, ctx.c / ctx.m
     k1 = 1.0 + ctx.kappa
     root_k, t_k = math.sqrt(ctx.kappa), k1 * k1 * cm
     values = np.empty(chi2.size)
-    for lo in range(0, chi2.size, _SWEEP_BLOCK):
-        blk = slice(lo, lo + _SWEEP_BLOCK)
+    for lo in range(0, chi2.size, _PIVOT_BLOCK):
+        blk = slice(lo, lo + _PIVOT_BLOCK)
         for j in range(p):
             v = z1[blk, j] * root_k
             v -= z2[blk, j]

@@ -421,7 +421,7 @@ def test_criterion_13_determinism(capsys):
     one = mc_estimate(sampler, 300_000, seed=13, workers=1)
     four = mc_estimate(sampler, 300_000, seed=13, workers=4)
     workers_ok = one == four
-    ok = identical and workers_ok and report["schema"] == "ntg-lab/2"
+    ok = identical and workers_ok and report["schema"] == "ntg-lab/3"
     _report(
         capsys, 13, ok,
         f"verify reports byte-identical for one seed: {identical}; MC "

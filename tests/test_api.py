@@ -1,7 +1,9 @@
 """The public surface: each module's ``__all__`` resolves, no public name is
-exported by two modules, and ``numint`` is the integration engine only."""
+exported by two modules, ``numint`` is the integration engine only, and the
+affinity mask is the one worker control."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -37,3 +39,16 @@ def test_numint_is_the_engine_only():
         if getattr(obj, "__module__", None) == "ntglab.specfun"
     }
     assert from_specfun == {"Tolerance"}
+
+
+def test_only_mc_estimate_takes_workers():
+    # Monte Carlo runs on every core of the affinity mask; mc_estimate keeps
+    # its workers argument for the pool's own scheduling tests.
+    takers = set()
+    for name in MODULES:
+        mod = _module(name)
+        for attr in mod.__all__:
+            obj = getattr(mod, attr)
+            if inspect.isfunction(obj) and "workers" in inspect.signature(obj).parameters:
+                takers.add(f"{name}.{attr}")
+    assert takers == {"numint.mc_estimate"}

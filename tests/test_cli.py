@@ -39,7 +39,7 @@ class TestVerify:
         out = tmp_path / "r.json"
         main(["verify", "--seed", "3", "--mc-n", "2000", "--output", str(out)])
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "ntg-lab/2"
+        assert payload["schema"] == "ntg-lab/3"
         assert payload["command"] == "verify"
         assert payload["config"]["seed"] == 3
         assert payload["pass"] is True
@@ -107,11 +107,10 @@ class TestRiskDiff:
     @pytest.mark.parametrize("error", [0.0, math.nan])
     def test_missing_standard_error_fails(self, tmp_path, monkeypatch, error):
         # Only the kappa = 0 short-circuit may report a zero error.
-        def degenerate(ctx, eps_values, n, seed):
-            return tuple(EstimateWithError(risk_difference_closed(ctx), error, n, "monte_carlo")
-                         for _ in eps_values)
+        def degenerate(ctx, n, seed):
+            return EstimateWithError(risk_difference_closed(ctx), error, n, "monte_carlo")
 
-        monkeypatch.setattr(cli, "risk_difference_sweep", degenerate)
+        monkeypatch.setattr(cli, "risk_difference_mc", degenerate)
         out = tmp_path / "rd.json"
         code = main([
             "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "1",
@@ -122,10 +121,10 @@ class TestRiskDiff:
 
     def test_kappa_zero_wrong_value_fails(self, tmp_path, monkeypatch):
         # A zero error passes at kappa = 0 only when the estimate is exactly 0.
-        def wrong(ctx, eps_values, n, seed):
-            return tuple(EstimateWithError(1e-3, 0.0, n, "monte_carlo") for _ in eps_values)
+        def wrong(ctx, n, seed):
+            return EstimateWithError(1e-3, 0.0, n, "monte_carlo")
 
-        monkeypatch.setattr(cli, "risk_difference_sweep", wrong)
+        monkeypatch.setattr(cli, "risk_difference_mc", wrong)
         out = tmp_path / "rd.json"
         code = main([
             "risk-diff", "--p", "2", "--m", "2", "--c", "2.0", "--kappa", "0",
@@ -210,7 +209,7 @@ class TestRegress:
         ])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "ntg-lab/2"
+        assert payload["schema"] == "ntg-lab/3"
         assert payload["m"] == 19
         lo, hi = payload["interval"]
         assert lo < payload["beta_hat"][0] < hi
@@ -244,6 +243,20 @@ class TestRegress:
             "--level", "1.5",
         ]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text,argv", [
+        ("z,y\n1,2\nnan,3\n4,5\n", []),
+        ("z,y\n1,2\n3,5\n", ["--intercept"]),
+        ("z1,z2,y\n1,2,1\n2,4,3\n3,6,2\n4,8,5\n", []),
+        ("z,y\n1,2\n2,3\n3,5\n", ["--coef-count", "2"]),
+    ], ids=["nan_cell", "too_few_rows", "rank_deficient", "more_coefs_than_columns"])
+    def test_data_it_cannot_fit(self, tmp_path, capsys, text, argv):
+        # One error line and the exit code of a malformed file, no traceback.
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["regress", "--csv", str(path), "--response", "y", *argv]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unsupported_dimension(self, tmp_path):
         assert main([
             "regress", "--csv", self._csv(tmp_path), "--response", "y",
@@ -268,6 +281,8 @@ class TestUsage:
         ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--mc-n", "10"],
         ["verify", "--mc-n", "10"],
         ["blyth", "--p", "2", "--m", "3", "--eps", "-1"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--eps", "-1", "--eps-sweep"],
+        ["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--eps", "nan", "--eps-sweep"],
     ])
     def test_invalid_number_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -278,6 +293,6 @@ class TestUsage:
         def broken(*args, **kwargs):
             raise ValueError("inside the sweep")
 
-        monkeypatch.setattr(cli, "risk_difference_sweep", broken)
+        monkeypatch.setattr(cli, "risk_difference_mc", broken)
         with pytest.raises(ValueError, match="inside the sweep"):
             main(["risk-diff", "--p", "2", "--m", "3", "--kappa", "0.5", "--mc-n", "1000"])

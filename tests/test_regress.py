@@ -235,6 +235,12 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="column 'a'"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,y\n1,2\n3,{cell}\n")
+        with pytest.raises(CsvFormatError, match="row 3, column 'y'"):
+            load_csv(path, "y")
+
     def test_header_only(self, tmp_path):
         path = self._write(tmp_path, "a,y\n")
         with pytest.raises(CsvFormatError, match="no data rows"):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from ntglab.risk import (
     posterior_risk,
     risk_difference_closed,
     risk_difference_mc,
-    risk_difference_sweep,
     risk_difference_z,
 )
 from ntglab.specfun import Tolerance, f_cdf
@@ -634,15 +634,22 @@ class TestBayesRisk:
         se = math.hypot(b0.error, bk.error)
         assert abs((b0.value - bk.value) - delta) <= 4.0 * se
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, monkeypatch):
         ctx = _ctx()
         proc = phi_kappa(ctx)
-        a = bayes_risk(proc, ctx, n=100_000, seed=4, workers=1)
-        b = bayes_risk(proc, ctx, n=100_000, seed=4, workers=4)
+        _report_cores(monkeypatch, 1)
+        a = bayes_risk(proc, ctx, n=100_000, seed=4)
+        _report_cores(monkeypatch, 4)
+        b = bayes_risk(proc, ctx, n=100_000, seed=4)
         assert a == b
 
 
-def _separate_risk_difference(ctx, n, seed, workers=1):
+def _report_cores(monkeypatch, k):
+    # An affinity mask of k cores, the one control of mc_estimate's workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _separate_risk_difference(ctx, n, seed):
     # One eps per pass: the per-eps sampler that draws (u, z1, z2, chi2)
     # afresh for every eps, through the public 1-D mc_estimate.
     if ctx.kappa == 0.0:
@@ -659,7 +666,7 @@ def _separate_risk_difference(ctx, n, seed, workers=1):
         d2_0 = np.sum((mu - x) ** 2, axis=-1)
         return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
 
-    return mc_estimate(sampler, n, seed, workers)
+    return mc_estimate(sampler, n, seed, workers=1)
 
 
 _SWEEP_EPS = (0.3, 0.5, 1.0, 2.0, 7.0)
@@ -757,56 +764,32 @@ def _near_tie_draws(ctx, rng, k, ulps=8):
 
 
 class TestRiskDifferenceSweep:
+    """One estimate against a separate model-space run at each eps."""
+
     @pytest.mark.parametrize("n", [1000, 65536, 100_000, 200_001])
     def test_matches_separate_runs(self, n):
         ctx = _ctx(p=2, m=3, c=default_c(2, 3, 0.95), kappa=0.5)
-        got = risk_difference_sweep(ctx, _SWEEP_EPS, n=n, seed=11)
-        for eps, est in zip(_SWEEP_EPS, got):
+        got = risk_difference_mc(ctx, n=n, seed=11)
+        for eps in _SWEEP_EPS:
             want = _separate_risk_difference(_ctx(p=2, m=3, c=ctx.c, kappa=0.5, eps=eps), n, 11)
-            assert (est.value, est.error, est.n_evals) == (want.value, want.error, n)
+            assert (got.value, got.error, got.n_evals) == (want.value, want.error, n)
 
     @pytest.mark.parametrize("p,m,kappa", [(1, 2, 0.25), (2, 5, 1.0), (3, 17, 0.1), (9, 4, 0.5)])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_separate_runs_in_every_dimension(self, p, m, kappa, workers):
-        # At p = 9 the separate run's np.sum adds pairwise and the sweep
+    def test_matches_separate_runs_in_every_dimension(self, p, m, kappa, workers, monkeypatch):
+        # At p = 9 the separate run's np.sum adds pairwise and the pivot
         # left to right; no draw lies within those ulps of its threshold.
         c = default_c(p, m, 0.95)
-        got = risk_difference_sweep(_ctx(p=p, m=m, c=c, kappa=kappa), _SWEEP_EPS,
-                                    n=70_000, seed=3, workers=workers)
-        for eps, est in zip(_SWEEP_EPS, got):
+        _report_cores(monkeypatch, workers)
+        got = risk_difference_mc(_ctx(p=p, m=m, c=c, kappa=kappa), n=70_000, seed=3)
+        for eps in _SWEEP_EPS:
             want = _separate_risk_difference(_ctx(p=p, m=m, c=c, kappa=kappa, eps=eps), 70_000, 3)
-            assert (est.value, est.error) == (want.value, want.error)
-
-    def test_one_eps_is_risk_difference_mc(self):
-        ctx = _ctx(eps=0.7)
-        assert risk_difference_sweep(ctx, (0.7,), n=20_000, seed=5) == (
-            risk_difference_mc(ctx, n=20_000, seed=5),)
-
-    def test_kappa_zero_rows_are_exact_zeros(self):
-        got = risk_difference_sweep(_ctx(kappa=0.0), _SWEEP_EPS, n=10_000, seed=0)
-        assert got == (EstimateWithError(0.0, 0.0, 10_000, "monte_carlo"),) * len(_SWEEP_EPS)
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            risk_difference_sweep(_ctx(), (1.0, 0.0), n=1000)
-
-    @pytest.mark.parametrize("eps", [math.inf, math.nan])
-    def test_eps_must_be_finite(self, eps):
-        with pytest.raises(ValueError):
-            risk_difference_sweep(_ctx(), (1.0, eps), n=1000)
-
-    def test_extreme_eps_give_the_unit_eps_estimate(self):
-        # The pivotal tests do not read eps: at 1e308, where lambda
-        # overflows on about half the draws in model space, the estimate is
-        # the unit-eps one.
-        ctx = _ctx(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25)
-        unit, *extreme = risk_difference_sweep(ctx, (1.0, 1e-300, 1e300, 1e308), n=10_000, seed=3)
-        assert all(est == unit for est in extreme)
+            assert (got.value, got.error) == (want.value, want.error)
 
 
 class TestSweepRows:
-    """The sweep's one row of values, ``_pivot_values``, against the
-    model-space oracle, on hand-built draws."""
+    """The estimator's one row of values, ``_pivot_values``, against the
+    model-space oracle at several eps, on hand-built draws."""
 
     @given(
         p=st.integers(1, 9),
@@ -879,8 +862,7 @@ class TestRiskDifference:
         ctx = _ctx(kappa=0.0)
         assert risk_difference_closed(ctx) == 0.0
         est = risk_difference_mc(ctx, n=10_000, seed=0)
-        assert est.value == 0.0
-        assert est.error == 0.0
+        assert est == EstimateWithError(0.0, 0.0, 10_000, "monte_carlo")
 
     def test_monotone_in_kappa(self):
         values = [
@@ -898,9 +880,10 @@ class TestRiskDifference:
     def test_eps_cancels_exactly_under_common_draws(self):
         # lambda rescales with eps but the coverage indicators are scale
         # free: the pivot tests each draw once for every eps, so the paired
-        # estimate is bitwise eps-independent.
+        # estimate is bitwise eps-independent, also at 1e308, where lambda
+        # overflows on about half the draws in model space.
         base = risk_difference_mc(_ctx(eps=1.0), n=50_000, seed=21)
-        for eps in (0.5, 2.0):
+        for eps in (0.5, 2.0, 1e-300, 1e300, 1e308):
             alt = risk_difference_mc(_ctx(eps=eps), n=50_000, seed=21)
             assert alt.value == base.value
             assert alt.error == base.error
