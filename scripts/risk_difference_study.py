@@ -5,13 +5,12 @@ For each (p, m, kappa) cell the paired estimator draws common random
 numbers for both procedures.  Each draw's coverage tests are pivotal: the
 precision, and with it the truncation floor eps, cancels from them, so one
 Monte Carlo pass gives a cell's estimate, the same at every eps by
-construction; pass --eps-sweep to print it at several eps values.  The
-test suite checks the pivot against the tests written with lambda, mu and
-x.
+construction, and the table has no eps column.  The test suite checks the
+pivot against the tests written with lambda, mu and x.
 
 Example:
 
-    python3 scripts/risk_difference_study.py --n 1000000 --seed 7 --eps-sweep
+    python3 scripts/risk_difference_study.py --n 1000000 --seed 7
 """
 
 import argparse
@@ -28,13 +27,9 @@ def main() -> None:
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--dofs", type=int, nargs="+", default=[1, 2, 5])
     ap.add_argument("--kappas", type=float, nargs="+", default=[0.25, 1.0])
-    ap.add_argument("--eps-sweep", action="store_true",
-                    help="print each cell's estimate at eps in (0.5, 1, 2)")
     args = ap.parse_args()
 
-    eps_values = [0.5, 1.0, 2.0] if args.eps_sweep else [1.0]
-    print(f"{'p':>2} {'m':>2} {'kappa':>6} {'eps':>5} {'closed':>12} "
-          f"{'mc':>12} {'se':>10} {'z':>6}")
+    print(f"{'p':>2} {'m':>2} {'kappa':>6} {'closed':>12} {'mc':>12} {'se':>10} {'z':>6}")
     for p in args.dims:
         for m in args.dofs:
             c = default_c(p, m, args.level)
@@ -43,10 +38,8 @@ def main() -> None:
                 closed = risk_difference_closed(ctx)
                 mc = risk_difference_mc(ctx, n=args.n, seed=args.seed)
                 z = risk_difference_z(mc, closed, kappa)
-                for eps in eps_values:
-                    print(f"{p:2d} {m:2d} {kappa:6.3f} {eps:5.2f} "
-                          f"{closed:12.6g} {mc.value:12.6g} "
-                          f"{mc.error:10.3g} {z:6.2f}")
+                print(f"{p:2d} {m:2d} {kappa:6.3f} {closed:12.6g} {mc.value:12.6g} "
+                      f"{mc.error:10.3g} {z:6.2f}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ntg
-from .ntg import LocationScale, NtGParams
+from .ntg import LocationScale, NtGParams, _freeze_vector
 from .specfun import log_gamma, upper_incomplete_gamma
 
 __all__ = [
@@ -58,12 +58,7 @@ class Observation:
     s: float
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("x must be a vector")
-        x = x.copy()
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        _freeze_vector(self, "x")
         if not self.s > 0:
             raise ValueError(f"s must be positive, got {self.s}")
 
@@ -134,19 +129,19 @@ def big_K(ctx: BlythContext) -> float:
     )
 
 
-def r_kappa(t: float, lam: float, ctx: BlythContext) -> float:
+def r_kappa(t, lam, ctx: BlythContext):
     """The N(mu_kappa, I_p/((1+kappa) lambda)) density at squared distance t.
 
-    ((1+kappa) lambda / (2 pi))^{p/2} exp(-(1+kappa) lambda t / 2).
+    ((1+kappa) lambda / (2 pi))^{p/2} exp(-(1+kappa) lambda t / 2),
+    elementwise over t and lambda as numpy broadcasts them.
     """
-    if t < 0:
+    t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"squared distance must be nonnegative, got {t}")
-    if not lam > 0:
+    if not np.all(lam > 0):
         raise ValueError(f"precision must be positive, got {lam}")
     k1 = 1.0 + ctx.kappa
-    return (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * math.exp(
-        -0.5 * k1 * lam * t
-    )
+    return (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
 
 
 def _as_mu(mu, p: int) -> np.ndarray:

@@ -9,8 +9,8 @@ Subcommands:
 * ``regress``    -- OLS plus the standard confidence region from a CSV file.
 
 Exit codes: 0 pass, 1 check failure, 2 I/O error (including a data file
-that cannot be read or fitted), 64 usage error, which includes a number
-the configuration rejects (a negative eps, an mc-n below 1000).
+that cannot be read or fitted), 64 usage error, including a number the
+configuration rejects (a negative eps, an mc-n below 1000, a K overflow).
 Reports embed the resolved configuration and are byte-identical for a
 given configuration and seed.  The environment variable ``NTGLAB_SEED``
 supplies the default seed.
@@ -156,7 +156,10 @@ def cmd_blyth(args) -> int:
     if not all(0.0 < k < math.inf for k in kappa_grid):
         raise _UsageError(f"kappa grid entries must be positive and finite, got {kappa_grid}")
     c = _context(args, kappa_grid[0], args.eps).c
-    rows = blyth_scaling(args.p, args.m, c, args.eps, kappa_grid)
+    try:
+        rows = blyth_scaling(args.p, args.m, c, args.eps, kappa_grid)
+    except OverflowError:  # Gamma(m/2) or the power in K leaves the double range
+        raise _UsageError(f"K overflows at p={args.p}, m={args.m}, eps={args.eps}") from None
     lines = ["kappa,K,delta_closed,K_times_delta"]
     for kap, k_const, delta, prod in rows:
         lines.append(f"{kap!r},{k_const!r},{delta!r},{prod!r}")
@@ -175,8 +178,11 @@ def cmd_regress(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.csv}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # a malformed file, or data that OLS cannot fit
+    except regress.CsvFormatError as exc:  # names the file, row and column
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # data that OLS cannot fit
+        print(f"error: {args.csv}: cannot fit --coef-count {p}: {exc}", file=sys.stderr)
         return EXIT_IO
     region = regress.standard_region(fit, p, args.level)
     result = {
@@ -236,27 +242,23 @@ def _build_parser() -> _Parser:
     pv.add_argument("--output", default=None)
     pv.set_defaults(func=cmd_verify)
 
-    pr = sub.add_parser("risk-diff", help="closed vs. MC risk difference")
-    pr.add_argument("--p", type=int, required=True)
-    pr.add_argument("--m", type=int, required=True)
-    pr.add_argument("--c", type=float, default=None)
-    pr.add_argument("--level", type=float, default=0.95)
+    ball = _Parser(add_help=False)  # the experiment risk-diff and blyth share
+    ball.add_argument("--p", type=int, required=True)
+    ball.add_argument("--m", type=int, required=True)
+    ball.add_argument("--c", type=float, default=None)
+    ball.add_argument("--level", type=float, default=0.95)
+    ball.add_argument("--eps", type=float, default=1.0)
+    ball.add_argument("--output", default=None)
+
+    pr = sub.add_parser("risk-diff", parents=[ball], help="closed vs. MC risk difference")
     pr.add_argument("--kappa", type=float, required=True)
-    pr.add_argument("--eps", type=float, default=1.0)
     pr.add_argument("--eps-sweep", action="store_true")
     pr.add_argument("--mc-n", type=int, default=1_000_000)
     pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--output", default=None)
     pr.set_defaults(func=cmd_risk_diff)
 
-    pb = sub.add_parser("blyth", help="scaling table over a kappa grid")
-    pb.add_argument("--p", type=int, required=True)
-    pb.add_argument("--m", type=int, required=True)
-    pb.add_argument("--c", type=float, default=None)
-    pb.add_argument("--level", type=float, default=0.95)
-    pb.add_argument("--eps", type=float, default=1.0)
+    pb = sub.add_parser("blyth", parents=[ball], help="scaling table over a kappa grid")
     pb.add_argument("--kappa-grid", default="0.2,0.1,0.05,0.025")
-    pb.add_argument("--output", default=None)
     pb.set_defaults(func=cmd_blyth)
 
     pg = sub.add_parser("regress", help="OLS and standard confidence region")

@@ -53,6 +53,17 @@ def _upper_gamma0(a: float, x: float) -> float:
     return upper_incomplete_gamma(a, x)
 
 
+def _freeze_vector(obj, field: str) -> np.ndarray:
+    # Replace a frozen dataclass's vector field by a read-only float copy,
+    # so no caller's array aliases it; returns the copy.
+    v = np.array(getattr(obj, field), dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{field} must be a vector")
+    v.flags.writeable = False
+    object.__setattr__(obj, field, v)
+    return v
+
+
 def _sqdist(u: np.ndarray, v: np.ndarray) -> float:
     # ||u - v||^2 in Python floats, which skips numpy's per-call cost on a
     # short vector; summed left to right, which is np.sum's order for p < 8.
@@ -80,12 +91,8 @@ class NtGParams:
     eps0: float
 
     def __post_init__(self) -> None:
-        mu0 = np.asarray(self.mu0, dtype=float)
-        if mu0.ndim != 1 or mu0.size != self.p:
+        if _freeze_vector(self, "mu0").size != self.p:
             raise ValueError(f"mu0 must be a length-{self.p} vector")
-        mu0 = mu0.copy()
-        mu0.flags.writeable = False
-        object.__setattr__(self, "mu0", mu0)
         if self.p < 1:
             raise ValueError(f"dimension must be >= 1, got {self.p}")
         if not self.kappa0 > 0:
@@ -113,12 +120,7 @@ class LocationScale:
     lam: float
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1:
-            raise ValueError("mu must be a vector")
-        mu = mu.copy()
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
+        _freeze_vector(self, "mu")
         if not self.lam > 0:
             raise ValueError(f"precision must be positive, got {self.lam}")
 

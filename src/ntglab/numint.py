@@ -4,8 +4,7 @@
   doubly infinite intervals, raising ``QuadratureError`` when it misses
   its tolerance;
 * ``mc_estimate``: chunked Monte Carlo with a standard error, run on every
-  core of the affinity mask by default and bit-identical for any worker
-  count.
+  core of the affinity mask and bit-identical for any core count.
 
 Both return an ``EstimateWithError``.  What is integrated lives with its
 callers: the identity checks in ``verify``, the risks in ``risk``.
@@ -124,7 +123,6 @@ def mc_estimate(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
     seed: int,
-    workers: int | None = None,
 ) -> EstimateWithError:
     """Sample mean with standard error, chunked into fixed substreams.
 
@@ -133,17 +131,13 @@ def mc_estimate(
     sequence, so the result is bit-identical for any worker count.
     The values must be one-dimensional, one per draw.
 
-    ``workers`` threads run the chunks: the caller and up to ``workers - 1``
-    helpers from one shared pool.  None means every core of the process's
-    affinity mask; either way no more than there are chunks.
+    The chunks run on the caller's thread and those of one shared pool, one
+    per core of the process's affinity mask and at most one per chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
-    elif not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)  # independent of scheduling
     sizes = [min(_MC_CHUNK, n - i * _MC_CHUNK) for i in range(n_chunks)]

@@ -11,8 +11,8 @@ confidence region for the first p coefficients is the ellipsoid
 
     (b - beta_hat_(p))' S_(p)^{-1} (b - beta_hat_(p)) < c sigma2_hat,
 
-with ``c = p * F^{-1}_{p, n-d}(level)``; for p = 1 this is the classical
-two-sided t-interval.
+with ``c = p * F^{-1}_{p, n-d}(level)`` (``risk.default_c``); for p = 1
+this is the classical two-sided t-interval.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import f_quantile
+from .risk import default_c
 
 __all__ = [
     "RegressionData",
@@ -158,10 +158,8 @@ class StandardRegion:
 
 def standard_region(fit: OlsFit, p: int, level: float) -> StandardRegion:
     """The standard joint confidence region at the given coverage level."""
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    c = default_c(p, fit.m, level)
     S = _leading_block(fit, p)
-    c = p * f_quantile(p, fit.m, level)
     return StandardRegion(
         center=fit.beta_hat[:p].copy(),
         shape=S,

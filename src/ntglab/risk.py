@@ -38,6 +38,7 @@ from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 __all__ = [
     "Procedure",
     "ball_volume",
+    "sphere_area",
     "phi0",
     "phi_kappa",
     "coverage",
@@ -99,6 +100,12 @@ def ball_volume(p: int, radius2) -> np.ndarray:
     """Volume of a p-ball given the squared radius."""
     radius2 = np.asarray(radius2, dtype=float)
     return (math.pi * radius2) ** (0.5 * p) / math.exp(log_gamma(0.5 * p + 1.0))
+
+
+def sphere_area(p: int) -> float:
+    """Surface area of the unit sphere in R^p, p times the unit ball's
+    volume (2, the two points, at p = 1)."""
+    return p * float(ball_volume(p, 1.0))
 
 
 def _ball_procedure(ctx: BlythContext, shrink: float, label: str) -> Procedure:
@@ -236,7 +243,7 @@ def posterior_risk(
     lo, hi = lo[keep, None], hi[keep, None]
     row_d, row_radius = np.tile(d, 2)[keep, None], np.tile(radius, 2)[keep, None]
     row_weight = np.tile(weights, 2)[keep]
-    area = p * float(ball_volume(p, 1.0))  # of the unit sphere
+    area = sphere_area(p)
 
     def rule(n):  # nodes r and weights of the n-node rule, one row per piece
         u, gl = _gauss_legendre(n)
@@ -307,8 +314,7 @@ def bayes_risk(
         mu = z1 / np.sqrt(ctx.kappa * lam)[:, None]
         x = mu + z2 / np.sqrt(lam)[:, None]
         s = chi2 / lam
-        k1, t = 1.0 + ctx.kappa, ctx.c * s / ctx.m
-        w = (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
+        w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
         vol = np.asarray(proc.volume(x, s), dtype=float)
         cov = np.asarray(proc.eval(x, s, mu), dtype=float)
         return w * vol - cov

@@ -16,18 +16,25 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
 from .numint import EstimateWithError, integrate_1d, mc_estimate
+from .risk import sphere_area
 from .specfun import Tolerance, log_gamma, upper_incomplete_gamma
 
 __all__ = ["lemma_bigint_check", "lemma_d_check", "lemma_smoments_check", "run_all"]
 
 _QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
+_CONJUGACY_PAIRS = 2  # (prior, observation) pairs of check_conjugacy
+# The checks' pass thresholds: relative errors, except the prior's absolute
+# deviation of its mass from one.
+_CONJUGACY_RTOL, _NORMALIZATION_TOL, _Q_RTOL = 1e-5, 1e-6, 1e-10
+_BIGINT_RTOL, _LEMMA_D_RTOL = 1e-4, 0.05
+_LEMMA_D_DELTAS = (1e-1, 1e-2, 1e-3)  # decreasing towards the cone's limit
 
 
 def _row(name: str, expected: float, observed: float, err: float, ok: bool) -> dict:
@@ -68,11 +75,11 @@ def _mu_lambda_quadrature(params: ntg.NtGParams, center: float, f: Callable) -> 
     return integrate_1d(inner, params.eps0, math.inf, _QTOL).value
 
 
-def check_conjugacy(seed: int, n_pairs: int = 2, rel_tol: float = 1e-5) -> dict:
+def check_conjugacy(seed: int) -> dict:
     """Posterior density equals likelihood * prior / quadrature evidence."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(_CONJUGACY_PAIRS):
         params = _random_params(rng)
         m = int(rng.integers(1, 6))
         x = rng.normal(size=1)
@@ -91,10 +98,10 @@ def check_conjugacy(seed: int, n_pairs: int = 2, rel_tol: float = 1e-5) -> dict:
             direct = ntg.prior_density(updated, point)
             bayes = joint(point) / evidence
             worst = max(worst, abs(direct / bayes - 1.0))
-    return _row("conjugacy_bayes_rule", 0.0, worst, worst, worst <= rel_tol)
+    return _row("conjugacy_bayes_rule", 0.0, worst, worst, worst <= _CONJUGACY_RTOL)
 
 
-def check_normalization(seed: int, tol: float = 1e-6) -> dict:
+def check_normalization(seed: int) -> dict:
     """The joint prior density integrates to one (2-D quadrature, p = 1)."""
     rng = np.random.default_rng(seed)
     params = _random_params(rng)
@@ -102,10 +109,10 @@ def check_normalization(seed: int, tol: float = 1e-6) -> dict:
         params, float(params.mu0[0]), lambda point: ntg.prior_density(params, point)
     )
     err = abs(total - 1.0)
-    return _row("prior_normalization", 1.0, total, err, err <= tol)
+    return _row("prior_normalization", 1.0, total, err, err <= _NORMALIZATION_TOL)
 
 
-def check_q_identity(seed: int, rel_tol: float = 1e-10) -> dict:
+def check_q_identity(seed: int) -> dict:
     """q = K * p pointwise, on both the parameter and the observable side."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -123,12 +130,7 @@ def check_q_identity(seed: int, rel_tol: float = 1e-10) -> dict:
             lhs = blyth.q_obs(ctx, obs)
             rhs = k_const * ntg.marginal_obs_density(params, ctx.m, obs.x, obs.s)
             worst = max(worst, abs(lhs / rhs - 1.0))
-    return _row("q_equals_K_times_p", 0.0, worst, worst, worst <= rel_tol)
-
-
-def _sphere_area(p: int) -> float:
-    # Surface area of the unit sphere in R^p (2 points for p = 1).
-    return 2.0 * math.pi ** (0.5 * p) / math.exp(log_gamma(0.5 * p))
+    return _row("q_equals_K_times_p", 0.0, worst, worst, worst <= _Q_RTOL)
 
 
 def _radial_weighted(upper_gamma: Callable[[float], float], r_pow: float) -> EstimateWithError:
@@ -169,14 +171,9 @@ def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_g
     if upper_gamma is None:
         upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
     denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
-    if denom <= 0 or alpha + beta + 1.0 + 0.5 * p <= 0:
-        raise ValueError(
-            "integral diverges: need alpha+beta-gamma+1+p/2 > 0 and "
-            f"alpha+beta+1+p/2 > 0 (got {denom} and "
-            f"{alpha + beta + 1.0 + 0.5 * p})"
-        )
-    if alpha <= -1 or beta + 0.5 * p <= 0:
-        raise ValueError("integral diverges: need alpha > -1 and beta > -p/2")
+    if denom <= 0 or alpha <= -1 or beta + 0.5 * p <= 0:
+        raise ValueError("integral diverges: need alpha+beta-gamma+1+p/2 > 0, "
+                         f"alpha > -1 and beta > -p/2 (alpha+beta-gamma+1+p/2 = {denom})")
 
     # In (r, theta) the integrand factorizes; the powers of r are combined
     # analytically so small-r probes cannot overflow.
@@ -190,7 +187,7 @@ def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_g
         )
 
     angular = integrate_1d(ang, 0.0, 0.5 * math.pi)
-    area = _sphere_area(p)
+    area = sphere_area(p)
     value = area * radial.value * angular.value
     err = area * (
         radial.error * abs(angular.value) + abs(radial.value) * angular.error
@@ -209,7 +206,7 @@ def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_g
     return numeric, closed
 
 
-def check_lemma_bigint(rel_tol: float = 1e-4) -> list[dict]:
+def check_lemma_bigint() -> list[dict]:
     # (2, 1, 1, 3) and (3, 1, 0, 3) integrate Gamma(3, r^2) against
     # different powers of r, but their quadratures share many nodes: one
     # memo per shape evaluates each Gamma(gamma, r^2) once.
@@ -221,41 +218,32 @@ def check_lemma_bigint(rel_tol: float = 1e-4) -> list[dict]:
             memos[g] = functools.cache(functools.partial(upper_incomplete_gamma, g))
         numeric, closed = lemma_bigint_check(*tup, upper_gamma=memos[g])
         err = abs(numeric.value / closed - 1.0)
-        rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= rel_tol))
+        rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= _BIGINT_RTOL))
     return rows
 
 
-def lemma_d_check(
-    p: int,
-    gamma_: float,
-    delta_grid: Sequence[float] = (1e-1, 1e-2, 1e-3),
-):
+def lemma_d_check(p: int, gamma_: float):
     """Convergence of the cone-restricted integral to its closed-form limit.
 
-    For each delta computes ``delta^{(p-2)/2 - gamma}`` times the integral of
-    ``t^{gamma - p/2} Gamma(gamma, t+||z||^2)/(t+||z||^2)^gamma`` over the
-    region ``||z||^2 delta > t``, and pairs it with the limit
-    ``2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2))``.
+    For each delta in ``_LEMMA_D_DELTAS`` computes ``delta^{(p-2)/2 - gamma}``
+    times the integral of ``t^{gamma - p/2} Gamma(gamma, t+||z||^2) /
+    (t+||z||^2)^gamma`` over the region ``||z||^2 delta > t``, and pairs it
+    with the limit ``2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2))``.
 
     Returns a list of (delta, ratio, limit) rows.
     """
     if gamma_ <= 0.5 * (p - 2):
         raise ValueError(f"need gamma > (p-2)/2, got gamma={gamma_}, p={p}")
-    deltas = list(delta_grid)
-    if any(d <= 0 for d in deltas) or any(
-        deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)
-    ):
-        raise ValueError("delta grid must be positive and strictly decreasing")
 
     # Combined power of r in the (r, theta) parameterization is exactly 1.
     radial = _radial_weighted(functools.partial(upper_incomplete_gamma, gamma_), 1.0)
-    return _lemma_d_rows(p, gamma_, deltas, radial)
+    return _lemma_d_rows(p, gamma_, radial)
 
 
-def _lemma_d_rows(p: int, gamma_: float, deltas, radial: EstimateWithError) -> list:
+def _lemma_d_rows(p: int, gamma_: float, radial: EstimateWithError) -> list:
     # lemma_d_check's rows from its radial integral, which depends on gamma
     # alone: check_lemma_d shares it between dimensions.
-    area = _sphere_area(p)
+    area = sphere_area(p)
     limit = (
         2.0
         * math.pi ** (0.5 * p)
@@ -264,7 +252,7 @@ def _lemma_d_rows(p: int, gamma_: float, deltas, radial: EstimateWithError) -> l
     )
 
     rows = []
-    for delta in deltas:
+    for delta in _LEMMA_D_DELTAS:
         # The cone ||z||^2 delta > t becomes theta > arctan(1/sqrt(delta)).
         th_star = math.atan(1.0 / math.sqrt(delta))
 
@@ -281,16 +269,16 @@ def _lemma_d_rows(p: int, gamma_: float, deltas, radial: EstimateWithError) -> l
     return rows
 
 
-def check_lemma_d(rel_tol: float = 0.05) -> list[dict]:
+def check_lemma_d() -> list[dict]:
     cases = ((1, 1.0), (2, 1.0), (2, 2.0))
     radial = {g: _radial_weighted(functools.partial(upper_incomplete_gamma, g), 1.0)
               for g in {g for _, g in cases}}
     rows = []
     for p, g in cases:
-        table = _lemma_d_rows(p, g, [1e-1, 1e-2, 1e-3], radial[g])
+        table = _lemma_d_rows(p, g, radial[g])
         delta, ratio, limit = table[-1]
         err = abs(ratio / limit - 1.0)
-        rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= rel_tol))
+        rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= _LEMMA_D_RTOL))
     return rows
 
 

@@ -1,13 +1,15 @@
 """The public surface: each module's ``__all__`` resolves, no public name is
-exported by two modules, ``numint`` is the integration engine only, and the
-affinity mask is the one worker control."""
+exported by two modules, ``numint`` is the integration engine only, every
+parameter is read, and the affinity mask is the one worker control."""
 
+import ast
 import importlib
-import inspect
+from pathlib import Path
 
 import pytest
 
 MODULES = ("specfun", "ntg", "blyth", "numint", "risk", "regress", "verify", "cli")
+_SRC = Path(__file__).resolve().parent.parent / "src" / "ntglab"
 
 
 def _module(name):
@@ -41,14 +43,37 @@ def test_numint_is_the_engine_only():
     assert from_specfun == {"Tolerance"}
 
 
-def test_only_mc_estimate_takes_workers():
-    # Monte Carlo runs on every core of the affinity mask; mc_estimate keeps
-    # its workers argument for the pool's own scheduling tests.
-    takers = set()
-    for name in MODULES:
-        mod = _module(name)
-        for attr in mod.__all__:
-            obj = getattr(mod, attr)
-            if inspect.isfunction(obj) and "workers" in inspect.signature(obj).parameters:
-                takers.add(f"{name}.{attr}")
-    assert takers == {"numint.mc_estimate"}
+def _functions():
+    # (node, "file:line name", parameter names) of every def and lambda in
+    # src/ntglab, nested ones and methods included; self and cls are left
+    # out.
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                name = getattr(node, "name", "<lambda>")
+                yield node, f"{path.name}:{node.lineno} {name}", [
+                    p for p in params if p not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    # A parameter the body never reads is a setting that changes nothing.
+    # posterior_risk's inner_grid sized the midpoint grid its radial rule
+    # replaced; it stays only because the benchmark's frozen call sites
+    # still pass it.
+    unread = []
+    for node, where, params in _functions():
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{where}({p})" for p in params if p not in read]
+    assert [u.split(" ", 1)[1] for u in unread] == ["posterior_risk(inner_grid)"], unread
+
+
+def test_no_function_takes_workers():
+    # Monte Carlo runs on every core of the process's affinity mask, which
+    # is the one worker control: no function, mc_estimate included, takes a
+    # worker count.
+    assert [where for _, where, params in _functions() if "workers" in params] == []

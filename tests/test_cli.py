@@ -183,6 +183,12 @@ class TestBlyth:
             # repr round-trips doubles losslessly.
             assert parsed == [row[0], row[1], row[2], row[3]]
 
+    def test_overflowing_K_is_usage_error(self, capsys):
+        # Gamma(m/2) in K leaves the double range from about m = 344.
+        assert main(["blyth", "--p", "2", "--m", "400"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: K overflows at p=2, m=400, eps=1.0\n"
+
     def test_bad_grid_is_usage_error(self, capsys):
         for grid in (",", "0.1,-0.2", "abc", "0.2,nan", "0.2,inf"):
             assert main(["blyth", "--p", "2", "--m", "2", "--c", "1.0",
@@ -243,19 +249,20 @@ class TestRegress:
             "--level", "1.5",
         ]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("text,argv", [
-        ("z,y\n1,2\nnan,3\n4,5\n", []),
-        ("z,y\n1,2\n3,5\n", ["--intercept"]),
-        ("z1,z2,y\n1,2,1\n2,4,3\n3,6,2\n4,8,5\n", []),
-        ("z,y\n1,2\n2,3\n3,5\n", ["--coef-count", "2"]),
+    @pytest.mark.parametrize("text,argv,says", [
+        ("z,y\n1,2\nnan,3\n4,5\n", [], "row 3, column 'z': non-numeric"),
+        ("z,y\n1,2\n3,5\n", ["--intercept"], "cannot fit --coef-count 1: need n > d"),
+        ("z1,z2,y\n1,2,1\n2,4,3\n3,6,2\n4,8,5\n", [], "cannot fit --coef-count 1: design"),
+        ("z,y\n1,2\n2,3\n3,5\n", ["--coef-count", "2"], "cannot fit --coef-count 2: need 1"),
     ], ids=["nan_cell", "too_few_rows", "rank_deficient", "more_coefs_than_columns"])
-    def test_data_it_cannot_fit(self, tmp_path, capsys, text, argv):
-        # One error line and the exit code of a malformed file, no traceback.
+    def test_data_it_cannot_fit(self, tmp_path, capsys, text, argv, says):
+        # One error line naming the file, and the option where the fit
+        # fails, with the exit code of a malformed file; no traceback.
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8")
         assert main(["regress", "--csv", str(path), "--response", "y", *argv]) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: {says}") and err.count("\n") == 1
 
     def test_unsupported_dimension(self, tmp_path):
         assert main([

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 
@@ -70,45 +71,44 @@ class TestMcEstimate:
         )
         assert abs(est.value - truth) <= 4.0 * est.error
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, report_cores):
         def sampler(rng, n):
             return rng.standard_normal(n) ** 2
 
-        # Four workers, then the default, every core of the affinity mask,
-        # at 1, 1, 2 and 16 chunks; the last chunk of 10^6 + 1 draws is short.
-        cases = [(300_000, 4), (1000, None), (65_536, None), (100_000, None),
-                 (10 ** 6 + 1, None)]
-        for n, workers in cases:
-            one = mc_estimate(sampler, n, seed=21, workers=1)
-            other = mc_estimate(sampler, n, seed=21, workers=workers)
-            assert (one.value, one.error) == (other.value, other.error), (n, workers)
+        # A mask of four cores, then the process's own mask, at 5, 1, 1, 2
+        # and 16 chunks; the last chunk of 10^6 + 1 draws is short.
+        own = len(os.sched_getaffinity(0))
+        cases = [(300_000, 4), (1000, own), (65_536, own), (100_000, own), (10 ** 6 + 1, own)]
+        for n, cores in cases:
+            report_cores(1)
+            one = mc_estimate(sampler, n, seed=21)
+            report_cores(cores)
+            other = mc_estimate(sampler, n, seed=21)
+            assert (one.value, one.error) == (other.value, other.error), (n, cores)
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
-    def test_rejects_workers_that_are_not_positive_ints(self, workers):
-        with pytest.raises(ValueError):
-            mc_estimate(lambda rng, n: rng.random(n), 1000, seed=0, workers=workers)
-
-    def test_nested_calls_finish_and_match_serial(self):
-        # Forty outer chunks on forty workers, more than the pool's 32
-        # threads at most: every pool thread runs an outer chunk whose inner
-        # call queues its helper behind the outer call's queued helpers.
-        def outer(workers):
+    def test_nested_calls_finish_and_match_serial(self, report_cores):
+        # Forty outer chunks on a mask of forty cores, more than the pool's
+        # 32 threads at most: every pool thread runs an outer chunk whose
+        # inner call queues its helper behind the outer call's queued helpers.
+        def outer():
             def sampler(rng, n):
                 inner = mc_estimate(lambda r, k: r.random(k), 2 << 16,
-                                    int(rng.integers(1 << 32)), workers)
+                                    int(rng.integers(1 << 32)))
                 return rng.random(n) + inner.value
 
-            return mc_estimate(sampler, 40 << 16, seed=4, workers=workers)
+            return mc_estimate(sampler, 40 << 16, seed=4)
 
-        serial = outer(1)
+        report_cores(1)
+        serial = outer()
+        report_cores(40)
         got = {}
-        thread = threading.Thread(target=lambda: got.update(nested=outer(40)), daemon=True)
+        thread = threading.Thread(target=lambda: got.update(nested=outer()), daemon=True)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive(), "nested mc_estimate calls did not finish"
         assert got["nested"] == serial
 
-    def test_chunk_error_propagates_and_the_next_call_succeeds(self):
+    def test_chunk_error_propagates_and_the_next_call_succeeds(self, report_cores):
         class ChunkError(RuntimeError):
             pass
 
@@ -117,24 +117,29 @@ class TestMcEstimate:
                 raise ChunkError
             return rng.random(n)
 
+        report_cores(4)
         with pytest.raises(ChunkError):
-            mc_estimate(failing, 150_000, seed=1, workers=4)
+            mc_estimate(failing, 150_000, seed=1)
         uniform = lambda rng, n: rng.random(n)  # noqa: E731
-        assert (mc_estimate(uniform, 150_000, seed=1, workers=4)
-                == mc_estimate(uniform, 150_000, seed=1, workers=1))
+        four = mc_estimate(uniform, 150_000, seed=1)
+        report_cores(1)
+        assert four == mc_estimate(uniform, 150_000, seed=1)
 
-    def test_concurrent_callers_each_get_the_serial_result(self):
-        # Eight callers at once, each asking for more workers than there
-        # are cores, with thread switches forced often: a chunk result lost
-        # or stored under another call's index changes some estimate.
+    def test_concurrent_callers_each_get_the_serial_result(self, report_cores):
+        # Eight callers at once, each on a mask of four cores, more than
+        # the machine may have, with thread switches forced often: a chunk
+        # result lost or stored under another call's index changes some
+        # estimate.
         def sampler(rng, n):
             return rng.standard_normal(n) ** 2
 
-        serial = [mc_estimate(sampler, 200_000, seed=s, workers=1) for s in range(8)]
+        report_cores(1)
+        serial = [mc_estimate(sampler, 200_000, seed=s) for s in range(8)]
+        report_cores(4)
         got = [None] * 8
 
         def call(s):
-            got[s] = mc_estimate(sampler, 200_000, seed=s, workers=4)
+            got[s] = mc_estimate(sampler, 200_000, seed=s)
 
         threads = [threading.Thread(target=call, args=(s,), daemon=True) for s in range(8)]
         interval = sys.getswitchinterval()

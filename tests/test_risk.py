@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -634,19 +633,14 @@ class TestBayesRisk:
         se = math.hypot(b0.error, bk.error)
         assert abs((b0.value - bk.value) - delta) <= 4.0 * se
 
-    def test_deterministic_and_worker_invariant(self, monkeypatch):
+    def test_deterministic_and_worker_invariant(self, report_cores):
         ctx = _ctx()
         proc = phi_kappa(ctx)
-        _report_cores(monkeypatch, 1)
+        report_cores(1)
         a = bayes_risk(proc, ctx, n=100_000, seed=4)
-        _report_cores(monkeypatch, 4)
+        report_cores(4)
         b = bayes_risk(proc, ctx, n=100_000, seed=4)
         assert a == b
-
-
-def _report_cores(monkeypatch, k):
-    # An affinity mask of k cores, the one control of mc_estimate's workers.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
 def _separate_risk_difference(ctx, n, seed):
@@ -666,7 +660,7 @@ def _separate_risk_difference(ctx, n, seed):
         d2_0 = np.sum((mu - x) ** 2, axis=-1)
         return (d2_k < thresh).astype(float) - (d2_0 < thresh).astype(float)
 
-    return mc_estimate(sampler, n, seed, workers=1)
+    return mc_estimate(sampler, n, seed)
 
 
 _SWEEP_EPS = (0.3, 0.5, 1.0, 2.0, 7.0)
@@ -776,12 +770,13 @@ class TestRiskDifferenceSweep:
 
     @pytest.mark.parametrize("p,m,kappa", [(1, 2, 0.25), (2, 5, 1.0), (3, 17, 0.1), (9, 4, 0.5)])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_separate_runs_in_every_dimension(self, p, m, kappa, workers, monkeypatch):
+    def test_matches_separate_runs_in_every_dimension(self, p, m, kappa, workers, report_cores):
         # At p = 9 the separate run's np.sum adds pairwise and the pivot
         # left to right; no draw lies within those ulps of its threshold.
         c = default_c(p, m, 0.95)
-        _report_cores(monkeypatch, workers)
+        report_cores(workers)
         got = risk_difference_mc(_ctx(p=p, m=m, c=c, kappa=kappa), n=70_000, seed=3)
+        report_cores(1)
         for eps in _SWEEP_EPS:
             want = _separate_risk_difference(_ctx(p=p, m=m, c=c, kappa=kappa, eps=eps), 70_000, 3)
             assert (got.value, got.error) == (want.value, want.error)

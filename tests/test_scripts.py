@@ -26,15 +26,14 @@ def _run(name, argv, monkeypatch, capsys):
 def test_risk_difference_study(monkeypatch, capsys):
     lines = _run(
         "risk_difference_study",
-        ["--n", "2000", "--dims", "1", "--dofs", "2", "--kappas", "0.5", "--eps-sweep"],
+        ["--n", "2000", "--dims", "1", "--dofs", "2", "--kappas", "0.25", "1"],
         monkeypatch, capsys,
     )
-    assert lines[0].split() == ["p", "m", "kappa", "eps", "closed", "mc", "se", "z"]
+    assert lines[0].split() == ["p", "m", "kappa", "closed", "mc", "se", "z"]
     rows = [line.split() for line in lines[1:]]
-    assert [row[3] for row in rows] == ["0.50", "1.00", "2.00"]
-    # Common random numbers: the estimate does not depend on eps.
-    assert len({row[5] for row in rows}) == 1
-    assert all(math.isfinite(float(row[7])) for row in rows)
+    # One row per cell: the pivotal estimate reads no eps.
+    assert [row[:3] for row in rows] == [["1", "2", "0.250"], ["1", "2", "1.000"]]
+    assert all(math.isfinite(float(row[6])) for row in rows)
 
 
 def test_blyth_scaling_sweep(monkeypatch, capsys):

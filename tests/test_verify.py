@@ -92,14 +92,12 @@ class TestLemmaD:
 
     @pytest.mark.parametrize("p,g", [(1, 1.0), (2, 1.0), (2, 2.0)])
     def test_ratio_converges(self, p, g):
-        rows = lemma_d_check(p, g, (1e-1, 1e-2, 1e-3))
+        rows = lemma_d_check(p, g)
         devs = [abs(ratio / limit - 1.0) for _, ratio, limit in rows]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 0.05
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            lemma_d_check(2, 1.0, (1e-3, 1e-2))
         with pytest.raises(ValueError):
             lemma_d_check(2, 0.0)
 
