@@ -117,16 +117,20 @@ def big_K(ctx: BlythContext) -> float:
     """The scaling constant (2/p) Gamma(m/2) ((2 pi / eps)(1+kappa)/kappa)^{p/2}.
 
     Diverges (order kappa^{-p/2}) as kappa -> 0, so kappa = 0 is rejected;
-    callers use the q-densities directly in the limit.
+    callers use the q-densities directly in the limit.  Raises OverflowError
+    where K leaves the double range.
     """
     if ctx.kappa <= 0:
         raise ValueError("K diverges at kappa = 0")
-    return (
+    k = (
         2.0
         / ctx.p
         * math.exp(log_gamma(0.5 * ctx.m))
         * (2.0 * math.pi / ctx.eps * (1.0 + ctx.kappa) / ctx.kappa) ** (0.5 * ctx.p)
     )
+    if not math.isfinite(k):
+        raise OverflowError(f"K = {k} at p={ctx.p}, m={ctx.m}, eps={ctx.eps}, kappa={ctx.kappa}")
+    return k
 
 
 def r_kappa(t, lam, ctx: BlythContext):

@@ -5,11 +5,12 @@ observed, error and pass, ready for the CLI's JSON report.  Quadrature and
 Monte Carlo act as the oracles; the closed forms under test never feed
 their own verification.  Conjugacy and the prior's normalisation share one
 nested (mu, lambda) quadrature at p = 1.  Each appendix identity is
-computed by a ``lemma_*_check`` beside the ``check_*`` that reads it: the
-weighted Gamma(g, t+||z||^2) integral and its small-delta cone limit, both
-reduced to radial and angular 1-D quadratures by the parameterization
-``t = r^2 cos^2(theta)``, ``||z|| = r sin(theta)``, and the moment of the
-scale statistic, by Monte Carlo.
+computed by a ``lemma_*_check`` beside the ``check_*`` that reads it.  The
+weighted Gamma(g, t+||z||^2) integral and its small-delta cone limit, which
+is the same integral on a cone, go through one cone integral: a radial times
+an angular 1-D quadrature in the parameterization ``t = r^2 cos^2(theta)``,
+``||z|| = r sin(theta)``.  The moment of the scale statistic is estimated by
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -133,26 +134,49 @@ def check_q_identity(seed: int) -> dict:
     return _row("q_equals_K_times_p", 0.0, worst, worst, worst <= _Q_RTOL)
 
 
-def _radial_weighted(upper_gamma: Callable[[float], float], r_pow: float) -> EstimateWithError:
-    # integral over r in (0, inf) of 2 r^r_pow * Gamma(g, r^2), with
-    # upper_gamma(x) = Gamma(g, x), split at 1 to isolate the possible
-    # algebraic singularity at the origin.  The factor 2 belongs to the
-    # Jacobian 2 r^2 cos(theta) of the (t, rho) -> (r, theta) change of
-    # variables.
+def _radial_weighted(p: int, alpha: float, beta: float, gamma_: float,
+                     upper_gamma: Callable[[float], float]) -> EstimateWithError:
+    # The radial factor of the weighted integral: the integral over r in
+    # (0, inf) of 2 r^k Gamma(gamma_, r^2), with upper_gamma(x) =
+    # Gamma(gamma_, x), split at 1 to isolate the possible algebraic
+    # singularity at the origin.  The factor 2 belongs to the Jacobian
+    # 2 r^2 cos(theta) of the (t, rho) -> (r, theta) change of variables, and
+    # k combines the powers of r analytically so small-r probes cannot
+    # overflow.  Raises ValueError where the weighted integral diverges.
+    denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
+    if denom <= 0 or alpha <= -1 or beta + 0.5 * p <= 0:
+        raise ValueError("integral diverges: need alpha+beta-gamma+1+p/2 > 0, alpha > -1 and "
+                         f"beta > -p/2 (alpha={alpha}, beta={beta}, sum={denom})")
+    k = 2.0 * alpha + 2.0 * beta - 2.0 * gamma_ + p + 1.0
+
     def f(r: float) -> float:
-        return 2.0 * r ** r_pow * upper_gamma(r * r)
+        return 2.0 * r ** k * upper_gamma(r * r)
 
     lo = integrate_1d(f, 0.0, 1.0)
     hi = integrate_1d(f, 1.0, math.inf)
+    return EstimateWithError(lo.value + hi.value, lo.error + hi.error,
+                             lo.n_evals + hi.n_evals, "quadrature")
+
+
+def _cone(p: int, alpha: float, beta: float, radial: EstimateWithError,
+          theta_lo: float) -> EstimateWithError:
+    # The weighted integral over the cone theta > theta_lo: |S^{p-1}| times
+    # the radial factor times the integral of cos^{2 alpha+1} sin^{2 beta+p-1}
+    # over (theta_lo, pi/2).  theta_lo = 0 is the whole (t, z) domain.
+    def ang(th: float) -> float:
+        return math.cos(th) ** (2.0 * alpha + 1.0) * math.sin(th) ** (2.0 * beta + p - 1.0)
+
+    angular = integrate_1d(ang, theta_lo, 0.5 * math.pi)
+    area = sphere_area(p)
     return EstimateWithError(
-        value=lo.value + hi.value,
-        error=lo.error + hi.error,
-        n_evals=lo.n_evals + hi.n_evals,
+        value=area * radial.value * angular.value,
+        error=area * (radial.error * abs(angular.value) + abs(radial.value) * angular.error),
+        n_evals=radial.n_evals + angular.n_evals,
         method="quadrature",
     )
 
 
-def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_gamma=None):
+def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
     """Numeric vs. closed-form value of the weighted (t, z)-integral.
 
     Numeric side: the integrand ``t^alpha ||z||^{2 beta}
@@ -163,44 +187,19 @@ def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float, upper_g
     Closed side: ``pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
     / ((alpha+beta-gamma+1+p/2) Gamma(p/2))``.
 
-    ``upper_gamma(x)``, when given, returns Gamma(gamma_, x): checks of one
-    shape pass one memo and so share its values.
-
     Returns (numeric: EstimateWithError, closed: float).
     """
-    if upper_gamma is None:
-        upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
-    denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
-    if denom <= 0 or alpha <= -1 or beta + 0.5 * p <= 0:
-        raise ValueError("integral diverges: need alpha+beta-gamma+1+p/2 > 0, "
-                         f"alpha > -1 and beta > -p/2 (alpha+beta-gamma+1+p/2 = {denom})")
+    return _bigint(p, alpha, beta, gamma_, functools.partial(upper_incomplete_gamma, gamma_))
 
-    # In (r, theta) the integrand factorizes; the powers of r are combined
-    # analytically so small-r probes cannot overflow.
-    r_pow = 2.0 * alpha + 2.0 * beta - 2.0 * gamma_ + p + 1.0
-    radial = _radial_weighted(upper_gamma, r_pow)
 
-    def ang(th: float) -> float:
-        return (
-            math.cos(th) ** (2.0 * alpha + 1.0)
-            * math.sin(th) ** (2.0 * beta + p - 1.0)
-        )
-
-    angular = integrate_1d(ang, 0.0, 0.5 * math.pi)
-    area = sphere_area(p)
-    value = area * radial.value * angular.value
-    err = area * (
-        radial.error * abs(angular.value) + abs(radial.value) * angular.error
-    )
-    numeric = EstimateWithError(
-        value=value,
-        error=err,
-        n_evals=radial.n_evals + angular.n_evals,
-        method="quadrature",
-    )
+def _bigint(p: int, alpha: float, beta: float, gamma_: float, upper_gamma: Callable):
+    # lemma_bigint_check with Gamma(gamma_, x) read from upper_gamma(x), so
+    # that check_lemma_bigint can share one memo per shape.
+    radial = _radial_weighted(p, alpha, beta, gamma_, upper_gamma)
+    numeric = _cone(p, alpha, beta, radial, 0.0)
     closed = (
         math.pi ** (0.5 * p)
-        / denom
+        / (alpha + beta - gamma_ + 1.0 + 0.5 * p)
         * math.exp(log_gamma(alpha + 1.0) + log_gamma(beta + 0.5 * p) - log_gamma(0.5 * p))
     )
     return numeric, closed
@@ -214,9 +213,8 @@ def check_lemma_bigint() -> list[dict]:
     rows = []
     for tup in ((1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3)):
         g = tup[3]
-        if g not in memos:
-            memos[g] = functools.cache(functools.partial(upper_incomplete_gamma, g))
-        numeric, closed = lemma_bigint_check(*tup, upper_gamma=memos[g])
+        memo = memos.setdefault(g, functools.cache(functools.partial(upper_incomplete_gamma, g)))
+        numeric, closed = _bigint(*tup, memo)
         err = abs(numeric.value / closed - 1.0)
         rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= _BIGINT_RTOL))
     return rows
@@ -229,54 +227,41 @@ def lemma_d_check(p: int, gamma_: float):
     times the integral of ``t^{gamma - p/2} Gamma(gamma, t+||z||^2) /
     (t+||z||^2)^gamma`` over the region ``||z||^2 delta > t``, and pairs it
     with the limit ``2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2))``.
+    That integral is lemma_bigint_check's at alpha = gamma - p/2, beta = 0,
+    on the cone theta > arctan(1/sqrt(delta)); it diverges, and ValueError
+    is raised, unless alpha > -1, that is gamma > (p-2)/2.
 
     Returns a list of (delta, ratio, limit) rows.
     """
-    if gamma_ <= 0.5 * (p - 2):
-        raise ValueError(f"need gamma > (p-2)/2, got gamma={gamma_}, p={p}")
-
-    # Combined power of r in the (r, theta) parameterization is exactly 1.
-    radial = _radial_weighted(functools.partial(upper_incomplete_gamma, gamma_), 1.0)
-    return _lemma_d_rows(p, gamma_, radial)
+    radial = _lemma_d_radial(p, gamma_)
+    return [_lemma_d_row(p, gamma_, delta, radial) for delta in _LEMMA_D_DELTAS]
 
 
-def _lemma_d_rows(p: int, gamma_: float, radial: EstimateWithError) -> list:
-    # lemma_d_check's rows from its radial integral, which depends on gamma
-    # alone: check_lemma_d shares it between dimensions.
-    area = sphere_area(p)
+def _lemma_d_radial(p: int, gamma_: float) -> EstimateWithError:
+    # Its power of r is exactly 1, so the radial factor depends on gamma
+    # alone and check_lemma_d shares it between dimensions.
+    upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
+    return _radial_weighted(p, gamma_ - 0.5 * p, 0.0, gamma_, upper_gamma)
+
+
+def _lemma_d_row(p: int, gamma_: float, delta: float, radial: EstimateWithError) -> tuple:
+    cone = _cone(p, gamma_ - 0.5 * p, 0.0, radial, math.atan(1.0 / math.sqrt(delta)))
     limit = (
         2.0
         * math.pi ** (0.5 * p)
         / (2.0 * gamma_ + 2.0 - p)
         * math.exp(log_gamma(gamma_ + 1.0) - log_gamma(0.5 * p))
     )
-
-    rows = []
-    for delta in _LEMMA_D_DELTAS:
-        # The cone ||z||^2 delta > t becomes theta > arctan(1/sqrt(delta)).
-        th_star = math.atan(1.0 / math.sqrt(delta))
-
-        def ang(th: float) -> float:
-            return (
-                math.sin(th) ** (p - 1.0)
-                * math.cos(th) ** (2.0 * gamma_ + 1.0 - p)
-            )
-
-        angular = integrate_1d(ang, th_star, 0.5 * math.pi)
-        value = area * radial.value * angular.value
-        ratio = delta ** (0.5 * (p - 2.0) - gamma_) * value
-        rows.append((delta, ratio, limit))
-    return rows
+    return delta, delta ** (0.5 * (p - 2.0) - gamma_) * cone.value, limit
 
 
 def check_lemma_d() -> list[dict]:
-    cases = ((1, 1.0), (2, 1.0), (2, 2.0))
-    radial = {g: _radial_weighted(functools.partial(upper_incomplete_gamma, g), 1.0)
-              for g in {g for _, g in cases}}
+    radial = {}
     rows = []
-    for p, g in cases:
-        table = _lemma_d_rows(p, g, radial[g])
-        delta, ratio, limit = table[-1]
+    for p, g in ((1, 1.0), (2, 1.0), (2, 2.0)):
+        if g not in radial:
+            radial[g] = _lemma_d_radial(p, g)
+        _, ratio, limit = _lemma_d_row(p, g, _LEMMA_D_DELTAS[-1], radial[g])
         err = abs(ratio / limit - 1.0)
         rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= _LEMMA_D_RTOL))
     return rows
@@ -285,7 +270,6 @@ def check_lemma_d() -> list[dict]:
 def lemma_smoments_check(
     p: int,
     m: int,
-    kappa: float,
     eps: float,
     n: int = 10 ** 6,
     seed: int = 0,
@@ -294,12 +278,10 @@ def lemma_smoments_check(
 
     The prior draws the precision from the Pareto-type marginal
     ``lambda = eps * U^{-2/p}`` and then ``s | lambda ~ chi^2_m / lambda``;
-    the scale statistic does not depend on the location draw, which is
-    therefore skipped.  The closed value
-    ``(1/2) (eps/2)^{-p/2} Gamma((m+p)/2) / Gamma(p/2)`` is kappa-free.
+    the scale statistic depends neither on the location draw, which is
+    therefore skipped, nor on kappa, which scales only that draw.  The
+    closed value is ``(1/2) (eps/2)^{-p/2} Gamma((m+p)/2) / Gamma(p/2)``.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
@@ -319,7 +301,7 @@ def lemma_smoments_check(
 
 
 def check_lemma_smoments(seed: int, n: int) -> dict:
-    mc, closed = lemma_smoments_check(2, 2, kappa=0.5, eps=1.0, n=n, seed=seed)
+    mc, closed = lemma_smoments_check(2, 2, eps=1.0, n=n, seed=seed)
     if mc.error > 0 and math.isfinite(mc.error):
         z = abs(mc.value - closed) / mc.error
     else:

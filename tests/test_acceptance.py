@@ -247,16 +247,16 @@ def test_criterion_06_quadratic_spherical_integral(capsys):
 
 
 def test_criterion_07_scale_moment(capsys):
-    mc, closed = lemma_smoments_check(2, 2, kappa=0.5, eps=1.0, n=10 ** 6, seed=71)
+    mc, closed = lemma_smoments_check(2, 2, eps=1.0, n=10 ** 6, seed=71)
     z = abs(mc.value - closed) / mc.error
-    a, _ = lemma_smoments_check(2, 2, kappa=0.1, eps=1.0, n=10 ** 6, seed=72)
-    b, _ = lemma_smoments_check(2, 2, kappa=1.0, eps=1.0, n=10 ** 6, seed=73)
+    a, _ = lemma_smoments_check(2, 2, eps=1.0, n=10 ** 6, seed=72)
+    b, _ = lemma_smoments_check(2, 2, eps=1.0, n=10 ** 6, seed=73)
     z_pair = abs(a.value - b.value) / math.hypot(a.error, b.error)
     ok = abs(closed - 1.0) < 1e-14 and z <= 3.0 and z_pair <= 3.0
     _report(
         capsys, 7, ok,
-        f"E[s^(p/2)] at (p,m,eps,kappa)=(2,2,1,0.5): closed value {closed:g}, "
-        f"MC |z| = {z:.2f} (<= 3), kappa-stability |z| = {z_pair:.2f} (<= 3)",
+        f"E[s^(p/2)] at (p,m,eps)=(2,2,1): closed value {closed:g}, "
+        f"MC |z| = {z:.2f} (<= 3), two-seed |z| = {z_pair:.2f} (<= 3)",
     )
 
 

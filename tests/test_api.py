@@ -58,18 +58,36 @@ def _functions():
                     p for p in params if p not in ("self", "cls")]
 
 
+def _is_guard(node):
+    # An ``if ...: raise`` statement: it only rejects arguments.
+    return (isinstance(node, ast.If) and not node.orelse
+            and all(isinstance(stmt, ast.Raise) for stmt in node.body))
+
+
+def _reads(node):
+    # Names loaded in node, except those in ``if ...: raise`` guards.
+    if _is_guard(node):
+        return set()
+    read = {node.id} if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else set()
+    for child in ast.iter_child_nodes(node):
+        read |= _reads(child)
+    return read
+
+
 def test_every_parameter_is_read():
-    # A parameter the body never reads is a setting that changes nothing.
-    # posterior_risk's inner_grid sized the midpoint grid its radial rule
-    # replaced; it stays only because the benchmark's frozen call sites
-    # still pass it.
+    # A parameter the body never reads, or reads only to reject it, is a
+    # setting that changes nothing.  Two are allowed:
+    # - posterior_risk's inner_grid sized the midpoint grid its radial rule
+    #   replaced; it stays only because the benchmark's frozen call sites
+    #   still pass it.
+    # - blyth._as_mu is a validator: its p is the shape it checks mu against.
     unread = []
     for node, where, params in _functions():
         body = node.body if isinstance(node.body, list) else [node.body]
-        read = {n.id for stmt in body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read = set().union(*map(_reads, body))
         unread += [f"{where}({p})" for p in params if p not in read]
-    assert [u.split(" ", 1)[1] for u in unread] == ["posterior_risk(inner_grid)"], unread
+    assert [u.split(" ", 1)[1] for u in unread] == [
+        "_as_mu(p)", "posterior_risk(inner_grid)"], unread
 
 
 def test_no_function_takes_workers():

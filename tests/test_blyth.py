@@ -95,6 +95,11 @@ class TestStatistics:
         with pytest.raises(ValueError):
             big_K(_ctx(kappa=0.0))
 
+    def test_big_K_overflow_raises(self):
+        # At m = 343 Gamma(m/2) is finite but its product with the power is not.
+        with pytest.raises(OverflowError):
+            big_K(_ctx(p=2, m=343, kappa=0.2))
+
     def test_big_K_kappa_order(self):
         # K ~ kappa^{-p/2} as kappa -> 0.
         for p in (1, 2, 3):

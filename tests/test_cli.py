@@ -64,7 +64,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [0.0, math.nan])
     def test_smoments_without_standard_error_fails(self, monkeypatch, error):
-        def degenerate(p, m, kappa, eps, n, seed):
+        def degenerate(p, m, eps, n, seed):
             return EstimateWithError(1.0, error, n, "monte_carlo"), 1.0
 
         monkeypatch.setattr(cli.verify, "lemma_smoments_check", degenerate)
@@ -183,11 +183,14 @@ class TestBlyth:
             # repr round-trips doubles losslessly.
             assert parsed == [row[0], row[1], row[2], row[3]]
 
-    def test_overflowing_K_is_usage_error(self, capsys):
-        # Gamma(m/2) in K leaves the double range from about m = 344.
-        assert main(["blyth", "--p", "2", "--m", "400"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == "usage error: K overflows at p=2, m=400, eps=1.0\n"
+    @pytest.mark.parametrize("m", [343, 400])
+    def test_overflowing_K_is_usage_error(self, capsys, m):
+        # At m = 343 Gamma(m/2) is finite but K is not; from about m = 344
+        # Gamma(m/2) itself leaves the double range.
+        assert main(["blyth", "--p", "2", "--m", str(m)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: K overflows at p=2, m={m}, eps=1.0\n"
 
     def test_bad_grid_is_usage_error(self, capsys):
         for grid in (",", "0.1,-0.2", "abc", "0.2,nan", "0.2,inf"):

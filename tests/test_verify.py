@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ntglab import blyth, ntg, verify
+from ntglab.numint import integrate_1d
 from ntglab.specfun import upper_incomplete_gamma
 from ntglab.verify import (
     _mu_lambda_quadrature,
     _random_params,
     check_lemma_bigint,
+    check_lemma_d,
     lemma_bigint_check,
     lemma_d_check,
     lemma_smoments_check,
@@ -101,22 +103,37 @@ class TestLemmaD:
         with pytest.raises(ValueError):
             lemma_d_check(2, 0.0)
 
+    def test_check_shares_each_radial_integral(self, monkeypatch):
+        # The radial factor depends on gamma alone: (1, 1.0) and (2, 1.0)
+        # share one, so the check takes two radial integrals of two
+        # quadratures each and one angular quadrature per row.  The rows are
+        # the last of the separate checks.
+        calls, quads = [], []
+
+        def counted(a, x):
+            calls.append((a, x))
+            return upper_incomplete_gamma(a, x)
+
+        def counted_quad(*args, **kwargs):
+            quads.append(args[1:3])
+            return integrate_1d(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "upper_incomplete_gamma", counted)
+        monkeypatch.setattr(verify, "integrate_1d", counted_quad)
+        rows = check_lemma_d()
+        assert len(calls) == len(set(calls)) == 294
+        assert len(quads) == 7
+        monkeypatch.undo()
+        for row, (p, g) in zip(rows, ((1, 1.0), (2, 1.0), (2, 2.0))):
+            _, ratio, limit = lemma_d_check(p, g)[-1]
+            assert (row["observed"], row["expected"]) == (ratio, limit)
+
 
 class TestLemmaSmoments:
     def test_closed_value(self):
-        _, closed = lemma_smoments_check(2, 2, kappa=1.0, eps=1.0, n=1000, seed=0)
+        _, closed = lemma_smoments_check(2, 2, eps=1.0, n=1000, seed=0)
         assert closed == pytest.approx(1.0, rel=1e-14)
 
     def test_mc_matches_closed(self):
-        mc, closed = lemma_smoments_check(2, 2, kappa=0.5, eps=1.0, n=200_000, seed=11)
+        mc, closed = lemma_smoments_check(2, 2, eps=1.0, n=200_000, seed=11)
         assert abs(mc.value - closed) <= 3.0 * mc.error
-
-    def test_kappa_free(self):
-        a, ca = lemma_smoments_check(2, 3, kappa=0.1, eps=1.0, n=100_000, seed=5)
-        b, cb = lemma_smoments_check(2, 3, kappa=1.0, eps=1.0, n=100_000, seed=6)
-        assert ca == cb
-        assert abs(a.value - b.value) <= 3.0 * math.hypot(a.error, b.error)
-
-    def test_rejects_bad_kappa(self):
-        with pytest.raises(ValueError):
-            lemma_smoments_check(2, 2, kappa=0.0, eps=1.0)
