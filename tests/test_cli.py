@@ -183,14 +183,19 @@ class TestBlyth:
             # repr round-trips doubles losslessly.
             assert parsed == [row[0], row[1], row[2], row[3]]
 
-    @pytest.mark.parametrize("m", [343, 400])
-    def test_overflowing_K_is_usage_error(self, capsys, m):
-        # At m = 343 Gamma(m/2) is finite but K is not; from about m = 344
-        # Gamma(m/2) itself leaves the double range.
-        assert main(["blyth", "--p", "2", "--m", str(m)]) == EXIT_USAGE
+    def test_overflowing_K_is_usage_error(self, capsys):
+        # Gamma(m/2) in K leaves the double range from about m = 344.
+        assert main(["blyth", "--p", "2", "--m", "400"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: K overflows at p=2, m={m}, eps=1.0\n"
+        assert captured.err == "usage error: K overflows at p=2, m=400, eps=1.0\n"
+
+    def test_overflowing_K_with_finite_gamma_is_usage_error(self, capsys):
+        # At m = 343 Gamma(m/2) is still finite but K is not.
+        assert main(["blyth", "--p", "2", "--m", "343"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: K overflows at p=2, m=343, eps=1.0\n"
 
     def test_bad_grid_is_usage_error(self, capsys):
         for grid in (",", "0.1,-0.2", "abc", "0.2,nan", "0.2,inf"):
