@@ -9,8 +9,6 @@ Everything here is available in closed form:
 * the posterior of (mu, lambda) given (x, s), itself
   NtG(p, mu_kappa, 1 + kappa, m/2, beta_kappa, eps), and its marginals of
   lambda and mu, which ``ntg`` evaluates,
-* the conditional Gaussian density of mu given (x, s, lambda), written as a
-  function ``r_kappa`` of the squared distance from mu_kappa,
 * the un-normed (improper) prior ``q = K * p`` whose kappa -> 0 limit is
   sigma-finite, together with its observable-side counterpart.
 
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ntg
-from .ntg import LocationScale, NtGParams, _freeze_vector
+from .ntg import NtGParams, _freeze_vector
 from .specfun import log_gamma, upper_incomplete_gamma
 
 __all__ = [
@@ -37,15 +35,12 @@ __all__ = [
     "mu_kappa",
     "beta_kappa",
     "big_K",
-    "r_kappa",
-    "cond_mu_density",
     "lambda_posterior_density",
     "mu_posterior_density",
     "posterior",
     "q_joint",
     "q_obs",
     "likelihood",
-    "sample_obs_given",
     "prior_params",
 ]
 
@@ -133,21 +128,6 @@ def big_K(ctx: BlythContext) -> float:
     return k
 
 
-def r_kappa(t, lam, ctx: BlythContext):
-    """The N(mu_kappa, I_p/((1+kappa) lambda)) density at squared distance t.
-
-    ((1+kappa) lambda / (2 pi))^{p/2} exp(-(1+kappa) lambda t / 2),
-    elementwise over t and lambda as numpy broadcasts them.
-    """
-    t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"squared distance must be nonnegative, got {t}")
-    if not np.all(lam > 0):
-        raise ValueError(f"precision must be positive, got {lam}")
-    k1 = 1.0 + ctx.kappa
-    return (k1 * lam / (2.0 * math.pi)) ** (0.5 * ctx.p) * np.exp(-0.5 * k1 * lam * t)
-
-
 def _as_mu(mu, p: int) -> np.ndarray:
     # mu as a float vector of the model's dimension p; rejects any other
     # shape rather than broadcasting it.
@@ -155,18 +135,6 @@ def _as_mu(mu, p: int) -> np.ndarray:
     if mu.shape != (p,):
         raise ValueError(f"mu must have shape ({p},), got {mu.shape}")
     return mu
-
-
-def cond_mu_density(
-    ctx: BlythContext, obs: Observation, lam: float, mu: np.ndarray
-) -> float:
-    """Conditional density of mu given (x, s, lambda).
-
-    Defined for every lambda > 0, extending the formula below the truncation
-    point by convention.
-    """
-    d2 = float(np.sum((_as_mu(mu, ctx.p) - mu_kappa(obs.x, ctx.kappa)) ** 2))
-    return r_kappa(d2, lam, ctx)
 
 
 # (key, posterior) of the last observation; see ``posterior``.
@@ -248,14 +216,3 @@ def likelihood(x: np.ndarray, s: float, mu: np.ndarray, lam: float, m: int) -> f
         * math.exp(-0.5 * lam * s)
         / (2.0 ** (0.5 * m) * math.exp(log_gamma(0.5 * m)))
     )
-
-
-def sample_obs_given(
-    point: LocationScale, p: int, m: int, rng: np.random.Generator
-) -> Observation:
-    """Draw (x, s) from the model at a parameter point."""
-    if point.mu.size != p:
-        raise ValueError("dimension mismatch")
-    x = point.mu + rng.standard_normal(p) / math.sqrt(point.lam)
-    s = rng.chisquare(m) / point.lam
-    return Observation(x=x, s=s)

@@ -1,8 +1,7 @@
 """Numerical integration and Monte Carlo engine.
 
-* ``integrate_1d``: adaptive 1-D quadrature on finite, semi-infinite and
-  doubly infinite intervals, raising ``QuadratureError`` when it misses
-  its tolerance;
+* ``integrate_1d``: adaptive 1-D quadrature on finite intervals and on
+  (a, inf), raising ``QuadratureError`` when it misses its tolerance;
 * ``mc_estimate``: chunked Monte Carlo with a standard error, run on every
   core of the affinity mask and bit-identical for any core count.
 
@@ -17,10 +16,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .specfun import Tolerance
 
@@ -67,43 +65,31 @@ def integrate_1d(
     a: float,
     b: float,
     tol: Tolerance | None = None,
-    points: Sequence[float] | None = None,
 ) -> EstimateWithError:
-    """Adaptive quadrature of f over (a, b); either limit may be infinite.
+    """Adaptive quadrature of f over (a, b), where b may be +inf.
 
-    A semi-infinite upper limit is mapped to (0, 1) by the rational
-    substitution ``t = a + u/(1-u)``; a lower one mirrors it, and the
-    doubly-infinite line uses ``t = u/(1-u^2)`` over (-1, 1).
+    An infinite upper limit is mapped to (0, 1) by the rational
+    substitution ``t = a + u/(1-u)``.  A -inf limit raises ValueError.
     """
+    from scipy.integrate import quad  # here, so that importing ntglab loads no scipy
+
+    if a == -math.inf or b == -math.inf:
+        raise ValueError(f"integrate_1d takes no -inf limit, got ({a}, {b})")
     if tol is None:
         tol = Tolerance(rel=1e-10, abs=1e-12, max_iter=200)
     limit = max(tol.max_iter, 50)
-    kwargs = {}
-    if a == -math.inf and b == math.inf:
-        def g(u: float) -> float:
-            w = 1.0 - u * u
-            if w <= 0.0:
-                return 0.0
-            return f(u / w) * (1.0 + u * u) / (w * w)
-
-        lo, hi = -1.0, 1.0
-    elif a == -math.inf or b == math.inf:
-        end, sign = (a, 1.0) if b == math.inf else (b, -1.0)
-
+    if b == math.inf:
         def g(u: float) -> float:
             w = 1.0 - u
             if w <= 0.0:
                 return 0.0
-            return f(end + sign * u / w) / (w * w)
+            return f(a + u / w) / (w * w)
 
         lo, hi = 0.0, 1.0
     else:
         g, lo, hi = f, a, b
-        if points:
-            kwargs["points"] = [p for p in points if a < p < b]
     val, err, info = quad(
-        g, lo, hi, epsabs=tol.abs, epsrel=tol.rel, limit=limit,
-        full_output=True, **kwargs,
+        g, lo, hi, epsabs=tol.abs, epsrel=tol.rel, limit=limit, full_output=True,
     )[:3]
     neval = int(info["neval"])
     if not math.isfinite(val):

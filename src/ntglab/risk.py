@@ -6,7 +6,10 @@ unknown precision lambda.  Its loss at the true (mu, lambda) is the set
 volume weighted by the conditional location density at the ball
 threshold, minus the inclusion weight:
 
-    L(phi) = r_kappa(c s / m | lambda) * volume(phi(x, s, .)) - phi(x, s, mu).
+    L(phi) = r_kappa(c s / m | lambda) * volume(phi(x, s, .)) - phi(x, s, mu),
+
+with r_kappa the N(x/(1+kappa), I_p/((1+kappa) lambda)) density at a
+squared distance from its centre.
 
 As phi does not depend on lambda, conjugacy integrates lambda out of the
 posterior risk, leaving the posterior density of mu, radial about
@@ -19,6 +22,10 @@ coverage tests depend on pivotal quantities only, in which the precision
 cancels, so the estimate does not read eps and serves every eps: its
 eps-independence is structural.  The same tests written with lambda, mu
 and x live in the test suite, as the oracle the pivot is checked against.
+
+The standard set, the ball of squared radius c s / m about x, is not a
+procedure here: ``regress.standard_region`` builds it for a regression, and
+``risk_difference_mc`` tests it in pivotal form (S_0 < T_0).
 """
 
 from __future__ import annotations
@@ -39,12 +46,8 @@ __all__ = [
     "Procedure",
     "ball_volume",
     "sphere_area",
-    "phi0",
     "phi_kappa",
-    "coverage",
-    "loss",
     "posterior_risk",
-    "bayes_risk",
     "risk_difference_closed",
     "risk_difference_mc",
     "risk_difference_z",
@@ -84,12 +87,6 @@ class Procedure:
     balls: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     label: str
 
-    def eval(self, x, s, mu) -> np.ndarray:
-        """Inclusion weight of mu, over batches like those of ``balls``."""
-        weights, centres, radii2 = self.balls(x, s)
-        mu = np.asarray(mu, dtype=float)[..., None, :]
-        return np.sum(weights * (np.sum((mu - centres) ** 2, axis=-1) < radii2), axis=-1)
-
     def volume(self, x, s) -> np.ndarray:
         """Lebesgue volume of the confidence set, weights included."""
         weights, centres, radii2 = self.balls(x, s)
@@ -108,56 +105,16 @@ def sphere_area(p: int) -> float:
     return p * float(ball_volume(p, 1.0))
 
 
-def _ball_procedure(ctx: BlythContext, shrink: float, label: str) -> Procedure:
-    # One ball of squared radius c*s/m centered at x/(1+shrink).
+def phi_kappa(ctx: BlythContext) -> Procedure:
+    """The posterior-risk minimizer: one ball of squared radius c*s/m
+    centered at x/(1+kappa)."""
     cm = ctx.c / ctx.m
 
     def balls(x, s):
-        centre = np.asarray(x, dtype=float) / (1.0 + shrink)
+        centre = np.asarray(x, dtype=float) / (1.0 + ctx.kappa)
         return np.ones(1), centre[..., None, :], (cm * np.asarray(s, dtype=float))[..., None]
 
-    return Procedure(balls=balls, label=label)
-
-
-def phi0(ctx: BlythContext) -> Procedure:
-    """The standard procedure: ball of squared radius c*s/m centered at x."""
-    return _ball_procedure(ctx, 0.0, "phi0")
-
-
-def phi_kappa(ctx: BlythContext) -> Procedure:
-    """The posterior-risk minimizer: same radius, center shrunk to
-    x/(1+kappa)."""
-    return _ball_procedure(ctx, ctx.kappa, f"phi_kappa[{ctx.kappa}]")
-
-
-def coverage(
-    proc: Procedure,
-    mu,
-    lam: float,
-    ctx: BlythContext,
-    n: int = 10 ** 5,
-    seed: int = 0,
-) -> EstimateWithError:
-    """MC estimate of the coverage probability E_{mu,lambda}[phi]; mu must
-    have shape (p,)."""
-    mu = blyth._as_mu(mu, ctx.p)
-    p, m = ctx.p, ctx.m
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        x = mu + rng.standard_normal((size, p)) / math.sqrt(lam)
-        s = rng.chisquare(m, size) / lam
-        return np.asarray(proc.eval(x, s, mu), dtype=float)
-
-    return mc_estimate(sampler, n, seed)
-
-
-def loss(proc: Procedure, ctx: BlythContext, x, s: float, mu, lam: float) -> float:
-    """Pointwise loss: weighted set volume minus the inclusion weight; mu
-    must have shape (p,)."""
-    mu = blyth._as_mu(mu, ctx.p)
-    x = np.asarray(x, dtype=float)
-    w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
-    return w * float(proc.volume(x, s)) - float(proc.eval(x, s, mu))
+    return Procedure(balls=balls, label=f"phi_kappa[{ctx.kappa}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,47 +238,6 @@ def posterior_risk(
                 f"at {n // 2}- and {n}-node rules", partial=(value, error))
 
 
-def _prior_draws(p: int, m: int, rng: np.random.Generator, size: int):
-    # One chunk's standardised draws for (mu, lambda) from the
-    # NtG(p,0,kappa,-p/2,0,eps) prior and (x, s) from the model, in stream
-    # order: u, z1, z2, chi2, which stand for lambda = eps u^(-2/p),
-    # mu = z1/sqrt(kappa lambda), x = mu + z2/sqrt(lambda), s = chi2/lambda.
-    # None of them depends on eps or kappa.
-    u = rng.random(size)
-    z1 = rng.standard_normal((size, p))
-    z2 = rng.standard_normal((size, p))
-    return u, z1, z2, rng.chisquare(m, size)
-
-
-def bayes_risk(
-    proc: Procedure,
-    ctx: BlythContext,
-    n: int = 10 ** 5,
-    seed: int = 0,
-) -> EstimateWithError:
-    """Prior-averaged risk by Monte Carlo over (mu, lambda, x, s).
-
-    Requires kappa > 0 (the proper prior).  The weighted-volume term uses
-    the procedure's closed-form volume, which removes the inner
-    mu-integration from every draw.
-    """
-    if ctx.kappa <= 0:
-        raise ValueError("bayes_risk requires kappa > 0")
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        u, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size)
-        lam = ctx.eps * u ** (-2.0 / ctx.p)
-        mu = z1 / np.sqrt(ctx.kappa * lam)[:, None]
-        x = mu + z2 / np.sqrt(lam)[:, None]
-        s = chi2 / lam
-        w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
-        vol = np.asarray(proc.volume(x, s), dtype=float)
-        cov = np.asarray(proc.eval(x, s, mu), dtype=float)
-        return w * vol - cov
-
-    return mc_estimate(sampler, n, seed)
-
-
 def risk_difference_closed(ctx: BlythContext) -> float:
     """Closed-form risk difference F_{p,m}(c(1+kappa)/p) - F_{p,m}(c/p).
 
@@ -359,8 +275,10 @@ def risk_difference_mc(ctx: BlythContext, n: int = 10 ** 6, seed: int = 0) -> Es
         return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        _, z1, z2, chi2 = _prior_draws(ctx.p, ctx.m, rng, size)
-        return _pivot_values(ctx, z1, z2, chi2)
+        rng.random(size)  # u, the draw of lambda, which the pivot does not read
+        z1 = rng.standard_normal((size, ctx.p))
+        z2 = rng.standard_normal((size, ctx.p))
+        return _pivot_values(ctx, z1, z2, rng.chisquare(ctx.m, size))
 
     return mc_estimate(sampler, n, seed)
 

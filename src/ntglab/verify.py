@@ -4,13 +4,12 @@ Each ``check_*`` returns report rows with the fields check_name, expected,
 observed, error and pass, ready for the CLI's JSON report.  Quadrature and
 Monte Carlo act as the oracles; the closed forms under test never feed
 their own verification.  Conjugacy and the prior's normalisation share one
-nested (mu, lambda) quadrature at p = 1.  Each appendix identity is
-computed by a ``lemma_*_check`` beside the ``check_*`` that reads it.  The
-weighted Gamma(g, t+||z||^2) integral and its small-delta cone limit, which
-is the same integral on a cone, go through one cone integral: a radial times
-an angular 1-D quadrature in the parameterization ``t = r^2 cos^2(theta)``,
+nested (mu, lambda) quadrature at p = 1.  The weighted Gamma(g, t+||z||^2)
+integral and its small-delta cone limit, which is the same integral on a
+cone, go through one cone integral: a radial times an angular 1-D
+quadrature in the parameterization ``t = r^2 cos^2(theta)``,
 ``||z|| = r sin(theta)``.  The moment of the scale statistic is estimated by
-Monte Carlo.
+Monte Carlo, in ``lemma_smoments_check``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .numint import EstimateWithError, integrate_1d, mc_estimate
 from .risk import sphere_area
 from .specfun import Tolerance, log_gamma, upper_incomplete_gamma
 
-__all__ = ["lemma_bigint_check", "lemma_d_check", "lemma_smoments_check", "run_all"]
+__all__ = ["lemma_smoments_check", "run_all"]
 
 _QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
 _CONJUGACY_PAIRS = 2  # (prior, observation) pairs of check_conjugacy
@@ -35,7 +34,7 @@ _CONJUGACY_PAIRS = 2  # (prior, observation) pairs of check_conjugacy
 # deviation of its mass from one.
 _CONJUGACY_RTOL, _NORMALIZATION_TOL, _Q_RTOL = 1e-5, 1e-6, 1e-10
 _BIGINT_RTOL, _LEMMA_D_RTOL = 1e-4, 0.05
-_LEMMA_D_DELTAS = (1e-1, 1e-2, 1e-3)  # decreasing towards the cone's limit
+_LEMMA_D_DELTA = 1e-3  # the cone's opening, small enough to approach its limit
 
 
 def _row(name: str, expected: float, observed: float, err: float, ok: bool) -> dict:
@@ -176,25 +175,13 @@ def _cone(p: int, alpha: float, beta: float, radial: EstimateWithError,
     )
 
 
-def lemma_bigint_check(p: int, alpha: float, beta: float, gamma_: float):
-    """Numeric vs. closed-form value of the weighted (t, z)-integral.
-
-    Numeric side: the integrand ``t^alpha ||z||^{2 beta}
-    Gamma(gamma, t+||z||^2) / (t+||z||^2)^gamma`` over (0, inf) x R^p,
-    reduced to a radial and an angular 1-D quadrature via the quadratic
-    spherical parameterization (t = r^2 cos^2 th, ||z|| = r sin th).
-
-    Closed side: ``pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
-    / ((alpha+beta-gamma+1+p/2) Gamma(p/2))``.
-
-    Returns (numeric: EstimateWithError, closed: float).
-    """
-    return _bigint(p, alpha, beta, gamma_, functools.partial(upper_incomplete_gamma, gamma_))
-
-
 def _bigint(p: int, alpha: float, beta: float, gamma_: float, upper_gamma: Callable):
-    # lemma_bigint_check with Gamma(gamma_, x) read from upper_gamma(x), so
-    # that check_lemma_bigint can share one memo per shape.
+    # Numeric and closed value of the weighted (t, z)-integral, with
+    # upper_gamma(x) = Gamma(gamma_, x).  Numeric side: the integrand
+    # t^alpha ||z||^{2 beta} Gamma(gamma, t+||z||^2) / (t+||z||^2)^gamma over
+    # (0, inf) x R^p, as the cone integral over the whole domain.  Closed
+    # side: pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
+    # / ((alpha+beta-gamma+1+p/2) Gamma(p/2)).
     radial = _radial_weighted(p, alpha, beta, gamma_, upper_gamma)
     numeric = _cone(p, alpha, beta, radial, 0.0)
     closed = (
@@ -220,31 +207,22 @@ def check_lemma_bigint() -> list[dict]:
     return rows
 
 
-def lemma_d_check(p: int, gamma_: float):
-    """Convergence of the cone-restricted integral to its closed-form limit.
-
-    For each delta in ``_LEMMA_D_DELTAS`` computes ``delta^{(p-2)/2 - gamma}``
-    times the integral of ``t^{gamma - p/2} Gamma(gamma, t+||z||^2) /
-    (t+||z||^2)^gamma`` over the region ``||z||^2 delta > t``, and pairs it
-    with the limit ``2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2))``.
-    That integral is lemma_bigint_check's at alpha = gamma - p/2, beta = 0,
-    on the cone theta > arctan(1/sqrt(delta)); it diverges, and ValueError
-    is raised, unless alpha > -1, that is gamma > (p-2)/2.
-
-    Returns a list of (delta, ratio, limit) rows.
-    """
-    radial = _lemma_d_radial(p, gamma_)
-    return [_lemma_d_row(p, gamma_, delta, radial) for delta in _LEMMA_D_DELTAS]
-
-
 def _lemma_d_radial(p: int, gamma_: float) -> EstimateWithError:
-    # Its power of r is exactly 1, so the radial factor depends on gamma
-    # alone and check_lemma_d shares it between dimensions.
+    # The radial factor of _lemma_d_row's cone integral.  Its power of r is
+    # exactly 1, so it depends on gamma alone and check_lemma_d shares it
+    # between dimensions.  It diverges, and ValueError is raised, unless
+    # alpha = gamma - p/2 > -1, that is gamma > (p-2)/2.
     upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
     return _radial_weighted(p, gamma_ - 0.5 * p, 0.0, gamma_, upper_gamma)
 
 
 def _lemma_d_row(p: int, gamma_: float, delta: float, radial: EstimateWithError) -> tuple:
+    # (ratio, limit): delta^{(p-2)/2 - gamma} times the integral of
+    # t^{gamma - p/2} Gamma(gamma, t+||z||^2) / (t+||z||^2)^gamma over the
+    # region ||z||^2 delta > t, which is _bigint's integral at
+    # alpha = gamma - p/2, beta = 0 on the cone theta > arctan(1/sqrt(delta)),
+    # and its delta -> 0 limit
+    # 2 pi^{p/2} Gamma(gamma+1) / ((2 gamma + 2 - p) Gamma(p/2)).
     cone = _cone(p, gamma_ - 0.5 * p, 0.0, radial, math.atan(1.0 / math.sqrt(delta)))
     limit = (
         2.0
@@ -252,7 +230,7 @@ def _lemma_d_row(p: int, gamma_: float, delta: float, radial: EstimateWithError)
         / (2.0 * gamma_ + 2.0 - p)
         * math.exp(log_gamma(gamma_ + 1.0) - log_gamma(0.5 * p))
     )
-    return delta, delta ** (0.5 * (p - 2.0) - gamma_) * cone.value, limit
+    return delta ** (0.5 * (p - 2.0) - gamma_) * cone.value, limit
 
 
 def check_lemma_d() -> list[dict]:
@@ -261,7 +239,7 @@ def check_lemma_d() -> list[dict]:
     for p, g in ((1, 1.0), (2, 1.0), (2, 2.0)):
         if g not in radial:
             radial[g] = _lemma_d_radial(p, g)
-        _, ratio, limit = _lemma_d_row(p, g, _LEMMA_D_DELTAS[-1], radial[g])
+        ratio, limit = _lemma_d_row(p, g, _LEMMA_D_DELTA, radial[g])
         err = abs(ratio / limit - 1.0)
         rows.append(_row(f"lemma_d(p={p},gamma={g})", limit, ratio, err, err <= _LEMMA_D_RTOL))
     return rows

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import kstwobign
 
 from ntglab import ntg
@@ -23,15 +24,15 @@ from ntglab.risk import (
     blyth_scaling,
     default_c,
     perturb,
-    phi0,
     phi_kappa,
     posterior_risk,
     risk_difference_closed,
     risk_difference_mc,
 )
 from ntglab.specfun import Tolerance, f_cdf, f_quantile
-from ntglab.verify import lemma_bigint_check, lemma_d_check, lemma_smoments_check
+from ntglab.verify import lemma_smoments_check
 
+from reference import inclusion, joint_quadrature, lemma_bigint_check, lemma_d_check, phi0
 from test_risk import _separate_risk_difference  # the model-space oracle
 
 _QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
@@ -42,22 +43,6 @@ def _report(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _joint_quadrature(params, f=None):
-    # Nested (mu, lambda) quadrature against the joint prior, p = 1.
-    width = 12.0 / math.sqrt(params.kappa0 * max(params.eps0, 1e-3)) + 5.0
-    c0 = float(params.mu0[0])
-
-    def inner(lam):
-        def g(mu):
-            point = LocationScale(mu=np.array([mu]), lam=lam)
-            w = ntg.prior_density(params, point)
-            return w if f is None else w * f(mu, lam)
-
-        return integrate_1d(g, c0 - width, c0 + width, _QTOL, points=[c0]).value
-
-    return integrate_1d(inner, params.eps0, math.inf, _QTOL).value
 
 
 def test_criterion_01_risk_difference_identity(capsys):
@@ -136,8 +121,8 @@ def test_criterion_04_conjugacy_oracle(capsys):
         x = rng.normal(size=1)
         s = float(rng.uniform(0.5, 3.0))
         updated = ntg.posterior_update(params, x, s, m)
-        evidence = _joint_quadrature(
-            params, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
+        evidence = joint_quadrature(
+            params, _QTOL, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
         )
         for _ in range(20):
             lam = params.eps0 + float(rng.uniform(0.05, 3.0))
@@ -194,29 +179,30 @@ def test_criterion_05_marginal_identities(capsys):
         x = rng.normal(size=1)
         s = float(rng.uniform(0.3, 3.0))
         direct = ntg.marginal_obs_density(params, m, x, s)
-        via_quad = _joint_quadrature(
-            params, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
+        via_quad = joint_quadrature(
+            params, _QTOL, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
         )
         worst = max(worst, abs(direct / via_quad - 1.0))
 
     # Normalization of each marginal.
+    quad_tol = dict(epsabs=_QTOL.abs, epsrel=_QTOL.rel, limit=_QTOL.max_iter)
     norms = []
-    norms.append(integrate_1d(
+    norms.append(integrate.quad(
         lambda mu: ntg.marginal_mu_density(params, np.array([mu])),
-        -math.inf, math.inf, _QTOL,
-    ).value)
+        -math.inf, math.inf, **quad_tol,
+    )[0])
     norms.append(integrate_1d(
         lambda lam: ntg.marginal_lambda_density(params, lam),
         params.eps0, math.inf, _QTOL,
     ).value)
 
     def over_s(x):
-        return integrate_1d(
+        return integrate.quad(
             lambda s: ntg.marginal_obs_density(params, m, np.array([x]), s),
-            0.0, math.inf, _QTOL,
-        ).value
+            0.0, math.inf, **quad_tol,
+        )[0]
 
-    norms.append(integrate_1d(over_s, -math.inf, math.inf, _QTOL).value)
+    norms.append(integrate.quad(over_s, -math.inf, math.inf, **quad_tol)[0])
     worst_norm = max(abs(v - 1.0) for v in norms)
     ok = worst <= 1e-5 and worst_norm <= 1e-5
     _report(
@@ -372,7 +358,7 @@ def test_criterion_12_regression_round_trip(capsys):
     for _ in range(1000):
         b = fit.beta_hat[:p] + rng.normal(size=p) * math.sqrt(fit.sigma2_hat)
         direct = region.contains(b)
-        mapped = bool(proc.eval(x, s, T @ b))
+        mapped = bool(inclusion(proc, x, s, T @ b))
         mismatches += direct != mapped
         included += direct
 

@@ -1,15 +1,22 @@
 """The public surface: each module's ``__all__`` resolves, no public name is
-exported by two modules, ``numint`` is the integration engine only, every
-parameter is read, and the affinity mask is the one worker control."""
+exported by two modules, every public name is reached from outside the
+tests, ``numint`` is the integration engine only, every parameter is read,
+the affinity mask is the one worker control, and importing the CLI loads
+no scipy."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 MODULES = ("specfun", "ntg", "blyth", "numint", "risk", "regress", "verify", "cli")
-_SRC = Path(__file__).resolve().parent.parent / "src" / "ntglab"
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "ntglab"
 
 
 def _module(name):
@@ -29,6 +36,36 @@ def test_no_name_exported_twice():
         for attr in _module(name).__all__:
             owners.setdefault(attr, []).append(name)
     assert {attr: mods for attr, mods in owners.items() if len(mods) > 1} == {}
+
+
+def _references(path):
+    # Names loaded and attributes read in the file, except a module-level
+    # def's or class's references to its own name.
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        names.discard(getattr(top, "name", None))
+        found |= names
+    return found
+
+
+def test_every_public_name_is_reached():
+    # A public name that nothing in src/, scripts/ or perfbench/ refers to
+    # serves only the tests, which keep their own oracles.  Re-exports in
+    # __init__.py are not uses.
+    reached = set()
+    for tree in ("src", "scripts", "perfbench"):
+        for path in sorted((_ROOT / tree).rglob("*.py")):
+            if path.name != "__init__.py":
+                reached |= _references(path)
+    unreached = [f"{name}.{attr}" for name in MODULES for attr in _module(name).__all__
+                 if attr not in reached]
+    assert not unreached, f"public names that only the tests reach: {unreached}"
 
 
 def test_numint_is_the_engine_only():
@@ -95,3 +132,13 @@ def test_no_function_takes_workers():
     # is the one worker control: no function, mc_estimate included, takes a
     # worker count.
     assert [where for _, where, params in _functions() if "workers" in params] == []
+
+
+def test_cli_starts_without_scipy():
+    # scipy is imported on the first quadrature, which no CLI start needs.
+    code = ("import json, sys, ntglab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(_ROOT / "src")})
+    loaded = json.loads(out.stdout)
+    assert not loaded, f"import ntglab.cli loads {len(loaded)} scipy modules: {loaded[:5]}, ..."

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from ntglab import ntg
 from ntglab.blyth import likelihood
@@ -22,7 +22,10 @@ from ntglab.ntg import (
 from ntglab.numint import integrate_1d
 from ntglab.specfun import Tolerance, upper_incomplete_gamma
 
+from reference import joint_quadrature
+
 _QTOL = Tolerance(rel=1e-10, abs=1e-13, max_iter=200)
+_QUAD_TOL = dict(epsabs=_QTOL.abs, epsrel=_QTOL.rel, limit=_QTOL.max_iter)
 
 
 def _proper_params(**kw):
@@ -30,25 +33,6 @@ def _proper_params(**kw):
                     eps0=0.5)
     defaults.update(kw)
     return NtGParams(**defaults)
-
-
-def _integrate_joint(params, f=None, width=None, tol=_QTOL):
-    # Nested quadrature of f(mu, lam) * prior over (mu, lambda), p = 1.
-    if width is None:
-        width = 12.0 / math.sqrt(params.kappa0 * max(params.eps0, 1e-3)) + 5.0
-    c0 = float(params.mu0[0])
-
-    def inner(lam):
-        def g(mu):
-            point = LocationScale(mu=np.array([mu]), lam=lam)
-            w = prior_density(params, point)
-            return w if f is None else w * f(mu, lam)
-
-        # At large lambda the mu-slice is a very narrow Gaussian around mu0;
-        # splitting the panel there keeps the adaptive rule from missing it.
-        return integrate_1d(g, c0 - width, c0 + width, tol, points=[c0]).value
-
-    return integrate_1d(inner, params.eps0, math.inf, tol).value
 
 
 class TestNtGParams:
@@ -124,7 +108,7 @@ class TestNormalizingConstant:
         # The beta0 = 0 tail decays only polynomially in lambda; the nested
         # quadrature converges there, just to a looser figure.
         tol = _QTOL if kw["beta0"] > 0 else Tolerance(rel=1e-5, abs=1e-8)
-        total = _integrate_joint(params, tol=tol)
+        total = joint_quadrature(params, tol)
         assert total == pytest.approx(1.0, abs=5e-5)
 
 
@@ -196,8 +180,8 @@ class TestPosteriorUpdate:
         x = np.array([0.7])
         s, m = 1.9, 3
         updated = posterior_update(params, x, s, m)
-        evidence = _integrate_joint(
-            params, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
+        evidence = joint_quadrature(
+            params, _QTOL, lambda mu, lam: likelihood(x, s, np.array([mu]), lam, m)
         )
         for _ in range(12):
             lam = params.eps0 + float(rng.uniform(0.05, 3.0))
@@ -267,12 +251,12 @@ class TestMarginals:
 
     def test_mu_marginal_integrates_to_one(self):
         params = _proper_params(kappa0=0.9, alpha0=-0.3, beta0=1.2, eps0=0.5)
-        total = integrate_1d(
+        total = integrate.quad(
             lambda mu: marginal_mu_density(params, np.array([mu])),
             -math.inf,
             math.inf,
-            _QTOL,
-        ).value
+            **_QUAD_TOL,
+        )[0]
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_mu_marginal_singularity_flagged(self):
@@ -314,8 +298,8 @@ class TestMarginals:
         for x, s, m in ((0.5, 1.0, 2), (-1.2, 2.5, 1), (2.0, 0.3, 4)):
             xv = np.array([x])
             direct = marginal_obs_density(params, m, xv, s)
-            quad = _integrate_joint(
-                params, lambda mu, lam: likelihood(xv, s, np.array([mu]), lam, m)
+            quad = joint_quadrature(
+                params, _QTOL, lambda mu, lam: likelihood(xv, s, np.array([mu]), lam, m)
             )
             assert direct == pytest.approx(quad, rel=1e-6)
 
@@ -324,14 +308,14 @@ class TestMarginals:
         m = 2
 
         def over_s(x):
-            return integrate_1d(
+            return integrate.quad(
                 lambda s: marginal_obs_density(params, m, np.array([x]), s),
                 0.0,
                 math.inf,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
 
-        total = integrate_1d(over_s, -math.inf, math.inf, _QTOL).value
+        total = integrate.quad(over_s, -math.inf, math.inf, **_QUAD_TOL)[0]
         assert total == pytest.approx(1.0, rel=1e-6)
 
 

@@ -33,6 +33,11 @@ class TestIntegrate1d:
         est = integrate_1d(lambda t: t ** -2 * math.exp(-t), 1.0, math.inf)
         assert est.value == pytest.approx(upper_incomplete_gamma(-1.0, 1.0), rel=1e-9)
 
+    @pytest.mark.parametrize("a,b", [(-math.inf, 0.0), (-math.inf, math.inf), (0.0, -math.inf)])
+    def test_minus_infinite_limit_raises(self, a, b):
+        with pytest.raises(ValueError, match="-inf"):
+            integrate_1d(lambda t: math.exp(-t * t), a, b)
+
     def test_error_estimates_conservative(self):
         # Known-value suite: polynomial times exponential on (0, inf) and
         # polynomials on (0, 1).  The reported bound should cover the true

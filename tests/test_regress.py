@@ -14,8 +14,10 @@ from ntglab.regress import (
     reduce_to_location_scale,
     standard_region,
 )
-from ntglab.risk import default_c, phi0
+from ntglab.risk import default_c
 from ntglab.specfun import f_cdf
+
+from reference import inclusion, phi0
 
 
 def _simulate(n, d, seed, beta=None, sigma=1.0):
@@ -125,7 +127,7 @@ class TestReduction:
         for _ in range(500):
             b = fit.beta_hat[:p] + rng.normal(size=p) * math.sqrt(fit.sigma2_hat)
             direct = region.contains(b)
-            mapped = bool(proc.eval(x, s, T @ b))
+            mapped = bool(inclusion(proc, x, s, T @ b))
             assert direct == mapped
             agree += direct
         assert 0 < agree < 500  # both outcomes actually exercised

@@ -14,13 +14,9 @@ from ntglab.risk import (
     _cap_fraction,
     _pivot_values,
     ball_volume,
-    bayes_risk,
     blyth_scaling,
-    coverage,
     default_c,
-    loss,
     perturb,
-    phi0,
     phi_kappa,
     posterior_risk,
     risk_difference_closed,
@@ -29,11 +25,54 @@ from ntglab.risk import (
 )
 from ntglab.specfun import Tolerance, f_cdf
 
+from reference import inclusion, phi0, r_kappa
+
 
 def _ctx(**kw):
     defaults = dict(p=2, m=2, c=2.0, kappa=1.0, eps=1.0)
     defaults.update(kw)
     return BlythContext(**defaults)
+
+
+def coverage(proc, mu, lam, ctx, n, seed):
+    """MC estimate of the coverage probability E_{mu,lambda}[phi]; mu must
+    have shape (p,)."""
+    mu = blyth._as_mu(mu, ctx.p)
+    p, m = ctx.p, ctx.m
+
+    def sampler(rng, size):
+        x = mu + rng.standard_normal((size, p)) / math.sqrt(lam)
+        s = rng.chisquare(m, size) / lam
+        return np.asarray(inclusion(proc, x, s, mu), dtype=float)
+
+    return mc_estimate(sampler, n, seed)
+
+
+def loss(proc, ctx, x, s, mu, lam):
+    """Pointwise loss: the set volume weighted by r_kappa at the ball
+    threshold c s / m, minus the inclusion weight; mu must have shape (p,)."""
+    mu = blyth._as_mu(mu, ctx.p)
+    x = np.asarray(x, dtype=float)
+    w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
+    return w * float(proc.volume(x, s)) - float(inclusion(proc, x, s, mu))
+
+
+def bayes_risk(proc, ctx, n, seed=0):
+    """Prior-averaged risk by Monte Carlo over (mu, lambda, x, s), from the
+    draws (u, z1, z2, chi2) of risk_difference_mc; requires kappa > 0."""
+    if ctx.kappa <= 0:
+        raise ValueError("bayes_risk requires kappa > 0")
+    p = ctx.p
+
+    def sampler(rng, size):
+        lam = ctx.eps * rng.random(size) ** (-2.0 / p)
+        mu = rng.standard_normal((size, p)) / np.sqrt(ctx.kappa * lam)[:, None]
+        x = mu + rng.standard_normal((size, p)) / np.sqrt(lam)[:, None]
+        s = rng.chisquare(ctx.m, size) / lam
+        w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
+        return w * np.asarray(proc.volume(x, s), dtype=float) - inclusion(proc, x, s, mu)
+
+    return mc_estimate(sampler, n, seed)
 
 
 def _never(x, s):
@@ -77,7 +116,7 @@ def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
     mesh, width, _ = _midpoint_mesh(*_box(proc, obs), inner_grid)
     cell = float(np.prod(width))
     d2 = np.sum((mesh - center) ** 2, axis=-1)
-    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), float)
+    vals = np.asarray(inclusion(proc, obs.x, np.full(mesh.shape[0], obs.s), mesh), float)
     ups = float(np.sum(vals)) * cell
 
     def inner(lam):
@@ -85,7 +124,7 @@ def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
             -0.5 * k1 * lam * d2
         )
         hit = float(np.sum(vals * dens)) * cell
-        return blyth.r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
+        return r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
 
     return integrate_1d(
         lambda lam: blyth.lambda_posterior_density(ctx, obs, lam) * inner(lam),
@@ -124,7 +163,7 @@ def _grid_posterior_risk(proc, ctx, obs, inner_grid=65536):
     def excess(t):
         return w - np.exp(_log_mu_posterior(ctx, obs, t))
 
-    vals = np.asarray(proc.eval(obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
+    vals = np.asarray(inclusion(proc, obs.x, np.full(mesh.shape[0], obs.s), mesh), dtype=float)
     terms = vals * excess(np.sum((mesh - center) ** 2, axis=-1))
     value = float(np.sum(terms)) * cell
 
@@ -170,7 +209,7 @@ def _split_reference(proc, ctx, obs):
     lo, hi = (float(v[0]) for v in _box(proc, obs))
 
     def ev(u):
-        return float(proc.eval(obs.x, obs.s, np.array([u])))
+        return float(inclusion(proc, obs.x, obs.s, np.array([u])))
 
     coarse = np.linspace(lo, hi, 2001)
     cuts = [lo]
@@ -223,9 +262,9 @@ class TestProcedures:
         proc = phi0(ctx)
         x = np.array([1.0, 0.0])
         s = 2.0  # squared radius c*s/m = 2
-        assert proc.eval(x, s, np.array([1.0, 0.0])) == 1.0
-        assert proc.eval(x, s, np.array([1.0, 1.4])) == 1.0
-        assert proc.eval(x, s, np.array([1.0, 1.5])) == 0.0
+        assert inclusion(proc, x, s, np.array([1.0, 0.0])) == 1.0
+        assert inclusion(proc, x, s, np.array([1.0, 1.4])) == 1.0
+        assert inclusion(proc, x, s, np.array([1.0, 1.5])) == 0.0
 
     def test_phi_kappa_center_shrinks(self):
         ctx = _ctx(p=1, m=2, c=2.0, kappa=1.0)
@@ -233,8 +272,8 @@ class TestProcedures:
         x = np.array([2.0])
         s = 0.01
         # Center is x/(1+kappa) = 1; x itself is outside the tiny ball.
-        assert proc.eval(x, s, np.array([1.0])) == 1.0
-        assert proc.eval(x, s, np.array([2.0])) == 0.0
+        assert inclusion(proc, x, s, np.array([1.0])) == 1.0
+        assert inclusion(proc, x, s, np.array([2.0])) == 0.0
 
     def test_eval_broadcasts(self):
         ctx = _ctx()
@@ -242,7 +281,7 @@ class TestProcedures:
         x = np.zeros((5, 2))
         s = np.full(5, 2.0)
         mu = np.zeros((5, 2))
-        out = proc.eval(x, s, mu)
+        out = inclusion(proc, x, s, mu)
         assert out.shape == (5,)
         assert np.all(out == 1.0)
 
@@ -310,7 +349,7 @@ class TestLoss:
         proc = Procedure(balls=balls, label="two-ball")
         x, s, lam = np.zeros(2), 2.0, 1.5
         assert float(proc.volume(x, s)) == pytest.approx(1.5 * math.pi, rel=1e-15)
-        w = blyth.r_kappa(ctx.c * s / ctx.m, lam, ctx)
+        w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
         assert loss(proc, ctx, x, s, np.array([1.5, 0.0]), lam) == pytest.approx(
             w * 1.5 * math.pi - 0.25, rel=1e-14
         )
@@ -948,11 +987,11 @@ class TestPerturb:
         s = 1.8
         rng = np.random.default_rng(0)
         probes = rng.normal(size=(400, 2))
-        base_vals = base.eval(x, np.full(400, s), probes)
+        base_vals = inclusion(base, x, np.full(400, s), probes)
         for seed in range(12):
             rival = perturb(base, seed)
             vals = np.asarray(
-                rival.eval(x, np.full(400, s), probes), dtype=float
+                inclusion(rival, x, np.full(400, s), probes), dtype=float
             )
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             assert np.any(vals != base_vals)
@@ -968,7 +1007,7 @@ class TestPerturb:
             _, centres, radii2 = rival.balls(x, s)
             probes = centres[0] + 2.0 * rng.normal(size=(500, 2))
             vals = np.asarray(
-                rival.eval(x, np.full(500, s), probes), dtype=float
+                inclusion(rival, x, np.full(500, s), probes), dtype=float
             )
             d2 = np.sum((probes[:, None, :] - centres) ** 2, axis=-1)
             outside = np.all(d2 >= radii2, axis=-1)

@@ -11,10 +11,10 @@ from ntglab.verify import (
     _random_params,
     check_lemma_bigint,
     check_lemma_d,
-    lemma_bigint_check,
-    lemma_d_check,
     lemma_smoments_check,
 )
+
+from reference import lemma_bigint_check, lemma_d_check
 
 
 class TestMuLambdaQuadrature:
