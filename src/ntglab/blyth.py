@@ -196,23 +196,28 @@ def q_obs(ctx: BlythContext, obs: Observation) -> float:
     )
 
 
-def likelihood(x: np.ndarray, s: float, mu: np.ndarray, lam: float, m: int) -> float:
+def likelihood(x: np.ndarray, s: float, mu: np.ndarray, lam: float, m: int):
     """Density of (x, s) given (mu, lambda): Gaussian times scaled chi-square.
 
     (lambda/(2 pi))^{p/2} e^{-lambda ||x-mu||^2/2}
     * lambda^{m/2} s^{m/2-1} e^{-lambda s/2} / (2^{m/2} Gamma(m/2)).
+    Broadcasts over a stack of means mu (..., p) and precisions lambda; a
+    single (mu, lambda) gives a float.
     """
     x = np.asarray(x, dtype=float)
     p = x.size
-    mu = _as_mu(mu, p)
-    if not (s > 0 and lam > 0):
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape[-1:] != (p,):
+        raise ValueError(f"mu must have shape (..., {p}), got {mu.shape}")
+    if not (s > 0 and np.asarray(lam > 0).all()):
         raise ValueError("s and lambda must be positive")
-    d2 = float(np.sum((x - mu) ** 2))
-    return (
+    d2 = ((x - mu) ** 2).sum(axis=-1)
+    dens = (
         (lam / (2.0 * math.pi)) ** (0.5 * p)
-        * math.exp(-0.5 * lam * d2)
+        * np.exp(-0.5 * lam * d2)
         * lam ** (0.5 * m)
         * s ** (0.5 * m - 1.0)
-        * math.exp(-0.5 * lam * s)
+        * np.exp(-0.5 * lam * s)
         / (2.0 ** (0.5 * m) * math.exp(log_gamma(0.5 * m)))
     )
+    return dens if dens.ndim else float(dens)

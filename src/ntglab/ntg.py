@@ -114,14 +114,20 @@ class NtGParams:
 
 @dataclass(frozen=True)
 class LocationScale:
-    """A parameter point: mean vector and precision lambda = 1/sigma^2."""
+    """A parameter point, mean vector and precision lambda = 1/sigma^2, or a
+    stack of them: mu (..., p) and lam broadcasting against mu's leading axes."""
 
     mu: np.ndarray
     lam: float
 
     def __post_init__(self) -> None:
-        _freeze_vector(self, "mu")
-        if not self.lam > 0:
+        mu = np.array(self.mu, dtype=float)
+        if mu.ndim < 1:
+            raise ValueError("mu must be a vector or a stack of vectors")
+        mu.flags.writeable = False
+        object.__setattr__(self, "mu", mu)
+        positive = self.lam > 0
+        if positive is not True and not np.all(positive):  # a float gives a bool
             raise ValueError(f"precision must be positive, got {self.lam}")
 
 
@@ -146,20 +152,21 @@ def _scaled_normaliser(params: NtGParams, pref: float) -> float:
     return pref * (-params.alpha0) * params.eps0 ** (-params.alpha0)
 
 
-def prior_density(params: NtGParams, point: LocationScale) -> float:
-    """Joint prior density at (mu, lambda); zero for lambda <= eps0."""
-    if point.mu.size != params.p:
+def prior_density(params: NtGParams, point: LocationScale):
+    """Joint prior density at (mu, lambda), zero for lambda <= eps0: a float
+    at one point, an array over a stack."""
+    if point.mu.shape[-1] != params.p:
         raise ValueError("dimension mismatch between params and point")
-    if point.lam <= params.eps0:
-        return 0.0
-    d2 = float(np.sum((point.mu - params.mu0) ** 2))
-    c = normalizing_constant(params)
-    return (
-        c
+    lam = point.lam
+    d2 = ((point.mu - params.mu0) ** 2).sum(axis=-1)
+    dens = (
+        normalizing_constant(params)
         * params.kappa0 ** (0.5 * params.p)
-        * point.lam ** (params.alpha0 + 0.5 * params.p - 1.0)
-        * math.exp(-point.lam * (params.beta0 + 0.5 * params.kappa0 * d2))
+        * lam ** (params.alpha0 + 0.5 * params.p - 1.0)
+        * np.exp(-lam * (params.beta0 + 0.5 * params.kappa0 * d2))
+        * (lam > params.eps0)
     )
+    return dens if dens.ndim else float(dens)
 
 
 def _update(params: NtGParams, x: np.ndarray, s: float, m: int) -> tuple:

@@ -13,8 +13,8 @@ squared distance from its centre.
 
 As phi does not depend on lambda, conjugacy integrates lambda out of the
 posterior risk, leaving the posterior density of mu, radial about
-``mu_kappa``, which ``posterior_risk`` integrates along the radius.  The
-risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
+``mu_kappa``, which ``posterior_risk`` integrates along the radius with
+``numint.gauss_legendre``, the one quadrature rule.  The risk is minimized by the equal-radius ball recentered at ``mu_kappa``; the
 prior risk difference between the standard and the recentered ball is
 ``F_{p,m}(c (1+kappa)/p) - F_{p,m}(c/p)`` whatever the truncation eps.
 ``risk_difference_mc`` checks that by paired Monte Carlo.  Both balls'
@@ -30,7 +30,6 @@ procedure here: ``regress.standard_region`` builds it for a regression, and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, QuadratureError, mc_estimate
+from .numint import EstimateWithError, gauss_legendre, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -56,8 +55,6 @@ __all__ = [
     "default_c",
 ]
 
-_RULE_START = 32  # nodes of posterior_risk's first Gauss-Legendre rule
-_RULE_CAP = 1 << 10  # largest rule posterior_risk may double to
 _DEFAULT_TOL = Tolerance(rel=1e-12, abs=1e-15)
 # The posterior density's relative rounding error, in units of machine
 # epsilon, as A + B (m + p)/2: B for the power b^((m+p)/2) and the shape of
@@ -117,13 +114,6 @@ def phi_kappa(ctx: BlythContext) -> Procedure:
     return Procedure(balls=balls, label=f"phi_kappa[{ctx.kappa}]")
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n-node Gauss-Legendre rule on (0, 1); built on first use, not at import.
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
 def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     """Share of the sphere of radius r about the origin inside the open ball
     of radius R centred at distance d.  At p = 1 the sphere is two points;
@@ -173,20 +163,14 @@ def posterior_risk(
         Pi(d, R) = int_0^inf pi_kappa(r^2) |S^{p-1}| r^{p-1} frac_p(r; d, R) dr,
 
     where ``frac_p`` (``_cap_fraction``) is 1 below R - d, a spherical cap
-    up to d + R, and 0 beyond.  Both pieces are mapped to (0, pi) by
-    ``r = lo + (hi - lo)(1 - cos t)/2``, which smooths the cap's square-root
-    ends, and summed by Gauss-Legendre rules with n and 2n nodes, from
-    n = 32; each round sends every node and w through one density call.
-    The value is the 2n-node sum; n doubles while ``sum_k |a_k| |G_2n - G_n|``
-    exceeds ``tol.abs + tol.rel |value|``, and a non-finite result, or
-    passing ``_RULE_CAP`` nodes, raises ``QuadratureError``.  The reported
-    error is that difference plus the density's rounding, which both rules
-    share: ``(A + B (m+p)/2) eps_mach`` (``_ROUNDING_ULPS``) times the
-    magnitudes summed, ``|w vol| + sum_k |a_k| G_2n,k``.  ``inner_grid`` is
+    up to d + R, and 0 beyond.  ``numint.gauss_legendre`` sums both pieces,
+    with coefficients -a_k and the offset w vol; each round sends every node
+    and w through one density call.  The density's own rounding, which the
+    rule's two sums share, is ``(A + B (m+p)/2) eps_mach``
+    (``_ROUNDING_ULPS``) relative.  ``inner_grid`` is
     ignored: it sized the midpoint grid this rule replaced, and existing
     callers still pass it.
     """
-    tol = tol or _DEFAULT_TOL
     p = ctx.p
     post = blyth.posterior(ctx, obs)
     weights, centres, radii2 = proc.balls(obs.x, obs.s)
@@ -197,45 +181,19 @@ def posterior_risk(
     lo = np.concatenate([np.zeros_like(d), np.abs(d - radius)])
     hi = np.concatenate([np.maximum(radius - d, 0.0), d + radius])
     keep = hi > lo
-    lo, hi = lo[keep, None], hi[keep, None]
     row_d, row_radius = np.tile(d, 2)[keep, None], np.tile(radius, 2)[keep, None]
-    row_weight = np.tile(weights, 2)[keep]
     area = sphere_area(p)
-
-    def rule(n):  # nodes r and weights of the n-node rule, one row per piece
-        u, gl = _gauss_legendre(n)
-        r = lo + (hi - lo) * (0.5 - 0.5 * np.cos(math.pi * u))
-        jac = (hi - lo) * (0.5 * math.pi) * np.sin(math.pi * u) * gl
-        return r, jac * area * r ** (p - 1) * _cap_fraction(p, r, row_d, row_radius)
-
-    n, n_evals = _RULE_START, 0
     volume = float(proc.volume(obs.x, obs.s))
-    while True:
-        (r1, h1), (r2, h2) = rule(n), rule(2 * n)
-        t = np.square(np.concatenate([r1, r2], axis=-1)).ravel()
-        t = np.append(t, ctx.c * obs.s / ctx.m)  # and w's squared distance
+
+    def integrand(r, w):
+        t = np.append(np.square(r).ravel(), ctx.c * obs.s / ctx.m)  # and w's squared distance
         dens = ntg.marginal_mu_density_sqdist(post, t)
-        n_evals += dens.size
-        both = dens[:-1].reshape(-1, 3 * n)
-        coarse, fine = np.sum(h1 * both[:, :n], axis=-1), np.sum(h2 * both[:, n:], axis=-1)
-        value = float(dens[-1] * volume - np.sum(row_weight * fine))
-        error = float(np.sum(np.abs(row_weight * (fine - coarse))))
-        if not (math.isfinite(value) and math.isfinite(error)):
-            raise QuadratureError(
-                f"posterior risk of {proc.label!r} is not finite", partial=(value, error))
-        if error <= tol.abs + tol.rel * abs(value):
-            # The two rules share their density values, so |G_2n - G_n|
-            # cannot see the density's rounding: add it, relative to the
-            # magnitudes summed, outside the doubling test.
-            magnitude = abs(dens[-1] * volume) + np.sum(np.abs(row_weight * fine))
-            ulps = _ROUNDING_ULPS[0] + _ROUNDING_ULPS[1] * 0.5 * (ctx.m + p)
-            rounding = ulps * _MACH_EPS * float(magnitude)
-            return EstimateWithError(value, error + rounding, n_evals, "quadrature")
-        n *= 2
-        if 2 * n > _RULE_CAP:
-            raise QuadratureError(
-                f"posterior risk of {proc.label!r}: error {error:.3e} above tolerance "
-                f"at {n // 2}- and {n}-node rules", partial=(value, error))
+        h = w * area * r ** (p - 1) * _cap_fraction(p, r, row_d, row_radius)
+        return h * dens[:-1].reshape(r.shape), dens[-1] * volume, dens.size
+
+    ulps = _ROUNDING_ULPS[0] + _ROUNDING_ULPS[1] * 0.5 * (ctx.m + p)
+    return gauss_legendre(integrand, lo[keep], hi[keep], -np.tile(weights, 2)[keep],
+                          tol or _DEFAULT_TOL, ulps * _MACH_EPS)
 
 
 def risk_difference_closed(ctx: BlythContext) -> float:

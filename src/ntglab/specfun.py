@@ -64,11 +64,14 @@ _NEWTON_CAP = 200
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence targets of ``numint.integrate_1d`` and ``risk.posterior_risk``.
+    """Convergence targets of ``numint.gauss_legendre``.
 
     ``specfun`` does not read it, but it is the lowest layer: its readers
     and the benchmark import it from here, and moving it up to ``numint``
     would need a re-export here, which would make ``specfun`` import upward.
+    ``max_iter`` is frozen, not live: nothing in ``src/`` reads it, since the
+    rule's cap is ``numint._RULE_CAP``.  It stays only because the
+    benchmark's frozen call sites still pass it.
     """
 
     rel: float = 1e-14

@@ -3,18 +3,19 @@
 Each ``check_*`` returns report rows with the fields check_name, expected,
 observed, error and pass, ready for the CLI's JSON report.  Quadrature and
 Monte Carlo act as the oracles; the closed forms under test never feed
-their own verification.  Conjugacy and the prior's normalisation share one
-nested (mu, lambda) quadrature at p = 1.  The weighted Gamma(g, t+||z||^2)
-integral and its small-delta cone limit, which is the same integral on a
-cone, go through one cone integral: a radial times an angular 1-D
-quadrature in the parameterization ``t = r^2 cos^2(theta)``,
-``||z|| = r sin(theta)``.  The moment of the scale statistic is estimated by
-Monte Carlo, in ``lemma_smoments_check``.
+their own verification.  Every quadrature is ``numint.gauss_legendre``.
+Conjugacy and the prior's normalisation share one (mu, lambda) quadrature
+at p = 1, a tensor product of the rule on the unit square over which the
+densities broadcast.  The weighted Gamma(g, t+||z||^2) integral and its
+small-delta cone limit, which is the same integral on a cone, go through
+one cone integral: a radial times an angular 1-D quadrature in the
+parameterization ``t = r^2 cos^2(theta)``, ``||z|| = r sin(theta)``; each
+round of the radial rule takes one array Gamma call.  The moment of the
+scale statistic is estimated by Monte Carlo, in ``lemma_smoments_check``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -22,13 +23,21 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, integrate_1d, mc_estimate
+from .numint import EstimateWithError, gauss_legendre, mc_estimate
 from .risk import sphere_area
-from .specfun import Tolerance, log_gamma, upper_incomplete_gamma
+from .specfun import Tolerance, log_gamma, upper_incomplete_gamma_array
 
 __all__ = ["lemma_smoments_check", "run_all"]
 
-_QTOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=200)
+_QTOL = Tolerance(rel=1e-9, abs=1e-12)  # the (mu, lambda) oracle's
+_LEMMA_TOL = Tolerance(rel=1e-10, abs=1e-12)  # the lemmas' radial and angular integrals
+_MU_WINDOW = 12.0  # the oracle's half-width in mu, in standard deviations 1/sqrt(kappa0 lambda)
+_RADIAL_END = 7.0  # where the radial integral stops; its tail is bounded in closed form
+# The integrands' relative rounding, which a rule's two sums share, with a
+# margin of about 3 over 30-digit mpmath: the lemmas' Gamma(g, x) arrays were
+# within 22 ulps on (0, 49], and likelihood * prior within 91 ulps at 900
+# random points of three check_conjugacy pairs.
+_LEMMA_ROUNDING, _ORACLE_ROUNDING = 64.0 * np.finfo(float).eps, 256.0 * np.finfo(float).eps
 _CONJUGACY_PAIRS = 2  # (prior, observation) pairs of check_conjugacy
 # The checks' pass thresholds: relative errors, except the prior's absolute
 # deviation of its mass from one.
@@ -60,19 +69,26 @@ def _random_params(rng: np.random.Generator) -> ntg.NtGParams:
     )
 
 
-def _mu_lambda_quadrature(params: ntg.NtGParams, center: float, f: Callable) -> float:
-    # Integral of f(LocationScale) over (mu, lambda), p = 1, by nested adaptive
-    # quadrature; the mu window about center is generous relative to the
-    # smallest admissible precision.
-    width = 12.0 / math.sqrt(params.kappa0 * max(params.eps0, 1e-3)) + 5.0
+def _mu_lambda_quadrature(params: ntg.NtGParams, center: float, f: Callable) -> EstimateWithError:
+    # Integral of f(LocationScale) over (mu, lambda), p = 1, by the rule's
+    # tensor product on the unit square (t, v), with lambda = eps0 + t/(1-t),
+    # mu = center + h (2v - 1) and h = _MU_WINDOW / sqrt(kappa0 lambda): the
+    # n-node rule in t pairs with the n-node rule in v, the 2n with the 2n.
+    # The mass outside the window is below erfc(_MU_WINDOW / sqrt 2) relative.
+    def integrand(r, w):
+        n = r.shape[-1] // 3
+        t, wt = r[0], w[0]
+        lam = params.eps0 + t / (1.0 - t)
+        half = _MU_WINDOW / np.sqrt(params.kappa0 * lam)
+        inner = []
+        for b in (slice(None, n), slice(n, None)):  # the n-node, then the 2n-node rule
+            mu = center + half[b, None] * (2.0 * t[b] - 1.0)
+            inner.append(f(ntg.LocationScale(mu=mu[..., None], lam=lam[b, None])) @ wt[b])
+        terms = wt * (2.0 * half / (1.0 - t) ** 2) * np.concatenate(inner)
+        return terms[None], 0.0, 5 * n * n
 
-    def inner(lam: float) -> float:
-        def g(mu: float) -> float:
-            return f(ntg.LocationScale(mu=np.array([mu]), lam=lam))
-
-        return integrate_1d(g, center - width, center + width, _QTOL).value
-
-    return integrate_1d(inner, params.eps0, math.inf, _QTOL).value
+    tail = math.erfc(_MU_WINDOW / math.sqrt(2.0))
+    return gauss_legendre(integrand, [0.0], [1.0], 1.0, _QTOL, _ORACLE_ROUNDING + tail)
 
 
 def check_conjugacy(seed: int) -> dict:
@@ -90,7 +106,7 @@ def check_conjugacy(seed: int) -> dict:
             return blyth.likelihood(x, s, point.mu, point.lam, m) * ntg.prior_density(params, point)
 
         center = float((x[0] + params.kappa0 * params.mu0[0]) / (1.0 + params.kappa0))
-        evidence = _mu_lambda_quadrature(params, center, joint)
+        evidence = _mu_lambda_quadrature(params, center, joint).value
         for _ in range(10):
             lam = params.eps0 + float(rng.uniform(0.05, 3.0))
             mu = updated.mu0 + rng.normal(size=1) / math.sqrt(updated.kappa0 * lam)
@@ -107,7 +123,7 @@ def check_normalization(seed: int) -> dict:
     params = _random_params(rng)
     total = _mu_lambda_quadrature(
         params, float(params.mu0[0]), lambda point: ntg.prior_density(params, point)
-    )
+    ).value
     err = abs(total - 1.0)
     return _row("prior_normalization", 1.0, total, err, err <= _NORMALIZATION_TOL)
 
@@ -133,28 +149,33 @@ def check_q_identity(seed: int) -> dict:
     return _row("q_equals_K_times_p", 0.0, worst, worst, worst <= _Q_RTOL)
 
 
-def _radial_weighted(p: int, alpha: float, beta: float, gamma_: float,
-                     upper_gamma: Callable[[float], float]) -> EstimateWithError:
+def _radial_weighted(p: int, alpha: float, beta: float, gamma_: float) -> EstimateWithError:
     # The radial factor of the weighted integral: the integral over r in
-    # (0, inf) of 2 r^k Gamma(gamma_, r^2), with upper_gamma(x) =
-    # Gamma(gamma_, x), split at 1 to isolate the possible algebraic
-    # singularity at the origin.  The factor 2 belongs to the Jacobian
-    # 2 r^2 cos(theta) of the (t, rho) -> (r, theta) change of variables, and
-    # k combines the powers of r analytically so small-r probes cannot
-    # overflow.  Raises ValueError where the weighted integral diverges.
+    # (0, inf) of 2 r^k Gamma(gamma_, r^2), on the pieces (0, 1), which
+    # isolates the possible algebraic singularity at the origin, and
+    # (1, _RADIAL_END).  The factor 2 belongs to the Jacobian 2 r^2 cos(theta)
+    # of the (t, rho) -> (r, theta) change of variables, and k combines the
+    # powers of r analytically so small-r nodes cannot overflow.  Raises
+    # ValueError where the weighted integral diverges.
     denom = alpha + beta - gamma_ + 1.0 + 0.5 * p
     if denom <= 0 or alpha <= -1 or beta + 0.5 * p <= 0:
         raise ValueError("integral diverges: need alpha+beta-gamma+1+p/2 > 0, alpha > -1 and "
                          f"beta > -p/2 (alpha={alpha}, beta={beta}, sum={denom})")
-    k = 2.0 * alpha + 2.0 * beta - 2.0 * gamma_ + p + 1.0
+    # The tail beyond R = _RADIAL_END: with X = R^2 and a = denom + gamma, it
+    # is int_X^inf x^(denom-1) Gamma(gamma, x) dx <= Gamma(a, X) / denom by
+    # parts, and Gamma(a, X) <= X^a e^-X / (X - max(a - 1, 0)) for X > a - 1.
+    x_end, a = _RADIAL_END ** 2, denom + gamma_
+    if a - 1.0 >= x_end:
+        raise ValueError(f"the radial tail bound needs alpha+beta+p/2 < {x_end}, got {a - 1.0}")
+    tail = x_end ** a * math.exp(-x_end) / (denom * (x_end - max(a - 1.0, 0.0)))
+    k = 2.0 * denom - 1.0
 
-    def f(r: float) -> float:
-        return 2.0 * r ** k * upper_gamma(r * r)
+    def integrand(r, w):
+        return w * 2.0 * r ** k * upper_incomplete_gamma_array(gamma_, r * r), 0.0, r.size
 
-    lo = integrate_1d(f, 0.0, 1.0)
-    hi = integrate_1d(f, 1.0, math.inf)
-    return EstimateWithError(lo.value + hi.value, lo.error + hi.error,
-                             lo.n_evals + hi.n_evals, "quadrature")
+    est = gauss_legendre(integrand, [0.0, 1.0], [1.0, _RADIAL_END], 1.0, _LEMMA_TOL,
+                         _LEMMA_ROUNDING)
+    return EstimateWithError(est.value, est.error + tail, est.n_evals, "quadrature")
 
 
 def _cone(p: int, alpha: float, beta: float, radial: EstimateWithError,
@@ -162,10 +183,12 @@ def _cone(p: int, alpha: float, beta: float, radial: EstimateWithError,
     # The weighted integral over the cone theta > theta_lo: |S^{p-1}| times
     # the radial factor times the integral of cos^{2 alpha+1} sin^{2 beta+p-1}
     # over (theta_lo, pi/2).  theta_lo = 0 is the whole (t, z) domain.
-    def ang(th: float) -> float:
-        return math.cos(th) ** (2.0 * alpha + 1.0) * math.sin(th) ** (2.0 * beta + p - 1.0)
+    def integrand(th, w):
+        return (w * np.cos(th) ** (2.0 * alpha + 1.0) * np.sin(th) ** (2.0 * beta + p - 1.0),
+                0.0, th.size)
 
-    angular = integrate_1d(ang, theta_lo, 0.5 * math.pi)
+    angular = gauss_legendre(integrand, [theta_lo], [0.5 * math.pi], 1.0, _LEMMA_TOL,
+                             _LEMMA_ROUNDING)
     area = sphere_area(p)
     return EstimateWithError(
         value=area * radial.value * angular.value,
@@ -175,14 +198,13 @@ def _cone(p: int, alpha: float, beta: float, radial: EstimateWithError,
     )
 
 
-def _bigint(p: int, alpha: float, beta: float, gamma_: float, upper_gamma: Callable):
-    # Numeric and closed value of the weighted (t, z)-integral, with
-    # upper_gamma(x) = Gamma(gamma_, x).  Numeric side: the integrand
-    # t^alpha ||z||^{2 beta} Gamma(gamma, t+||z||^2) / (t+||z||^2)^gamma over
-    # (0, inf) x R^p, as the cone integral over the whole domain.  Closed
-    # side: pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
+def _bigint(p: int, alpha: float, beta: float, gamma_: float):
+    # Numeric and closed value of the weighted (t, z)-integral.  Numeric
+    # side: the integrand t^alpha ||z||^{2 beta} Gamma(gamma, t+||z||^2)
+    # / (t+||z||^2)^gamma over (0, inf) x R^p, as the cone integral over the
+    # whole domain.  Closed side: pi^{p/2} Gamma(alpha+1) Gamma(beta+p/2)
     # / ((alpha+beta-gamma+1+p/2) Gamma(p/2)).
-    radial = _radial_weighted(p, alpha, beta, gamma_, upper_gamma)
+    radial = _radial_weighted(p, alpha, beta, gamma_)
     numeric = _cone(p, alpha, beta, radial, 0.0)
     closed = (
         math.pi ** (0.5 * p)
@@ -193,15 +215,9 @@ def _bigint(p: int, alpha: float, beta: float, gamma_: float, upper_gamma: Calla
 
 
 def check_lemma_bigint() -> list[dict]:
-    # (2, 1, 1, 3) and (3, 1, 0, 3) integrate Gamma(3, r^2) against
-    # different powers of r, but their quadratures share many nodes: one
-    # memo per shape evaluates each Gamma(gamma, r^2) once.
-    memos = {}
     rows = []
     for tup in ((1, 0, 0, 1), (2, 1, 1, 3), (3, 1, 0, 3)):
-        g = tup[3]
-        memo = memos.setdefault(g, functools.cache(functools.partial(upper_incomplete_gamma, g)))
-        numeric, closed = _bigint(*tup, memo)
+        numeric, closed = _bigint(*tup)
         err = abs(numeric.value / closed - 1.0)
         rows.append(_row(f"lemma_bigint{tup}", closed, numeric.value, err, err <= _BIGINT_RTOL))
     return rows
@@ -212,8 +228,7 @@ def _lemma_d_radial(p: int, gamma_: float) -> EstimateWithError:
     # exactly 1, so it depends on gamma alone and check_lemma_d shares it
     # between dimensions.  It diverges, and ValueError is raised, unless
     # alpha = gamma - p/2 > -1, that is gamma > (p-2)/2.
-    upper_gamma = functools.partial(upper_incomplete_gamma, gamma_)
-    return _radial_weighted(p, gamma_ - 0.5 * p, 0.0, gamma_, upper_gamma)
+    return _radial_weighted(p, gamma_ - 0.5 * p, 0.0, gamma_)
 
 
 def _lemma_d_row(p: int, gamma_: float, delta: float, radial: EstimateWithError) -> tuple:

@@ -11,7 +11,6 @@
   integral.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy import integrate
 
 from ntglab import ntg, verify
 from ntglab.risk import Procedure
-from ntglab.specfun import upper_incomplete_gamma
 
 LEMMA_D_DELTAS = (1e-1, 1e-2, 1e-3)  # decreasing towards the cone's limit
 
@@ -81,8 +79,7 @@ def lemma_bigint_check(p, alpha, beta, gamma_):
     (t, z)-integral of ``t^alpha ||z||^{2 beta} Gamma(gamma, t+||z||^2)
     / (t+||z||^2)^gamma`` over (0, inf) x R^p; ValueError where it
     diverges."""
-    return verify._bigint(p, alpha, beta, gamma_,
-                          functools.partial(upper_incomplete_gamma, gamma_))
+    return verify._bigint(p, alpha, beta, gamma_)
 
 
 def lemma_d_check(p, gamma_):

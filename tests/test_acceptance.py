@@ -18,7 +18,7 @@ from ntglab import ntg
 from ntglab.blyth import BlythContext, Observation, big_K, likelihood, prior_params
 from ntglab.cli import EXIT_OK, main
 from ntglab.ntg import LocationScale, NtGParams
-from ntglab.numint import integrate_1d, mc_estimate
+from ntglab.numint import mc_estimate
 from ntglab.regress import RegressionData, ols, reduce_to_location_scale, standard_region
 from ntglab.risk import (
     blyth_scaling,
@@ -148,17 +148,18 @@ def test_criterion_05_marginal_identities(capsys):
     )
     m = 2
     worst = 0.0
+    quad_tol = dict(epsabs=_QTOL.abs, epsrel=_QTOL.rel, limit=_QTOL.max_iter)
 
     # mu marginal at random probes vs lambda-quadrature.
     for _ in range(5):
         mu = float(rng.normal()) * 1.5
         direct = ntg.marginal_mu_density(params, np.array([mu]))
-        via_quad = integrate_1d(
+        via_quad = integrate.quad(
             lambda lam, mu=mu: ntg.prior_density(
                 params, LocationScale(np.array([mu]), lam)
             ),
-            params.eps0, math.inf, _QTOL,
-        ).value
+            params.eps0, math.inf, **quad_tol,
+        )[0]
         worst = max(worst, abs(direct / via_quad - 1.0))
 
     # lambda marginal at random probes vs mu-quadrature.
@@ -166,12 +167,12 @@ def test_criterion_05_marginal_identities(capsys):
     for _ in range(5):
         lam = params.eps0 + float(rng.uniform(0.05, 3.0))
         direct = ntg.marginal_lambda_density(params, lam)
-        via_quad = integrate_1d(
+        via_quad = integrate.quad(
             lambda mu, lam=lam: ntg.prior_density(
                 params, LocationScale(np.array([mu]), lam)
             ),
-            -width, width, _QTOL,
-        ).value
+            -width, width, **quad_tol,
+        )[0]
         worst = max(worst, abs(direct / via_quad - 1.0))
 
     # observable marginal at random probes vs joint quadrature.
@@ -185,16 +186,15 @@ def test_criterion_05_marginal_identities(capsys):
         worst = max(worst, abs(direct / via_quad - 1.0))
 
     # Normalization of each marginal.
-    quad_tol = dict(epsabs=_QTOL.abs, epsrel=_QTOL.rel, limit=_QTOL.max_iter)
     norms = []
     norms.append(integrate.quad(
         lambda mu: ntg.marginal_mu_density(params, np.array([mu])),
         -math.inf, math.inf, **quad_tol,
     )[0])
-    norms.append(integrate_1d(
+    norms.append(integrate.quad(
         lambda lam: ntg.marginal_lambda_density(params, lam),
-        params.eps0, math.inf, _QTOL,
-    ).value)
+        params.eps0, math.inf, **quad_tol,
+    )[0])
 
     def over_s(x):
         return integrate.quad(

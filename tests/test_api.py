@@ -1,8 +1,8 @@
 """The public surface: each module's ``__all__`` resolves, no public name is
 exported by two modules, every public name is reached from outside the
-tests, ``numint`` is the integration engine only, every parameter is read,
-the affinity mask is the one worker control, and importing the CLI loads
-no scipy."""
+tests, ``numint`` is the integration engine only and holds the one
+quadrature rule, every parameter is read, the affinity mask is the one
+worker control, and no module imports scipy."""
 
 import ast
 import importlib
@@ -71,7 +71,7 @@ def test_every_public_name_is_reached():
 def test_numint_is_the_engine_only():
     numint = _module("numint")
     assert set(numint.__all__) == {
-        "EstimateWithError", "QuadratureError", "integrate_1d", "mc_estimate",
+        "EstimateWithError", "QuadratureError", "gauss_legendre", "mc_estimate",
     }
     from_specfun = {
         attr for attr, obj in vars(numint).items()
@@ -116,7 +116,8 @@ def test_every_parameter_is_read():
     # setting that changes nothing.  Two are allowed:
     # - posterior_risk's inner_grid sized the midpoint grid its radial rule
     #   replaced; it stays only because the benchmark's frozen call sites
-    #   still pass it.
+    #   still pass it.  So does specfun.Tolerance.max_iter, a field that
+    #   nothing in src/ reads since numint's rule has its own cap.
     # - blyth._as_mu is a validator: its p is the shape it checks mu against.
     unread = []
     for node, where, params in _functions():
@@ -135,10 +136,30 @@ def test_no_function_takes_workers():
 
 
 def test_cli_starts_without_scipy():
-    # scipy is imported on the first quadrature, which no CLI start needs.
+    # No ntglab module imports scipy, and nothing that ntglab imports does.
     code = ("import json, sys, ntglab.cli; "
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(_ROOT / "src")})
     loaded = json.loads(out.stdout)
     assert not loaded, f"import ntglab.cli loads {len(loaded)} scipy modules: {loaded[:5]}, ..."
+
+
+def test_no_module_imports_scipy():
+    # scipy serves the tests and the benchmark as an oracle, never ntglab.
+    imports = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert [(f, m) for f, m in imports if m.split(".")[0] == "scipy"] == []
+
+
+def test_one_quadrature_rule():
+    # numint builds the one Gauss-Legendre rule; no other module builds nodes.
+    lines = [f"{path.name}:{i}" for path in sorted(_SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "leggauss" in line]
+    assert len(lines) == 1 and lines[0].startswith("numint.py:"), lines

@@ -19,7 +19,6 @@ from ntglab.blyth import (
     q_joint,
     q_obs,
 )
-from ntglab.numint import integrate_1d
 from ntglab.specfun import Tolerance, f_cdf, upper_incomplete_gamma
 
 from reference import r_kappa
@@ -226,12 +225,12 @@ class TestPosteriors:
         for kappa in (0.0, 0.5):
             ctx = _ctx(p=2, m=3, kappa=kappa, eps=0.7)
             obs = Observation(x=np.array([1.0, -0.5]), s=1.4)
-            total = integrate_1d(
+            total = integrate.quad(
                 lambda lam: lambda_posterior_density(ctx, obs, lam),
                 ctx.eps,
                 math.inf,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
             assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_lambda_posterior_zero_below_truncation(self):
@@ -257,13 +256,13 @@ class TestPosteriors:
         obs = Observation(x=np.array([-1.2]), s=2.0)
         for mu in (-1.0, 0.0, 1.5):
             direct = mu_posterior_density(ctx, obs, np.array([mu]))
-            mixed = integrate_1d(
+            mixed = integrate.quad(
                 lambda lam, mu=mu: lambda_posterior_density(ctx, obs, lam)
                 * cond_mu_density(ctx, obs, lam, np.array([mu])),
                 ctx.eps,
                 math.inf,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
             assert direct == pytest.approx(mixed, rel=1e-8)
 
     def test_kappa_continuity_at_zero(self):
@@ -515,6 +514,24 @@ class TestLikelihood:
             likelihood(np.zeros(1), 0.0, np.zeros(1), 1.0, 2)
         with pytest.raises(ValueError):
             likelihood(np.zeros(1), 1.0, np.zeros(1), 0.0, 2)
+
+    def test_stack_matches_each_point(self):
+        # Means (3, 4, 2) against precisions (4,); one (mu, lambda) gives a
+        # float.
+        x, s, m = np.array([0.5, -1.0]), 0.9, 3
+        rng = np.random.default_rng(9)
+        mu, lam = rng.normal(size=(3, 4, 2)), rng.uniform(0.2, 3.0, size=4)
+        stack = likelihood(x, s, mu, lam, m)
+        assert stack.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            one = likelihood(x, s, mu[i, j], float(lam[j]), m)
+            d2 = float(np.sum((x - mu[i, j]) ** 2))
+            ref = (lam[j] / (2 * math.pi) * math.exp(-0.5 * lam[j] * (d2 + s))
+                   * lam[j] ** 1.5 * s ** 0.5 / (2.0 ** 1.5 * math.gamma(1.5)))
+            assert type(one) is float and one == pytest.approx(stack[i, j], rel=1e-15)
+            assert one == pytest.approx(ref, rel=1e-13)
+        with pytest.raises(ValueError):
+            likelihood(x, s, mu, np.array([1.0, 0.0, 1.0, 1.0]), m)
 
     def test_mu_of_the_wrong_shape_raises(self):
         with pytest.raises(ValueError, match="shape"):

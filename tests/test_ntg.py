@@ -19,7 +19,6 @@ from ntglab.ntg import (
     prior_density,
     sample_prior,
 )
-from ntglab.numint import integrate_1d
 from ntglab.specfun import Tolerance, upper_incomplete_gamma
 
 from reference import joint_quadrature
@@ -124,6 +123,30 @@ class TestPriorDensity:
         params = _proper_params()
         with pytest.raises(ValueError):
             prior_density(params, LocationScale(mu=np.zeros(2), lam=1.0))
+
+    def test_stack_matches_each_point(self):
+        # A (3, 4) stack of p = 2 points, precisions on both sides of eps0,
+        # against the density written with math at each point; one point
+        # gives a float.
+        params = NtGParams(2, np.array([0.3, -0.2]), 1.3, 0.7, 1.5, 0.4)
+        rng = np.random.default_rng(8)
+        mu, lam = rng.normal(size=(3, 4, 2)), rng.uniform(0.1, 3.0, size=(3, 4))
+        stack = prior_density(params, LocationScale(mu=mu, lam=lam))
+        c = normalizing_constant(params)
+        assert stack.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            one = prior_density(params, LocationScale(mu=mu[i], lam=float(lam[i])))
+            d2 = float(np.sum((mu[i] - params.mu0) ** 2))
+            ref = (c * 1.3 * lam[i] ** 0.7 * math.exp(-lam[i] * (1.5 + 0.65 * d2))
+                   if lam[i] > 0.4 else 0.0)
+            assert type(one) is float and one == pytest.approx(stack[i], rel=1e-15)
+            assert one == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu,lam", [(0.0, 1.0), (np.zeros(2), np.array([1.0, 0.0])),
+                                        (np.zeros(2), math.nan)])
+    def test_point_validation(self, mu, lam):
+        with pytest.raises(ValueError):
+            LocationScale(mu=mu, lam=lam)
 
     def test_rotation_invariance(self):
         # The density depends on mu only through ||mu - mu0||.
@@ -239,14 +262,14 @@ class TestMarginals:
         probes = (0.0, 0.5, 1.7, -2.3) if kw["beta0"] > 0 else (0.5, 1.7, -2.3)
         for mu in probes:
             direct = marginal_mu_density(params, np.array([mu]))
-            quad = integrate_1d(
+            quad = integrate.quad(
                 lambda lam, mu=mu: prior_density(
                     params, LocationScale(np.array([mu]), lam)
                 ),
                 params.eps0,
                 math.inf,
-                tol,
-            ).value
+                epsabs=tol.abs, epsrel=tol.rel, limit=max(tol.max_iter, 50),
+            )[0]
             assert direct == pytest.approx(quad, rel=1e-6)
 
     def test_mu_marginal_integrates_to_one(self):
@@ -268,14 +291,14 @@ class TestMarginals:
         width = 12.0 / math.sqrt(params.kappa0 * params.eps0) + 5.0
         for lam in (0.4, 1.0, 2.5):
             direct = marginal_lambda_density(params, lam)
-            quad = integrate_1d(
+            quad = integrate.quad(
                 lambda mu, lam=lam: prior_density(
                     params, LocationScale(np.array([mu]), lam)
                 ),
                 -width,
                 width,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
             assert direct == pytest.approx(quad, rel=1e-9)
 
     def test_lambda_marginal_integrates_to_one(self):
@@ -284,12 +307,12 @@ class TestMarginals:
             dict(alpha0=-1.2, beta0=0.0, eps0=0.8),
         ):
             params = _proper_params(**kw)
-            total = integrate_1d(
+            total = integrate.quad(
                 lambda lam: marginal_lambda_density(params, lam),
                 params.eps0,
                 math.inf,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
             assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_obs_marginal_matches_quadrature(self):
@@ -350,12 +373,12 @@ class TestSampling:
         draws = np.sort([sample_prior(params, rng).lam for _ in range(n)])
 
         def cdf(t):
-            return integrate_1d(
+            return integrate.quad(
                 lambda lam: marginal_lambda_density(params, lam),
                 params.eps0,
                 t,
-                _QTOL,
-            ).value
+                **_QUAD_TOL,
+            )[0]
 
         grid = draws[:: n // 80]
         ks = max(

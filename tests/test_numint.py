@@ -5,9 +5,11 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from ntglab.numint import EstimateWithError, integrate_1d, mc_estimate
-from ntglab.specfun import upper_incomplete_gamma
+from ntglab import numint
+from ntglab.numint import EstimateWithError, QuadratureError, gauss_legendre, mc_estimate
+from ntglab.specfun import Tolerance, upper_incomplete_gamma
 
 
 class TestEstimateWithError:
@@ -20,43 +22,98 @@ class TestEstimateWithError:
             EstimateWithError(1.0, 0.1, 10, "guess")
 
 
-class TestIntegrate1d:
+def _plain(g):
+    # An integrand of gauss_legendre: w g(r), no offset, one evaluation a node.
+    return lambda r, w: (w * g(r), 0.0, r.size)
+
+
+_TOL = Tolerance(rel=1e-10, abs=1e-12)
+_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+class TestGaussLegendre:
     def test_unit(self):
-        est = integrate_1d(lambda u: 1.0, 0.0, 1.0)
+        est = gauss_legendre(_plain(np.ones_like), [0.0], [1.0], 1.0, _TOL, _ROUNDING)
         assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est.method == "quadrature" and est.n_evals == 96
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        # The cached n- and 2n-node rules on (0, 1), before the cos map.
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        u, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        assert np.array_equal(numint._rule_pair(n)[2][:n], weights)
+        assert np.array_equal(numint._rule_pair(n)[0][:n], 0.5 - 0.5 * np.cos(math.pi * u))
+        for k in range(2 * n):
+            assert np.sum(weights * u ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+        # Not at degree 2n: P_n(2u - 1)^2, zero at the nodes, integrates to 1/(2n+1).
+        square = np.polynomial.legendre.Legendre.basis(n)(nodes) ** 2
+        assert np.sum(weights * square) < 1e-12
 
     def test_semi_infinite_exponential(self):
-        est = integrate_1d(lambda t: math.exp(-t), 0.0, math.inf)
+        # int_0^inf e^-t dt with t = u / (1 - u) on (0, 1).
+        est = gauss_legendre(_plain(lambda u: np.exp(-u / (1.0 - u)) / (1.0 - u) ** 2),
+                             [0.0], [1.0], 1.0, _TOL, _ROUNDING)
         assert est.value == pytest.approx(1.0, rel=1e-10)
 
     def test_cross_oracle_with_specfun(self):
-        est = integrate_1d(lambda t: t ** -2 * math.exp(-t), 1.0, math.inf)
+        # int_1^inf t^-2 e^-t dt = Gamma(-1, 1), with t = 1 + u / (1 - u).
+        def g(u):
+            t = 1.0 + u / (1.0 - u)
+            return t ** -2 * np.exp(-t) / (1.0 - u) ** 2
+
+        est = gauss_legendre(_plain(g), [0.0], [1.0], 1.0, _TOL, _ROUNDING)
         assert est.value == pytest.approx(upper_incomplete_gamma(-1.0, 1.0), rel=1e-9)
 
-    @pytest.mark.parametrize("a,b", [(-math.inf, 0.0), (-math.inf, math.inf), (0.0, -math.inf)])
-    def test_minus_infinite_limit_raises(self, a, b):
-        with pytest.raises(ValueError, match="-inf"):
-            integrate_1d(lambda t: math.exp(-t * t), a, b)
-
-    def test_error_estimates_conservative(self):
-        # Known-value suite: polynomial times exponential on (0, inf) and
-        # polynomials on (0, 1).  The reported bound should cover the true
-        # error in at least 95% of the cases.
-        cases = []
+    def test_error_covers_closed_form(self):
+        # Polynomials on (0, 1) and (0, 3); t^k e^-t and t^(a-1) e^-t on
+        # (0, inf), mapped as t = u / (1 - u); the two pieces (0, 1), (1, 2)
+        # with coefficients 2 and -1; and an offset.
+        cases = [(lambda r, k=k: k * r ** (k - 1), [0.0], [1.0], 1.0, 1.0) for k in range(1, 8)]
+        cases += [(lambda r: r ** 5, [0.0], [3.0], 1.0, 3.0 ** 6 / 6.0)]
         for k in range(8):
-            cases.append((lambda t, k=k: t ** k * math.exp(-t), 0.0, math.inf,
-                          math.gamma(k + 1)))
-        for k in range(1, 8):
-            cases.append((lambda t, k=k: k * t ** (k - 1), 0.0, 1.0, 1.0))
+            cases.append((lambda u, k=k: (u / (1 - u)) ** k * np.exp(-u / (1 - u)) / (1 - u) ** 2,
+                          [0.0], [1.0], 1.0, math.gamma(k + 1)))
         for a in (0.5, 1.5, 2.5):
-            cases.append((lambda t, a=a: t ** (a - 1) * math.exp(-t), 0.0,
-                          math.inf, math.gamma(a)))
-        covered = 0
-        for f, a, b, truth in cases:
-            est = integrate_1d(f, a, b)
-            if abs(est.value - truth) <= max(est.error, 1e-15):
-                covered += 1
-        assert covered / len(cases) >= 0.95
+            cases.append((lambda u, a=a: (u / (1 - u)) ** (a - 1) * np.exp(-u / (1 - u))
+                          / (1 - u) ** 2, [0.0], [1.0], 1.0, math.gamma(a)))
+        cases.append((np.cos, [0.0, 1.0], [1.0, 2.0], np.array([2.0, -1.0]),
+                      3.0 * math.sin(1.0) - math.sin(2.0)))
+        for g, lo, hi, coef, truth in cases:
+            est = gauss_legendre(_plain(g), lo, hi, coef, _TOL, _ROUNDING)
+            assert abs(est.value - truth) <= est.error, (lo, hi, truth)
+        est = gauss_legendre(lambda r, w: (w * r, -0.25, r.size), [0.0], [1.0], 1.0, _TOL,
+                             _ROUNDING)
+        assert abs(est.value - 0.25) <= est.error and est.error > 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("a,b", [(-math.inf, 0.0), (-math.inf, math.inf), (0.0, -math.inf)])
+    def test_infinite_limit_fails_closed(self, a, b):
+        # The rule takes finite pieces; an infinite one gives no number.
+        with pytest.raises(QuadratureError, match="not finite"):
+            gauss_legendre(_plain(lambda t: np.exp(-t * t)), [a], [b], 1.0, _TOL, _ROUNDING)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_sum_raises(self):
+        with pytest.raises(QuadratureError, match="not finite") as info:
+            gauss_legendre(_plain(lambda r: 1.0 / (r - r)), [0.0], [1.0], 1.0, _TOL, _ROUNDING)
+        assert not math.isfinite(info.value.partial[0])
+
+    def test_cap_raises_with_the_last_sums(self):
+        # A kink at 1/3 converges slowly; at 1e-300 the rule passes its cap
+        # after the 512- and 1024-node round.
+        calls = []
+
+        def kink(r, w):
+            calls.append(r.shape[-1] // 3)
+            return w * np.abs(r - 1.0 / 3.0), 0.0, r.size
+
+        tight = Tolerance(rel=1e-300, abs=1e-300)
+        with pytest.raises(QuadratureError, match="512- and 1024-node") as info:
+            gauss_legendre(kink, [0.0], [1.0], 1.0, tight, _ROUNDING)
+        assert calls == [32, 64, 128, 256, 512]
+        value, error = info.value.partial
+        assert abs(value - 5.0 / 18.0) <= 1e-6 and error > 0.0
 
 
 class TestMcEstimate:
@@ -70,7 +127,7 @@ class TestMcEstimate:
         assert abs(est.value - 0.5) <= 3.0 * est.error
 
     def test_agrees_with_quadrature(self):
-        truth = integrate_1d(lambda u: math.sin(u), 0.0, 1.0).value
+        truth = integrate.quad(math.sin, 0.0, 1.0)[0]
         est = mc_estimate(
             lambda rng, n: np.sin(rng.random(n)), 200_000, seed=9
         )

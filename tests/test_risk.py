@@ -8,7 +8,7 @@ from scipy import integrate, special
 
 from ntglab import blyth
 from ntglab.blyth import BlythContext, Observation
-from ntglab.numint import EstimateWithError, QuadratureError, integrate_1d, mc_estimate
+from ntglab.numint import EstimateWithError, QuadratureError, mc_estimate
 from ntglab.risk import (
     Procedure,
     _cap_fraction,
@@ -126,10 +126,10 @@ def _nested_posterior_risk(proc, ctx, obs, tol, inner_grid):
         hit = float(np.sum(vals * dens)) * cell
         return r_kappa(ctx.c * obs.s / ctx.m, lam, ctx) * ups - hit
 
-    return integrate_1d(
+    return integrate.quad(
         lambda lam: blyth.lambda_posterior_density(ctx, obs, lam) * inner(lam),
-        ctx.eps, math.inf, tol,
-    ).value
+        ctx.eps, math.inf, epsabs=tol.abs, epsrel=tol.rel, limit=max(tol.max_iter, 50),
+    )[0]
 
 
 def _log_mu_posterior(ctx, obs, t):
@@ -228,10 +228,10 @@ def _split_reference(proc, ctx, obs):
     for a, b in zip(cuts, cuts[1:]):
         phi = ev(0.5 * (a + b))
         if phi:
-            total += phi * integrate_1d(
+            total += phi * integrate.quad(
                 lambda u: w - math.exp(_log_mu_posterior(ctx, obs, (u - mid_k) ** 2)),
-                a, b, tight,
-            ).value
+                a, b, epsabs=tight.abs, epsrel=tight.rel, limit=tight.max_iter,
+            )[0]
     return total
 
 
