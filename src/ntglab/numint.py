@@ -6,6 +6,14 @@
 * ``mc_estimate``: chunked Monte Carlo with a standard error, run on every
   core of the affinity mask and bit-identical for any core count.
 
+Each thread keeps the workspaces its chunks draw into: a chunk takes one
+when it starts (``_chunk_workspace`` hands it to the sampler) and hands it
+back once its statistics are computed, so a warm chunk allocates and
+page-faults no chunk-sized array.  A thread's workspaces are its own, and
+one held by a running chunk is never handed out again until it is back: a
+nested ``mc_estimate`` on the same thread takes a second workspace, and a
+concurrent caller draws on its own thread's.
+
 Both return an ``EstimateWithError``.  What is integrated lives with its
 callers: the identity checks in ``verify``, the risks in ``risk``.  A
 caller maps an infinite range onto a finite one or cuts it, with a bound
@@ -14,9 +22,11 @@ of the tail it cuts.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -130,6 +140,13 @@ def mc_estimate(
 
     The chunks run on the caller's thread and those of one shared pool, one
     per core of the process's affinity mask and at most one per chunk.
+
+    A chunk holds one of its thread's workspaces from the sampler call
+    until its count, mean and squared deviations are computed; the sampler
+    may draw into it (``_chunk_workspace``) and return one of its rows
+    other than ``"a"``, which then takes the deviations.  A sampler that
+    calls ``mc_estimate`` holds its workspace meanwhile, so the inner
+    chunks take others, on this thread or on the pool's.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -143,12 +160,17 @@ def mc_estimate(
 
     def drain() -> None:
         for i in chunks:
-            vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]), dtype=float)
-            if vals.ndim != 1:
-                raise ValueError(f"mc_estimate needs one value per draw, got shape {vals.shape}")
-            vals = np.ascontiguousarray(vals)
-            mean = float(vals.sum()) / vals.size
-            results[i] = vals.size, mean, float(np.square(vals - mean).sum())
+            with _taken_workspace() as ws:
+                vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]),
+                                  dtype=float)
+                if vals.ndim != 1:
+                    raise ValueError(
+                        f"mc_estimate needs one value per draw, got shape {vals.shape}")
+                vals = np.ascontiguousarray(vals)
+                mean = float(vals.sum()) / vals.size
+                dev = ws.row("a", vals.size)
+                dev = np.subtract(vals, mean, out=None if np.may_share_memory(dev, vals) else dev)
+                results[i] = vals.size, mean, float(np.square(dev, out=dev).sum())
 
     helpers = [_pool().submit(drain) for _ in range(min(workers, n_chunks) - 1)]
     try:
@@ -174,6 +196,57 @@ def mc_estimate(
         count = total
     se = math.sqrt(m2 / count / count)
     return EstimateWithError(value=mean, error=se, n_evals=n, method="monte_carlo")
+
+
+class _Workspace:
+    """Float64 rows for one chunk's draws, kept for the thread's next chunk.
+
+    ``row(slot, *shape)`` is a C-contiguous view of the slot's buffer,
+    holding whatever its last user left; a buffer grows, to at least one
+    chunk's row, only when a larger shape asks, so a warm chunk allocates
+    nothing.  The samplers share four slots, "a" to "d", so a thread's
+    buffers are sized by its largest draw, not by every sampler's.
+    """
+
+    def __init__(self) -> None:
+        self._slots: dict[str, np.ndarray] = {}
+
+    def row(self, slot: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < size:
+            buf = self._slots[slot] = np.empty(max(size, _MC_CHUNK))
+        return buf[:size].reshape(shape)
+
+
+class _Workspaces(threading.local):
+    # One thread's workspaces: ``held`` by its running chunks, innermost
+    # last, and ``free`` ones handed back.
+    def __init__(self) -> None:
+        self.held: list[_Workspace] = []
+        self.free: list[_Workspace] = []
+
+
+_workspaces = _Workspaces()
+
+
+@contextlib.contextmanager
+def _taken_workspace():
+    ws = _workspaces.free.pop() if _workspaces.free else _Workspace()
+    _workspaces.held.append(ws)
+    try:
+        yield ws
+    finally:
+        _workspaces.held.pop()
+        _workspaces.free.append(ws)
+
+
+def _chunk_workspace() -> _Workspace:
+    """The workspace of the innermost chunk running on this thread, for its
+    sampler to draw into."""
+    if not _workspaces.held:
+        raise RuntimeError("no Monte Carlo chunk is running on this thread")
+    return _workspaces.held[-1]
 
 
 @functools.cache

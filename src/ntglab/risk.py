@@ -38,7 +38,7 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, gauss_legendre, mc_estimate
+from .numint import EstimateWithError, _chunk_workspace, gauss_legendre, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -120,7 +120,9 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     at p >= 2 the share is a cap, cos(theta) = (r^2 + d^2 - R^2)/(2 r d):
     arccos(cos theta)/pi at p = 2, else ``1/2 I_{sin^2 theta}((p-1)/2, 1/2)
     = 1/2 f_cdf(p-1, 1, tan^2 theta/(p-1))`` (S. Li, Asian J. Math. Stat. 4,
-    2011), mirrored for cos(theta) < 0; outside the cap it is 0 or 1."""
+    2011), mirrored for cos(theta) < 0; outside the cap it is 0 or 1.  At
+    p = 3, I_x(1, 1/2) = 1 - sqrt(1 - x), so the share, mirrored or not, is
+    (1 - cos theta)/2 (Archimedes' hat-box theorem)."""
     r, d, radius = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, radius)))
     if p == 1:
         return 0.5 * ((np.abs(r - d) < radius) + (r + d < radius).astype(float))
@@ -130,6 +132,8 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
         cos = np.where(on_axis, 1.0, np.clip(cos, -1.0, 1.0))
         if p == 2:
             frac = np.arccos(cos) / math.pi
+        elif p == 3:
+            frac = 0.5 * (1.0 - cos)
         else:
             tan2 = (1.0 - cos) * (1.0 + cos) / (cos * cos) / (p - 1)
             # f_cdf at tan2 = 0 is 0, so only nodes strictly inside a cap,
@@ -233,22 +237,29 @@ def risk_difference_mc(ctx: BlythContext, n: int = 10 ** 6, seed: int = 0) -> Es
         return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        rng.random(size)  # u, the draw of lambda, which the pivot does not read
-        z1 = rng.standard_normal((size, ctx.p))
-        z2 = rng.standard_normal((size, ctx.p))
-        return _pivot_values(ctx, z1, z2, rng.chisquare(ctx.m, size))
+        # The chunk's workspace rows take the draws in stream order; the
+        # pivot does not read u, the draw of lambda, so chi2 overwrites it.
+        ws = _chunk_workspace()
+        rng.random(out=ws.row("c", size))
+        z1 = rng.standard_normal(out=ws.row("a", size, ctx.p))
+        z2 = rng.standard_normal(out=ws.row("b", size, ctx.p))
+        chi2 = rng.standard_gamma(0.5 * ctx.m, out=ws.row("c", size))
+        chi2 *= 2.0  # chi^2_m as numpy's chisquare forms it, bit for bit
+        return _pivot_values(ctx, z1, z2, chi2, out=ws.row("d", size))
 
     return mc_estimate(sampler, n, seed)
 
 
-def _pivot_values(ctx: BlythContext, z1: np.ndarray, z2: np.ndarray, chi2: np.ndarray):
+def _pivot_values(ctx: BlythContext, z1: np.ndarray, z2: np.ndarray, chi2: np.ndarray,
+                  out: np.ndarray | None = None):
     """[S_k < T_k] - [S_0 < T_0] for draws z1 and z2 (k, p) and chi2 (k,),
     see ``risk_difference_mc``, in blocks of ``_PIVOT_BLOCK`` draws,
-    with S_k and S_0 summed left to right over the p coordinates."""
+    with S_k and S_0 summed left to right over the p coordinates; written
+    into ``out`` (k,) when given."""
     p, cm = ctx.p, ctx.c / ctx.m
     k1 = 1.0 + ctx.kappa
     root_k, t_k = math.sqrt(ctx.kappa), k1 * k1 * cm
-    values = np.empty(chi2.size)
+    values = np.empty(chi2.size) if out is None else out
     for lo in range(0, chi2.size, _PIVOT_BLOCK):
         blk = slice(lo, lo + _PIVOT_BLOCK)
         for j in range(p):

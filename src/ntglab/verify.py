@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, gauss_legendre, mc_estimate
+from .numint import EstimateWithError, _chunk_workspace, gauss_legendre, mc_estimate
 from .risk import sphere_area
 from .specfun import Tolerance, log_gamma, upper_incomplete_gamma_array
 
@@ -279,10 +279,17 @@ def lemma_smoments_check(
         raise ValueError(f"eps must be positive, got {eps}")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        lam = eps * u ** (-2.0 / p)
-        s = rng.chisquare(m, size) / lam
-        return s ** (0.5 * p)
+        # In place in the chunk's workspace rows, operation for operation
+        # eps * u ** (-2/p) and (chisquare(m) / lambda) ** (p/2).
+        ws = _chunk_workspace()
+        lam = rng.random(out=ws.row("c", size))
+        lam **= -2.0 / p
+        lam *= eps
+        s = rng.standard_gamma(0.5 * m, out=ws.row("d", size))
+        s *= 2.0  # chi^2_m as numpy's chisquare forms it
+        s /= lam
+        s **= 0.5 * p
+        return s
 
     mc = mc_estimate(sampler, n, seed)
     closed = (

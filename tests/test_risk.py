@@ -423,15 +423,31 @@ class TestCapFraction:
             share = integrate.quad(lambda a: math.sin(a) ** (p - 2), 0.0, theta)[0] / total
             assert float(_cap_fraction(p, r, d, 1.0)) == pytest.approx(share, abs=1e-14)
 
+    @pytest.mark.parametrize("d", [0.0, 0.4, 1.0, 1.7])
+    def test_p3_closed_form_matches_f_cdf_form(self, d):
+        # The general form 1/2 f_cdf(p - 1, 1, tan^2 theta/(p - 1)),
+        # mirrored for cos theta < 0, at p = 3 on both sides of each kink,
+        # at cos theta = 0 and on the axis.
+        r = np.append(self._radii(d), math.sqrt(abs(1.0 - d * d)))
+        r, dd = np.broadcast_arrays(r, float(d))
+        on_axis = ~(r * dd > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.where(on_axis, 1.0, np.clip((r * r + dd * dd - 1.0) / (2.0 * r * dd), -1, 1))
+            tan2 = (1.0 - cos) * (1.0 + cos) / (cos * cos) / 2.0
+        half = np.array([0.5 * f_cdf(2, 1, t) if abs(c) < 1.0 else 0.0
+                         for c, t in zip(cos, tan2)])
+        want = np.where(on_axis, r + dd < 1.0, np.where(cos >= 0.0, half, 1.0 - half))
+        assert np.max(np.abs(_cap_fraction(3, r, d, 1.0) - want)) <= 1e-15
+
     def test_on_axis(self):
         # At d = 0 or r = 0 the sphere lies wholly inside or outside.
         assert np.array_equal(_cap_fraction(2, [0.5, 1.5], 0.0, 1.0), [1.0, 0.0])
         assert np.array_equal(_cap_fraction(3, 0.0, [0.5, 1.5], 1.0), [1.0, 0.0])
 
     def test_f_cdf_only_on_cap_nodes(self, monkeypatch):
-        # At p >= 3 a node needs the scalar f_cdf only strictly inside a cap
+        # At p >= 4 a node needs the scalar f_cdf only strictly inside a cap
         # piece: the inner piece holds the whole sphere, and the centred
-        # ball has no cap piece at all.
+        # ball has no cap piece at all.  At p = 3 the cap is closed form.
         calls = []
 
         def counting(d1, d2, t):
@@ -441,6 +457,10 @@ class TestCapFraction:
         monkeypatch.setattr("ntglab.risk.f_cdf", counting)
         ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
         obs = Observation(x=np.array([0.6, -0.4, 0.3]), s=1.5)
+        posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)
+        assert calls == []
+        ctx = _ctx(p=4, m=4, c=default_c(4, 4, 0.95), kappa=0.5)
+        obs = Observation(x=np.array([0.6, -0.4, 0.3, 0.1]), s=1.5)
         posterior_risk(phi_kappa(ctx), ctx, obs)
         assert calls == []
         offset = posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)

@@ -91,3 +91,7 @@ def test_mc_layer_bench(monkeypatch, capsys):
     for cell in out["draws_per_s"].values():
         assert set(cell) == {"workers=1", "default"}
         assert all(math.isfinite(v) and v > 0 for v in cell.values())
+    assert set(out["minor_faults_per_estimate"]) == set(out["draws_per_s"])
+    for cell in out["minor_faults_per_estimate"].values():
+        assert set(cell) == {"workers=1", "default"}
+        assert all(isinstance(v, int) and v >= 0 for v in cell.values())
