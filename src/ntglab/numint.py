@@ -7,12 +7,11 @@
   core of the affinity mask and bit-identical for any core count.
 
 Each thread keeps the workspaces its chunks draw into: a chunk takes one
-when it starts (``_chunk_workspace`` hands it to the sampler) and hands it
-back once its statistics are computed, so a warm chunk allocates and
-page-faults no chunk-sized array.  A thread's workspaces are its own, and
-one held by a running chunk is never handed out again until it is back: a
-nested ``mc_estimate`` on the same thread takes a second workspace, and a
-concurrent caller draws on its own thread's.
+from its thread's free list when it starts, passes it to the sampler as an
+argument and hands it back once its statistics are computed, so a warm
+chunk allocates and page-faults no chunk-sized array.  A workspace is off
+the list while its chunk runs: a nested ``mc_estimate`` on the same thread
+takes another, and a concurrent caller draws on its own thread's.
 
 Both return an ``EstimateWithError``.  What is integrated lives with its
 callers: the identity checks in ``verify``, the risks in ``risk``.  A
@@ -22,7 +21,6 @@ of the tail it cuts.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -127,26 +125,21 @@ def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def mc_estimate(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
+    sampler: Callable[[np.random.Generator, int, _Workspace], np.ndarray],
     n: int,
     seed: int,
 ) -> EstimateWithError:
     """Sample mean with standard error, chunked into fixed substreams.
 
-    ``sampler(rng, size)`` returns the values of ``size`` draws.  The work is
-    split into fixed-size chunks, each driven by its own spawned seed
-    sequence, so the result is bit-identical for any worker count.
-    The values must be one-dimensional, one per draw.
+    ``sampler(rng, size, ws)`` returns the values of ``size`` draws.  The
+    work is split into fixed-size chunks, each driven by its own spawned
+    seed sequence, so the result is bit-identical for any worker count.
+    The values must be one-dimensional, one per draw.  ``ws`` is the
+    chunk's workspace: the sampler may draw into its rows and return one
+    other than ``"a"``, which then takes the deviations.
 
     The chunks run on the caller's thread and those of one shared pool, one
     per core of the process's affinity mask and at most one per chunk.
-
-    A chunk holds one of its thread's workspaces from the sampler call
-    until its count, mean and squared deviations are computed; the sampler
-    may draw into it (``_chunk_workspace``) and return one of its rows
-    other than ``"a"``, which then takes the deviations.  A sampler that
-    calls ``mc_estimate`` holds its workspace meanwhile, so the inner
-    chunks take others, on this thread or on the pool's.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -159,9 +152,11 @@ def mc_estimate(
     chunks = iter(range(n_chunks))  # the shared counter; next() on it is atomic
 
     def drain() -> None:
+        free = _workspaces.free
         for i in chunks:
-            with _taken_workspace() as ws:
-                vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i]),
+            ws = free.pop() if free else _Workspace()
+            try:
+                vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i], ws),
                                   dtype=float)
                 if vals.ndim != 1:
                     raise ValueError(
@@ -171,6 +166,8 @@ def mc_estimate(
                 dev = ws.row("a", vals.size)
                 dev = np.subtract(vals, mean, out=None if np.may_share_memory(dev, vals) else dev)
                 results[i] = vals.size, mean, float(np.square(dev, out=dev).sum())
+            finally:
+                free.append(ws)
 
     helpers = [_pool().submit(drain) for _ in range(min(workers, n_chunks) - 1)]
     try:
@@ -220,33 +217,12 @@ class _Workspace:
 
 
 class _Workspaces(threading.local):
-    # One thread's workspaces: ``held`` by its running chunks, innermost
-    # last, and ``free`` ones handed back.
+    # One thread's workspaces that no running chunk holds.
     def __init__(self) -> None:
-        self.held: list[_Workspace] = []
         self.free: list[_Workspace] = []
 
 
 _workspaces = _Workspaces()
-
-
-@contextlib.contextmanager
-def _taken_workspace():
-    ws = _workspaces.free.pop() if _workspaces.free else _Workspace()
-    _workspaces.held.append(ws)
-    try:
-        yield ws
-    finally:
-        _workspaces.held.pop()
-        _workspaces.free.append(ws)
-
-
-def _chunk_workspace() -> _Workspace:
-    """The workspace of the innermost chunk running on this thread, for its
-    sampler to draw into."""
-    if not _workspaces.held:
-        raise RuntimeError("no Monte Carlo chunk is running on this thread")
-    return _workspaces.held[-1]
 
 
 @functools.cache

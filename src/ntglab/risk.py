@@ -38,7 +38,7 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, _chunk_workspace, gauss_legendre, mc_estimate
+from .numint import EstimateWithError, gauss_legendre, mc_estimate
 from .specfun import Tolerance, f_cdf, f_quantile, log_gamma
 
 __all__ = [
@@ -127,7 +127,7 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     if p == 1:
         return 0.5 * ((np.abs(r - d) < radius) + (r + d < radius).astype(float))
     on_axis = ~(r * d > 0.0)  # the sphere lies wholly inside or outside
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cos = (r * r + d * d - radius * radius) / (2.0 * r * d)
         cos = np.where(on_axis, 1.0, np.clip(cos, -1.0, 1.0))
         if p == 2:
@@ -230,16 +230,18 @@ def risk_difference_mc(ctx: BlythContext, n: int = 10 ** 6, seed: int = 0) -> Es
     ``ctx.eps`` is not read.  Unlike the tests in terms of lambda, mu and
     x, the pivotal ones cannot overflow or underflow at an extreme eps.
 
+    Each chunk draws into the workspace ``mc_estimate`` passes the sampler,
+    with numpy's ``out=``: the draws of fresh arrays, bit for bit.
+
     At kappa = 0 the two indicators coincide and every difference is
     exactly 0.
     """
     if ctx.kappa == 0.0:
         return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+    def sampler(rng: np.random.Generator, size: int, ws) -> np.ndarray:
         # The chunk's workspace rows take the draws in stream order; the
         # pivot does not read u, the draw of lambda, so chi2 overwrites it.
-        ws = _chunk_workspace()
         rng.random(out=ws.row("c", size))
         z1 = rng.standard_normal(out=ws.row("a", size, ctx.p))
         z2 = rng.standard_normal(out=ws.row("b", size, ctx.p))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blyth, ntg
 from .blyth import BlythContext, Observation
-from .numint import EstimateWithError, _chunk_workspace, gauss_legendre, mc_estimate
+from .numint import EstimateWithError, gauss_legendre, mc_estimate
 from .risk import sphere_area
 from .specfun import Tolerance, log_gamma, upper_incomplete_gamma_array
 
@@ -274,14 +274,14 @@ def lemma_smoments_check(
     the scale statistic depends neither on the location draw, which is
     therefore skipped, nor on kappa, which scales only that draw.  The
     closed value is ``(1/2) (eps/2)^{-p/2} Gamma((m+p)/2) / Gamma(p/2)``.
+    Each chunk draws into the workspace ``mc_estimate`` passes the sampler.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+    def sampler(rng: np.random.Generator, size: int, ws) -> np.ndarray:
         # In place in the chunk's workspace rows, operation for operation
         # eps * u ** (-2/p) and (chisquare(m) / lambda) ** (p/2).
-        ws = _chunk_workspace()
         lam = rng.random(out=ws.row("c", size))
         lam **= -2.0 / p
         lam *= eps

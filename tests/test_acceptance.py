@@ -401,7 +401,7 @@ def test_criterion_13_determinism(capsys, report_cores):
         )
         report = json.loads(a.read_text())
 
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         return rng.standard_normal(size) ** 2
 
     report_cores(1)

@@ -1,8 +1,9 @@
 """The public surface: each module's ``__all__`` resolves, no public name is
 exported by two modules, every public name is reached from outside the
-tests, ``numint`` is the integration engine only and holds the one
-quadrature rule, every parameter is read, the affinity mask is the one
-worker control, and no module imports scipy."""
+tests, ``numint`` is the integration engine only, holds the one
+quadrature rule and lends no private name to another module, every
+parameter is read, the affinity mask is the one worker control, and no
+module imports scipy."""
 
 import ast
 import importlib
@@ -78,6 +79,20 @@ def test_numint_is_the_engine_only():
         if getattr(obj, "__module__", None) == "ntglab.specfun"
     }
     assert from_specfun == {"Tolerance"}
+
+
+def test_no_module_imports_numint_internals():
+    # numint's callers reach it through its public names; a sampler gets
+    # its chunk's workspace as an argument, not through a private accessor.
+    private = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "numint.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "numint":
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []
 
 
 def _functions():

@@ -1,6 +1,7 @@
 """The Monte Carlo chunks' reusable workspaces: the samplers that draw into
 them give the draws of fresh arrays bit for bit, warm chunks allocate no
-chunk-sized array, and nested chunks on one thread do not share one."""
+chunk-sized array, nested chunks on one thread do not share one, and a
+chunk whose sampler raises hands its workspace back."""
 
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from ntglab.blyth import BlythContext
-from ntglab.numint import _MC_CHUNK, _chunk_workspace, mc_estimate
+from ntglab.numint import _MC_CHUNK, mc_estimate
 from ntglab.risk import _pivot_values, default_c, risk_difference_mc
 from ntglab.verify import check_lemma_smoments, lemma_smoments_check
 
@@ -21,12 +22,13 @@ _ROW_BYTES = _MC_CHUNK * 8  # one chunk row of doubles, 512 KB
 def _fresh_mc(sampler, n, seed):
     # mc_estimate's chunking and merge with a fresh array for every value:
     # the same spawned seeds and chunk sizes, each chunk's (count, mean,
-    # squared deviations), merged in chunk order.
+    # squared deviations), merged in chunk order.  The samplers get no
+    # workspace (None).
     n_chunks = (n + _MC_CHUNK - 1) // _MC_CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     stats = []
     for i, ss in enumerate(seeds):
-        vals = sampler(np.random.default_rng(ss), min(_MC_CHUNK, n - i * _MC_CHUNK))
+        vals = sampler(np.random.default_rng(ss), min(_MC_CHUNK, n - i * _MC_CHUNK), None)
         mean = float(vals.sum()) / vals.size
         stats.append((vals.size, mean, float(np.square(vals - mean).sum())))
     count, mean, m2 = stats[0]
@@ -40,7 +42,7 @@ def _fresh_mc(sampler, n, seed):
 
 
 def _fresh_risk_difference(ctx, n, seed):
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         rng.random(size)
         z1 = rng.standard_normal((size, ctx.p))
         z2 = rng.standard_normal((size, ctx.p))
@@ -50,7 +52,7 @@ def _fresh_risk_difference(ctx, n, seed):
 
 
 def _fresh_smoments(p, m, eps, n, seed):
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         u = rng.random(size)
         lam = eps * u ** (-2.0 / p)
         s = rng.chisquare(m, size) / lam
@@ -98,9 +100,30 @@ def test_warm_chunks_allocate_no_chunk_row(report_cores):
         tracemalloc.stop()
 
 
-def test_no_workspace_outside_a_chunk():
-    with pytest.raises(RuntimeError):
-        _chunk_workspace()
+def test_raising_sampler_hands_its_workspace_back(report_cores):
+    # The first chunk draws into its workspace and raises.  Had the chunk
+    # kept that workspace, the next warm call on the thread would make a
+    # new one and allocate its chunk rows.  On one core, as above.
+    report_cores(1)
+    ctx = BlythContext(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25, eps=1.0)
+    risk_difference_mc(ctx, 10 ** 5, 1)
+
+    class ChunkError(RuntimeError):
+        pass
+
+    def failing(rng, n, ws):
+        rng.random(out=ws.row("a", n))
+        raise ChunkError
+
+    with pytest.raises(ChunkError):
+        mc_estimate(failing, 10 ** 5, seed=2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        risk_difference_mc(ctx, 10 ** 5, 3)
+        assert tracemalloc.get_traced_memory()[1] - start < _ROW_BYTES
+    finally:
+        tracemalloc.stop()
 
 
 def test_nested_workspace_samplers_match_fresh_arrays(report_cores):
@@ -113,19 +136,19 @@ def test_nested_workspace_samplers_match_fresh_arrays(report_cores):
     ctx = BlythContext(p=2, m=5, c=default_c(2, 5, 0.95), kappa=0.25, eps=1.0)
 
     def outer(draw, inner):
-        def sampler(rng, n):
-            u = draw(rng, n)
+        def sampler(rng, n, ws):
+            u = draw(rng, n, ws)
             return u + inner(ctx, 2 << 16, int(rng.integers(1 << 32)))
 
         return sampler
 
-    def reused(rng, n):
-        return rng.random(out=_chunk_workspace().row("a", n))
+    def reused(rng, n, ws):
+        return rng.random(out=ws.row("a", n))
 
     def inner_value(ctx, n, seed):
         return risk_difference_mc(ctx, n, seed).value
 
-    want = _fresh_mc(outer(lambda rng, n: rng.random(n),
+    want = _fresh_mc(outer(lambda rng, n, ws: rng.random(n),
                            lambda ctx, n, seed: _fresh_risk_difference(ctx, n, seed)[0]),
                      12 << 16, 4)
     report_cores(1)

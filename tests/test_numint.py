@@ -118,23 +118,23 @@ class TestGaussLegendre:
 
 class TestMcEstimate:
     def test_constant_integrand(self):
-        est = mc_estimate(lambda rng, n: np.full(n, 3.25), 5000, seed=0)
+        est = mc_estimate(lambda rng, n, ws: np.full(n, 3.25), 5000, seed=0)
         assert est.value == 3.25
         assert est.error == 0.0
 
     def test_uniform_mean(self):
-        est = mc_estimate(lambda rng, n: rng.random(n), 100_000, seed=3)
+        est = mc_estimate(lambda rng, n, ws: rng.random(n), 100_000, seed=3)
         assert abs(est.value - 0.5) <= 3.0 * est.error
 
     def test_agrees_with_quadrature(self):
         truth = integrate.quad(math.sin, 0.0, 1.0)[0]
         est = mc_estimate(
-            lambda rng, n: np.sin(rng.random(n)), 200_000, seed=9
+            lambda rng, n, ws: np.sin(rng.random(n)), 200_000, seed=9
         )
         assert abs(est.value - truth) <= 4.0 * est.error
 
     def test_worker_count_invariance(self, report_cores):
-        def sampler(rng, n):
+        def sampler(rng, n, ws):
             return rng.standard_normal(n) ** 2
 
         # A mask of four cores, then the process's own mask, at 5, 1, 1, 2
@@ -153,8 +153,8 @@ class TestMcEstimate:
         # 32 threads at most: every pool thread runs an outer chunk whose
         # inner call queues its helper behind the outer call's queued helpers.
         def outer():
-            def sampler(rng, n):
-                inner = mc_estimate(lambda r, k: r.random(k), 2 << 16,
+            def sampler(rng, n, ws):
+                inner = mc_estimate(lambda r, k, ws: r.random(k), 2 << 16,
                                     int(rng.integers(1 << 32)))
                 return rng.random(n) + inner.value
 
@@ -174,7 +174,7 @@ class TestMcEstimate:
         class ChunkError(RuntimeError):
             pass
 
-        def failing(rng, n):
+        def failing(rng, n, ws):
             if n < 1 << 16:  # the last of three chunks
                 raise ChunkError
             return rng.random(n)
@@ -182,7 +182,7 @@ class TestMcEstimate:
         report_cores(4)
         with pytest.raises(ChunkError):
             mc_estimate(failing, 150_000, seed=1)
-        uniform = lambda rng, n: rng.random(n)  # noqa: E731
+        uniform = lambda rng, n, ws: rng.random(n)  # noqa: E731
         four = mc_estimate(uniform, 150_000, seed=1)
         report_cores(1)
         assert four == mc_estimate(uniform, 150_000, seed=1)
@@ -192,7 +192,7 @@ class TestMcEstimate:
         # the machine may have, with thread switches forced often: a chunk
         # result lost or stored under another call's index changes some
         # estimate.
-        def sampler(rng, n):
+        def sampler(rng, n, ws):
             return rng.standard_normal(n) ** 2
 
         report_cores(1)
@@ -219,15 +219,15 @@ class TestMcEstimate:
     def test_variance_does_not_cancel(self):
         # A mean far above the spread: sum(x^2)/n - mean^2 loses every digit.
         est = mc_estimate(
-            lambda rng, n: 1e8 + rng.standard_normal(n), 10 ** 6, seed=5
+            lambda rng, n, ws: 1e8 + rng.standard_normal(n), 10 ** 6, seed=5
         )
         assert est.error == pytest.approx(1e-3, rel=0.01)
 
     def test_rejects_two_dimensional_values(self):
         with pytest.raises(ValueError):
-            mc_estimate(lambda rng, n: np.ones((n, 2)), 1000, seed=0)
+            mc_estimate(lambda rng, n, ws: np.ones((n, 2)), 1000, seed=0)
 
     def test_seed_determinism(self):
-        a = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
-        b = mc_estimate(lambda rng, n: rng.random(n), 50_000, seed=7)
+        a = mc_estimate(lambda rng, n, ws: rng.random(n), 50_000, seed=7)
+        b = mc_estimate(lambda rng, n, ws: rng.random(n), 50_000, seed=7)
         assert a == b

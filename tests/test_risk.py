@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def coverage(proc, mu, lam, ctx, n, seed):
     mu = blyth._as_mu(mu, ctx.p)
     p, m = ctx.p, ctx.m
 
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         x = mu + rng.standard_normal((size, p)) / math.sqrt(lam)
         s = rng.chisquare(m, size) / lam
         return np.asarray(inclusion(proc, x, s, mu), dtype=float)
@@ -64,7 +65,7 @@ def bayes_risk(proc, ctx, n, seed=0):
         raise ValueError("bayes_risk requires kappa > 0")
     p = ctx.p
 
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         lam = ctx.eps * rng.random(size) ** (-2.0 / p)
         mu = rng.standard_normal((size, p)) / np.sqrt(ctx.kappa * lam)[:, None]
         x = mu + rng.standard_normal((size, p)) / np.sqrt(lam)[:, None]
@@ -444,6 +445,16 @@ class TestCapFraction:
         assert np.array_equal(_cap_fraction(2, [0.5, 1.5], 0.0, 1.0), [1.0, 0.0])
         assert np.array_equal(_cap_fraction(3, 0.0, [0.5, 1.5], 1.0), [1.0, 0.0])
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [0.3, 0.7])
+    def test_subnormal_radius_is_quiet(self, p, d):
+        # r = 5e-324 makes r d subnormal, so cos theta overflows before its
+        # clip: the sphere is a point at distance d, inside R = 0.5 or not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            share = _cap_fraction(p, 5e-324, d, 0.5)
+        assert float(share) == (1.0 if d < 0.5 else 0.0)
+
     def test_f_cdf_only_on_cap_nodes(self, monkeypatch):
         # At p >= 4 a node needs the scalar f_cdf only strictly inside a cap
         # piece: the inner piece holds the whole sphere, and the centred
@@ -709,7 +720,7 @@ def _separate_risk_difference(ctx, n, seed):
         return EstimateWithError(value=0.0, error=0.0, n_evals=n, method="monte_carlo")
     p, m, cm = ctx.p, ctx.m, ctx.c / ctx.m
 
-    def sampler(rng, size):
+    def sampler(rng, size, ws):
         u = rng.random(size)
         lam = ctx.eps * u ** (-2.0 / p)
         mu = rng.standard_normal((size, p)) / np.sqrt(ctx.kappa * lam)[:, None]
