@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Time the special-function layer: Gamma(a, x) branch by branch.
+"""Time the special-function layer: Gamma(a, x) branch by branch, and the F distribution.
 
 Prints one JSON object: the microseconds per call of each scalar branch of
 ``specfun.upper_incomplete_gamma`` (series, continued fraction, Temme's
 expansion, the small-shape series and the downward recurrence), each at
-the points listed in ``SCALAR_POINTS``, and the microseconds per element of
+the points listed in ``SCALAR_POINTS``; of ``specfun.f_cdf`` and
+``specfun.f_quantile`` at the points listed in ``F_POINTS``; the
+microseconds per element of
 ``specfun.upper_incomplete_gamma_array`` on arrays that lie wholly on the
 series side (x < a + 1) or the continued-fraction side (x >= a + 1),
 with the peak bytes per element that one such call allocates (as
@@ -35,6 +37,13 @@ SCALAR_POINTS = {
     "temme": ((48.5, 40.0), (120.0, 130.0)),
     "small_shape": ((0.25, 0.5), (-0.3, 0.5)),
     "recurrence": ((-2.5, 0.3), (-3.0, 0.3)),
+}
+# (d1, d2, t) points of f_cdf and (d1, d2, q) points of f_quantile: one
+# denominator degree of freedom, a small m, and m = 9997 as
+# regress_posterior's largest fits meet it.
+F_POINTS = {
+    "f_cdf": ((3, 1, 0.7), (2, 5, 1.0), (1, 9997, 3.84)),
+    "f_quantile": ((2, 5, 0.95), (1, 9997, 0.95)),
 }
 # Shapes of the array figures: (m + p)/2 for small m, as posterior_risk
 # meets them, and one shape below Temme's window at a = 20.
@@ -95,6 +104,14 @@ def main() -> None:
                 lambda a=a, x=x: specfun.upper_incomplete_gamma(a, x), args.seconds), 3)
             for a, x in points
         }
+    f_dist = {}
+    for name, points in F_POINTS.items():
+        f_dist[name] = {
+            f"{d1},{d2},{v:g}": round(1e6 * _best_seconds(
+                lambda fn=getattr(specfun, name), d1=d1, d2=d2, v=v: fn(d1, d2, v),
+                args.seconds), 3)
+            for d1, d2, v in points
+        }
     array, peak = {}, {}
     for side in ("series", "continued_fraction"):
         array[side], peak[side] = {}, {}
@@ -114,6 +131,7 @@ def main() -> None:
         },
         "seconds_per_figure": args.seconds,
         "scalar_us_per_call": scalar,
+        "f_us_per_call": f_dist,
         "array_us_per_element": array,
         "array_peak_bytes_per_element": peak,
     }, indent=1))

@@ -217,12 +217,12 @@ def cmd_regress(args) -> int:
         ]
         if p == 1:
             out.append(
-                f"{100 * args.level:g}% interval for coefficient 1: "
+                f"{100 * args.level:.12g}% interval for coefficient 1: "
                 f"[{lo:.10g}, {hi:.10g}]"
             )
         else:
             out.append(
-                f"{100 * args.level:g}% ellipse: center="
+                f"{100 * args.level:.12g}% ellipse: center="
                 + " ".join(f"{b:.10g}" for b in region.center)
                 + f" threshold={region.threshold:.10g}"
             )

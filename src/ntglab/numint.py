@@ -135,8 +135,10 @@ def mc_estimate(
     work is split into fixed-size chunks, each driven by its own spawned
     seed sequence, so the result is bit-identical for any worker count.
     The values must be one-dimensional, one per draw.  ``ws`` is the
-    chunk's workspace: the sampler may draw into its rows and return one
-    other than ``"a"``, which then takes the deviations.
+    chunk's workspace: the sampler may draw into its rows and return one.
+    ``mc_estimate`` overwrites the array the sampler returns with the
+    deviations from the chunk's mean, and copies it first only when it is
+    read-only, not C-contiguous or not float64.
 
     The chunks run on the caller's thread and those of one shared pool, one
     per core of the process's affinity mask and at most one per chunk.
@@ -156,16 +158,14 @@ def mc_estimate(
         for i in chunks:
             ws = free.pop() if free else _Workspace()
             try:
-                vals = np.asarray(sampler(np.random.default_rng(seeds[i]), sizes[i], ws),
-                                  dtype=float)
+                vals = np.require(sampler(np.random.default_rng(seeds[i]), sizes[i], ws),
+                                  float, ("C", "W"))
                 if vals.ndim != 1:
                     raise ValueError(
                         f"mc_estimate needs one value per draw, got shape {vals.shape}")
-                vals = np.ascontiguousarray(vals)
                 mean = float(vals.sum()) / vals.size
-                dev = ws.row("a", vals.size)
-                dev = np.subtract(vals, mean, out=None if np.may_share_memory(dev, vals) else dev)
-                results[i] = vals.size, mean, float(np.square(dev, out=dev).sum())
+                vals -= mean  # the deviations, in place
+                results[i] = vals.size, mean, float(np.square(vals, out=vals).sum())
             finally:
                 free.append(ws)
 

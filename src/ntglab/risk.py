@@ -84,11 +84,6 @@ class Procedure:
     balls: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     label: str
 
-    def volume(self, x, s) -> np.ndarray:
-        """Lebesgue volume of the confidence set, weights included."""
-        weights, centres, radii2 = self.balls(x, s)
-        return np.sum(weights * ball_volume(centres.shape[-1], radii2), axis=-1)
-
 
 def ball_volume(p: int, radius2) -> np.ndarray:
     """Volume of a p-ball given the squared radius."""
@@ -117,12 +112,14 @@ def phi_kappa(ctx: BlythContext) -> Procedure:
 def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     """Share of the sphere of radius r about the origin inside the open ball
     of radius R centred at distance d.  At p = 1 the sphere is two points;
-    at p >= 2 the share is a cap, cos(theta) = (r^2 + d^2 - R^2)/(2 r d):
-    arccos(cos theta)/pi at p = 2, else ``1/2 I_{sin^2 theta}((p-1)/2, 1/2)
-    = 1/2 f_cdf(p-1, 1, tan^2 theta/(p-1))`` (S. Li, Asian J. Math. Stat. 4,
-    2011), mirrored for cos(theta) < 0; outside the cap it is 0 or 1.  At
-    p = 3, I_x(1, 1/2) = 1 - sqrt(1 - x), so the share, mirrored or not, is
-    (1 - cos theta)/2 (Archimedes' hat-box theorem)."""
+    at p >= 2 the share is a cap of polar angle theta, cos(theta) =
+    (r^2 + d^2 - R^2)/(2 r d) clipped to [-1, 1], holding J_{p-2}(theta) /
+    J_{p-2}(pi) of the sphere, J_n(theta) = int_0^theta sin^n: arccos(cos
+    theta)/pi at p = 2 and Archimedes' (1 - cos theta)/2 at p = 3.  The
+    reduction formula n J_n = (n - 1) J_{n-2} - cos sin^{n-1} (Gradshteyn and
+    Ryzhik 2.511.2), divided by n J_n(pi) = (n - 1) J_{n-2}(pi), climbs p in
+    steps of 2; its last term is 0 at cos theta = +-1, so the share is
+    exactly 0 or 1 off the cap."""
     r, d, radius = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, radius)))
     if p == 1:
         return 0.5 * ((np.abs(r - d) < radius) + (r + d < radius).astype(float))
@@ -130,18 +127,14 @@ def _cap_fraction(p: int, r, d, radius) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cos = (r * r + d * d - radius * radius) / (2.0 * r * d)
         cos = np.where(on_axis, 1.0, np.clip(cos, -1.0, 1.0))
-        if p == 2:
-            frac = np.arccos(cos) / math.pi
-        elif p == 3:
-            frac = 0.5 * (1.0 - cos)
-        else:
-            tan2 = (1.0 - cos) * (1.0 + cos) / (cos * cos) / (p - 1)
-            # f_cdf at tan2 = 0 is 0, so only nodes strictly inside a cap,
-            # off the axis, need the scalar call.
-            cap, half = np.abs(cos) < 1.0, np.zeros(cos.shape)
-            half[cap] = [0.5 * f_cdf(p - 1, 1, t) for t in tan2[cap]]
-            frac = np.where(cos >= 0.0, half, 1.0 - half)
-    return np.where(on_axis, r + d < radius, frac)
+    share = np.arccos(cos) / math.pi if p % 2 == 0 else (1.0 - cos) / 2.0
+    if p > 3:
+        sin2 = (1.0 - cos) * (1.0 + cos)
+        power, whole = (np.sqrt(sin2), math.pi) if p % 2 == 0 else (sin2, 2.0)
+        for n in range(p % 2 + 2, p - 1, 2):  # whole = J_{n-2}(pi), power = sin^{n-1}
+            share = share - cos * power / ((n - 1) * whole)
+            whole, power = (n - 1) * whole / n, power * sin2
+    return np.where(on_axis, r + d < radius, share)
 
 
 def posterior_risk(
@@ -167,13 +160,13 @@ def posterior_risk(
         Pi(d, R) = int_0^inf pi_kappa(r^2) |S^{p-1}| r^{p-1} frac_p(r; d, R) dr,
 
     where ``frac_p`` (``_cap_fraction``) is 1 below R - d, a spherical cap
-    up to d + R, and 0 beyond.  ``numint.gauss_legendre`` sums both pieces,
+    in closed form up to d + R, and 0 beyond.  One ``proc.balls`` call gives
+    the pieces and the volume.  ``numint.gauss_legendre`` sums both pieces,
     with coefficients -a_k and the offset w vol; each round sends every node
     and w through one density call.  The density's own rounding, which the
     rule's two sums share, is ``(A + B (m+p)/2) eps_mach``
-    (``_ROUNDING_ULPS``) relative.  ``inner_grid`` is
-    ignored: it sized the midpoint grid this rule replaced, and existing
-    callers still pass it.
+    (``_ROUNDING_ULPS``) relative.  ``inner_grid`` is ignored: it sized the
+    midpoint grid this rule replaced, and existing callers still pass it.
     """
     p = ctx.p
     post = blyth.posterior(ctx, obs)
@@ -187,7 +180,7 @@ def posterior_risk(
     keep = hi > lo
     row_d, row_radius = np.tile(d, 2)[keep, None], np.tile(radius, 2)[keep, None]
     area = sphere_area(p)
-    volume = float(proc.volume(obs.x, obs.s))
+    volume = float(np.sum(weights * ball_volume(p, radii2), axis=-1))
 
     def integrand(r, w):
         t = np.append(np.square(r).ravel(), ctx.c * obs.s / ctx.m)  # and w's squared distance

@@ -1,7 +1,8 @@
 """Oracles that several test modules share.
 
-* ``phi0`` and ``inclusion``: the standard procedure, the ball of squared
-  radius c s / m about x, and the weight with which a procedure includes mu;
+* ``phi0``, ``inclusion`` and ``volume``: the standard procedure, the ball
+  of squared radius c s / m about x, the weight with which a procedure
+  includes mu, and a procedure's volume;
 * ``r_kappa``: the conditional density of mu given (x, s, lambda), as a
   function of the squared distance from x / (1 + kappa);
 * ``joint_quadrature``: nested scipy quadrature over (mu, lambda) against an
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from ntglab import ntg, verify
-from ntglab.risk import Procedure
+from ntglab.risk import Procedure, ball_volume
 
 LEMMA_D_DELTAS = (1e-1, 1e-2, 1e-3)  # decreasing towards the cone's limit
 
@@ -39,6 +40,13 @@ def inclusion(proc, x, s, mu):
     weights, centres, radii2 = proc.balls(x, s)
     mu = np.asarray(mu, dtype=float)[..., None, :]
     return np.sum(weights * (np.sum((mu - centres) ** 2, axis=-1) < radii2), axis=-1)
+
+
+def volume(proc, x, s):
+    """Lebesgue volume of proc's set at (x, s), weights included, over
+    batches like those of ``proc.balls``."""
+    weights, centres, radii2 = proc.balls(x, s)
+    return np.sum(weights * ball_volume(centres.shape[-1], radii2), axis=-1)
 
 
 def r_kappa(t, lam, ctx):

@@ -239,6 +239,17 @@ class TestRegress:
         assert "beta_hat:" in text
         assert "interval" in text
 
+    @pytest.mark.parametrize("argv,label", [
+        (["--coef-count", "1"], "99.99999% interval for coefficient 1: ["),
+        (["--coef-count", "2", "--intercept"], "99.99999% ellipse: center="),
+    ], ids=["interval", "ellipse"])
+    def test_text_label_keeps_the_level(self, tmp_path, capsys, argv, label):
+        # Six significant digits would round the level to "100%".
+        code = main(["regress", "--csv", self._csv(tmp_path), "--response", "y",
+                     "--level", "0.9999999", *argv])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2].startswith(label)
+
     def test_missing_file(self, tmp_path):
         assert main([
             "regress", "--csv", str(tmp_path / "nope.csv"), "--response", "y",

@@ -26,7 +26,7 @@ from ntglab.risk import (
 )
 from ntglab.specfun import Tolerance, f_cdf
 
-from reference import inclusion, phi0, r_kappa
+from reference import inclusion, phi0, r_kappa, volume
 
 
 def _ctx(**kw):
@@ -55,7 +55,7 @@ def loss(proc, ctx, x, s, mu, lam):
     mu = blyth._as_mu(mu, ctx.p)
     x = np.asarray(x, dtype=float)
     w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
-    return w * float(proc.volume(x, s)) - float(inclusion(proc, x, s, mu))
+    return w * float(volume(proc, x, s)) - float(inclusion(proc, x, s, mu))
 
 
 def bayes_risk(proc, ctx, n, seed=0):
@@ -71,7 +71,7 @@ def bayes_risk(proc, ctx, n, seed=0):
         x = mu + rng.standard_normal((size, p)) / np.sqrt(lam)[:, None]
         s = rng.chisquare(ctx.m, size) / lam
         w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
-        return w * np.asarray(proc.volume(x, s), dtype=float) - inclusion(proc, x, s, mu)
+        return w * np.asarray(volume(proc, x, s), dtype=float) - inclusion(proc, x, s, mu)
 
     return mc_estimate(sampler, n, seed)
 
@@ -236,6 +236,49 @@ def _split_reference(proc, ctx, obs):
     return total
 
 
+def _cap_posterior_risk(proc, ctx, obs):
+    # Posterior risk sum_k a_k (w vol_k - Pi_k) of any procedure at p >= 2,
+    # from scipy alone; returns (value, the sum of quad's error estimates).
+    # The mu-density is (k/(2 pi))^{p/2} b0^{m/2} Gamma((m+p)/2, eps b)
+    # / (Gamma(m/2, eps b0) b^{(m+p)/2}), b = b0 + k t/2 and k = 1 + kappa;
+    # the cap share is I_{sin^2 theta}((p-1)/2, 1/2)/2, mirrored for
+    # cos theta < 0; each ball's mass is integrated along the radius in
+    # pieces split at |d - R| and d + R.
+    p, m, k1 = ctx.p, ctx.m, 1.0 + ctx.kappa
+    b0 = 0.5 * (obs.s + ctx.kappa / k1 * float(np.sum(np.square(obs.x))))
+
+    def upper_gamma(a, z):
+        return special.gammaincc(a, z) * special.gamma(a)
+
+    def density(t):
+        b = b0 + 0.5 * k1 * t
+        return ((k1 / (2.0 * math.pi)) ** (0.5 * p) * b0 ** (0.5 * m)
+                * upper_gamma(0.5 * (m + p), ctx.eps * b)
+                / (upper_gamma(0.5 * m, ctx.eps * b0) * b ** (0.5 * (m + p))))
+
+    def share(r, d, radius):
+        if r == 0.0 or d == 0.0:
+            return float(r + d < radius)
+        cos = min(1.0, max(-1.0, (r * r + d * d - radius * radius) / (2.0 * r * d)))
+        half = 0.5 * special.betainc(0.5 * (p - 1), 0.5, (1.0 - cos) * (1.0 + cos))
+        return half if cos >= 0.0 else 1.0 - half
+
+    area = 2.0 * math.pi ** (0.5 * p) / special.gamma(0.5 * p)
+    w = density(ctx.c * obs.s / m)
+    weights, centres, radii2 = proc.balls(obs.x, obs.s)
+    value = error = 0.0
+    for a, centre, rho in zip(np.broadcast_to(weights, radii2.shape), centres, radii2):
+        d = float(np.sqrt(np.sum(np.square(centre - obs.x / k1))))
+        radius = math.sqrt(rho)
+        value += a * w * (math.pi * rho) ** (0.5 * p) / special.gamma(0.5 * p + 1.0)
+        for lo, hi in ((0.0, abs(d - radius)), (abs(d - radius), d + radius)):
+            mass, err = integrate.quad(
+                lambda r: area * r ** (p - 1) * density(r * r) * share(r, d, radius),
+                lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)
+            value, error = value - a * mass, error + a * err
+    return value, error
+
+
 def _rival(base, family):
     # The first perturbation of the requested family: scale, offset or band.
     for seed in range(100):
@@ -291,8 +334,8 @@ class TestProcedures:
         ctx = _ctx(p=2, kappa=0.7)
         x = np.array([0.3, -0.8])
         for s in (0.5, 2.0):
-            v0 = phi0(ctx).volume(x, s)
-            vk = phi_kappa(ctx).volume(x, s)
+            v0 = volume(phi0(ctx), x, s)
+            vk = volume(phi_kappa(ctx), x, s)
             assert v0 == pytest.approx(vk, rel=1e-14)
             assert v0 == pytest.approx(
                 ball_volume(2, ctx.c * s / ctx.m), rel=1e-14
@@ -349,7 +392,7 @@ class TestLoss:
 
         proc = Procedure(balls=balls, label="two-ball")
         x, s, lam = np.zeros(2), 2.0, 1.5
-        assert float(proc.volume(x, s)) == pytest.approx(1.5 * math.pi, rel=1e-15)
+        assert float(volume(proc, x, s)) == pytest.approx(1.5 * math.pi, rel=1e-15)
         w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
         assert loss(proc, ctx, x, s, np.array([1.5, 0.0]), lam) == pytest.approx(
             w * 1.5 * math.pi - 0.25, rel=1e-14
@@ -413,16 +456,28 @@ class TestCapFraction:
         # Below the first kink the ball holds all, half (d = R) or none.
         assert got[0] == {0.4: 1.0, 1.0: 0.5, 1.7: 0.0}[d] and got[-1] == 0.0
 
-    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("p", [4, 5, 6, 9])
     def test_cap_matches_angular_quadrature(self, p):
         # The cap of polar angle theta holds the share
-        # int_0^theta sin^{p-2} / int_0^pi sin^{p-2} of the sphere.
+        # int_0^theta sin^{p-2} / int_0^pi sin^{p-2} of the sphere; the
+        # last two radii put cos theta at +-(1 - 1e-12), at the cap's ends.
         d = 0.7
         total = integrate.quad(lambda a: math.sin(a) ** (p - 2), 0.0, math.pi)[0]
-        for r in (0.35, 0.8, 1.2, 1.6):
+        ends = [math.sqrt(1.0 - d * d * (1.0 - c * c)) + c * d for c in (1 - 1e-12, -1 + 1e-12)]
+        for r in (0.35, 0.8, 1.2, 1.6, *ends):
             theta = math.acos((r * r + d * d - 1.0) / (2.0 * r * d))
             share = integrate.quad(lambda a: math.sin(a) ** (p - 2), 0.0, theta)[0] / total
             assert float(_cap_fraction(p, r, d, 1.0)) == pytest.approx(share, abs=1e-14)
+
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_clipped_ends_are_exact(self, p):
+        # At or below the kink |d - R| = 0.3, cos theta clips to -1 and the
+        # ball holds the whole sphere; past d + R = 1.7 it clips to 1 and
+        # holds none of it: the shares are exactly 1 and 0.
+        d = 0.7
+        r = np.array([np.nextafter(0.3, 0.0), 0.3, np.nextafter(1.7, np.inf), 2.0])
+        assert np.all(np.abs((r * r + d * d - 1.0) / (2.0 * r * d)) > 1.0)
+        assert np.array_equal(_cap_fraction(p, r, d, 1.0), [1.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("d", [0.0, 0.4, 1.0, 1.7])
     def test_p3_closed_form_matches_f_cdf_form(self, d):
@@ -456,9 +511,8 @@ class TestCapFraction:
         assert float(share) == (1.0 if d < 0.5 else 0.0)
 
     def test_f_cdf_only_on_cap_nodes(self, monkeypatch):
-        # At p >= 4 a node needs the scalar f_cdf only strictly inside a cap
-        # piece: the inner piece holds the whole sphere, and the centred
-        # ball has no cap piece at all.  At p = 3 the cap is closed form.
+        # The cap share is closed form at every p: neither the centred ball,
+        # which has no cap piece, nor an offset rival calls f_cdf.
         calls = []
 
         def counting(d1, d2, t):
@@ -466,19 +520,16 @@ class TestCapFraction:
             return f_cdf(d1, d2, t)
 
         monkeypatch.setattr("ntglab.risk.f_cdf", counting)
-        ctx = _ctx(p=3, m=4, c=default_c(3, 4, 0.95), kappa=0.5)
-        obs = Observation(x=np.array([0.6, -0.4, 0.3]), s=1.5)
-        posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)
+        for p in (3, 4, 5):
+            ctx = _ctx(p=p, m=4, c=default_c(p, 4, 0.95), kappa=0.5)
+            obs = Observation(x=np.array([0.6, -0.4, 0.3, 0.1, -0.2][:p]), s=1.5)
+            posterior_risk(phi_kappa(ctx), ctx, obs)
+            offset = posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)
+            if p == 4:
+                # One round of the 32- and 64-node rules over the inner and
+                # the cap piece, plus w.
+                assert offset.n_evals == 2 * 96 + 1
         assert calls == []
-        ctx = _ctx(p=4, m=4, c=default_c(4, 4, 0.95), kappa=0.5)
-        obs = Observation(x=np.array([0.6, -0.4, 0.3, 0.1]), s=1.5)
-        posterior_risk(phi_kappa(ctx), ctx, obs)
-        assert calls == []
-        offset = posterior_risk(_rival(phi_kappa(ctx), "offset"), ctx, obs)
-        # One round of the 32- and 64-node rules over the inner and the cap
-        # piece, plus w: f_cdf runs on the cap's 96 nodes only.
-        assert offset.n_evals == 2 * 96 + 1
-        assert len(calls) == 96
 
 
 class TestPosteriorRisk:
@@ -669,6 +720,35 @@ class TestPosteriorRisk:
             ref = mpmath.pi * (density(r2) * r2 - mpmath.quad(density, [0, r2]))
             gap = float(abs(mpf(est.value) - ref))
         assert gap <= est.error <= cap
+
+    def test_reads_each_procedure_once(self):
+        # The pieces and the volume come from one call of balls.
+        ctx = _ctx(p=2, m=3, c=default_c(2, 3, 0.95), kappa=0.5)
+        rival = _rival(phi_kappa(ctx), "band")
+        calls = []
+
+        def counting(x, s):
+            calls.append(s)
+            return rival.balls(x, s)
+
+        obs = Observation(x=np.array([1.5, -1.0]), s=2.0)
+        est = posterior_risk(Procedure(balls=counting, label="counting"), ctx, obs)
+        assert calls == [2.0]
+        assert est == posterior_risk(rival, ctx, obs)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_matches_radial_oracle_at_p4_p5(self, p, m, kappa):
+        # The recentred ball and one rival of each family against scipy's
+        # radial quadrature, within the two reported errors.
+        ctx = _ctx(p=p, m=m, c=default_c(p, m, 0.95), kappa=kappa)
+        obs = Observation(x=np.array([0.6, -0.4, 0.3, 0.1, -0.2][:p]), s=1.5)
+        base = phi_kappa(ctx)
+        for proc in (base, *(_rival(base, family) for family in ("scale", "offset", "band"))):
+            est = posterior_risk(proc, ctx, obs)
+            want, quad_error = _cap_posterior_risk(proc, ctx, obs)
+            assert abs(est.value - want) <= est.error + quad_error, proc.label
 
 
 class TestBayesRisk:

@@ -74,6 +74,9 @@ def test_specfun_layer_bench(monkeypatch, capsys):
     assert set(out["scalar_us_per_call"]) == {
         "series", "continued_fraction", "temme", "small_shape", "recurrence"}
     figures = [v for branch in out["scalar_us_per_call"].values() for v in branch.values()]
+    assert {name: set(points) for name, points in out["f_us_per_call"].items()} == {
+        "f_cdf": {"3,1,0.7", "2,5,1", "1,9997,3.84"}, "f_quantile": {"2,5,0.95", "1,9997,0.95"}}
+    figures += [v for name in out["f_us_per_call"].values() for v in name.values()]
     for key in ("array_us_per_element", "array_peak_bytes_per_element"):
         assert set(out[key]) == {"series", "continued_fraction"}
         for side in out[key].values():
