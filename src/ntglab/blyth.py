@@ -15,7 +15,8 @@ Everything here is available in closed form:
 kappa = 0 is allowed everywhere except in the diverging constant K.
 
 A grid of density values for one observation builds the posterior once
-(``posterior``'s memo) and its normaliser's Gamma once (``ntg``'s memo).
+(``posterior``'s memo), and so its normaliser's Gamma once (kept on the
+posterior, see ``ntg``).
 """
 
 from __future__ import annotations

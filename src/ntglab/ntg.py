@@ -12,9 +12,8 @@ Gaussian location-scale model (``x | mu, lambda ~ N(mu, I_p/lambda)``,
 ``s | lambda ~ chi^2_m / lambda``).
 
 Every density and draw of one distribution needs Gamma(alpha0, beta0 eps0),
-which ``_upper_gamma0`` keeps in a one-entry memo: callers evaluate many
-points of one distribution before the next, and any other key computes
-afresh, so the memo never goes stale.  Exceptions are not memoised.
+which each ``NtGParams`` computes on first use and keeps as ``_gamma0``; a
+raised exception is not kept, so the next use raises it afresh.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=1)
 def _upper_gamma0(a: float, x: float) -> float:
-    """Gamma(a, x) extended continuously to x = 0 for a > 0, in the module's
-    one-entry memo; ``_upper_gamma0.__wrapped__`` bypasses it."""
+    """Gamma(a, x) extended continuously to x = 0 for a > 0."""
     if x == 0.0:
         if a <= 0:
             raise ValueError("Gamma(a, 0) diverges for a <= 0")
@@ -111,6 +108,11 @@ class NtGParams:
                 f"alpha0={self.alpha0}, beta0={self.beta0}, eps0={self.eps0}"
             )
 
+    @functools.cached_property
+    def _gamma0(self) -> float:
+        # Gamma(alpha0, beta0 eps0), the normaliser's Gamma when beta0 > 0.
+        return _upper_gamma0(self.alpha0, self.beta0 * self.eps0)
+
 
 @dataclass(frozen=True)
 class LocationScale:
@@ -144,11 +146,7 @@ def _scaled_normaliser(params: NtGParams, pref: float) -> float:
     # pref * C (2 pi)^{p/2}, left to right: each marginal passes its own
     # prefactor, so none forms (2 pi)^{-p/2} only to cancel it.
     if params.beta0 > 0:
-        return (
-            pref
-            * params.beta0 ** params.alpha0
-            / _upper_gamma0(params.alpha0, params.beta0 * params.eps0)
-        )
+        return pref * params.beta0 ** params.alpha0 / params._gamma0
     return pref * (-params.alpha0) * params.eps0 ** (-params.alpha0)
 
 
@@ -222,9 +220,7 @@ def marginal_mu_density(params: NtGParams, mu: np.ndarray) -> float:
         return math.inf
     if not math.isfinite(b):
         return 0.0
-    # The point's Gamma bypasses the memo, which would otherwise trade its
-    # entry between the point and C on every call.
-    return _mu_density(params, b, _upper_gamma0.__wrapped__)
+    return _mu_density(params, b, _upper_gamma0)
 
 
 def marginal_mu_density_sqdist(params: NtGParams, t) -> np.ndarray:
@@ -320,7 +316,7 @@ def _sample_lambda(params: NtGParams, u: float) -> float:
     # the log keeps f's rounding near that of ln u when Gamma is huge.
     a, beta = params.alpha0, params.beta0
     y0 = beta * params.eps0
-    g0 = _upper_gamma0(a, y0)
+    g0 = params._gamma0
     if not 0.0 < g0 < math.inf:
         raise OverflowError(f"Gamma({a}, {y0}) = {g0} is out of double range")
     log_u = math.log(u)

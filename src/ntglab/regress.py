@@ -171,41 +171,48 @@ def standard_region(fit: OlsFit, p: int, level: float) -> StandardRegion:
 def load_csv(path, response: str, intercept: bool = False) -> RegressionData:
     """Read a header + numeric-rows CSV into regression data.
 
-    Every cell must be a finite number.  The named response column becomes
-    y; the remaining columns form the design matrix in file order,
-    optionally with a prepended intercept column of ones.
+    Every cell must be a finite number; blank lines are skipped (error
+    messages keep the file's row numbers), and a UTF-8 byte-order mark is
+    dropped.  The named response column becomes y; the remaining columns
+    form the design matrix in file order, optionally with a prepended
+    intercept column of ones.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if response not in header:
-            raise CsvFormatError(
-                f"{path}: response column {response!r} not in header {header}"
-            )
-        y_col = header.index(response)
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if response not in header:
                 raise CsvFormatError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: response column {response!r} not in header {header}"
                 )
-            vals = []
-            for j, cell in enumerate(row):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    val = math.nan  # reported below, with nan and inf cells
-                if not math.isfinite(val):
+            y_col = header.index(response)
+            rows = []
+            for i, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise CsvFormatError(
-                        f"{path}: row {i}, column {header[j]!r}: "
-                        f"non-numeric or non-finite cell {cell!r}"
+                        f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
                     )
-                vals.append(val)
-            rows.append(vals)
+                vals = []
+                for j, cell in enumerate(row):
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        val = math.nan  # reported below, with nan and inf cells
+                    if not math.isfinite(val):
+                        raise CsvFormatError(
+                            f"{path}: row {i}, column {header[j]!r}: "
+                            f"non-numeric or non-finite cell {cell!r}"
+                        )
+                    vals.append(val)
+                rows.append(vals)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -8,9 +8,9 @@ evaluates the same branches elementwise over a numpy array for shapes
 a >= 1/2, a block of series terms or continued-fraction steps at a time
 (at most 65,536 entries a block): running products and sums down the
 block give the series, and the fraction runs 16 Lentz steps with no
-per-step test and no guard against zero denominators, which cannot occur
-for x >= a + 1 (the proof is at ``_upper_cf_array``).  Each element goes
-through the scalar loop's floating-point operations.
+per-step test.  Each element goes through the scalar loop's floating-point
+operations.  Neither fraction guards against zero denominators, which
+cannot occur on its domain (the proof is at ``_upper_cf``).
 At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
 the continued fraction need O(sqrt(a)) terms, Temme's uniform expansion
 (Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives Gamma(a) Q(a, x) from
@@ -125,7 +125,19 @@ def _lower_series(a: float, x: float) -> float:
 
 def _upper_cf(a: float, x: float) -> float:
     # Gamma(a, x) = e^{-x} x^a * CF, by the Legendre continued fraction with
-    # modified Lentz evaluation.  Valid for any real a when x is not small.
+    # modified Lentz evaluation, on the domain x >= a + 1 for a >= 1/2 and
+    # x >= 1 for a < 1/2.
+    #
+    # Lentz's guards against a zero denominator (Thompson & Barnett 1986)
+    # cannot fire there.  With y = x - a > 1/2, b_n = y + 2n + 1,
+    # a_n = -n(n - a) and D_n = a_n d_{n-1} + b_n (d_n = 1/D_n, d_0 = 1/b_0,
+    # c_0 = 1/_TINY), induction gives D_n >= b_n/2 and c_n >= b_n/2 for
+    # every real a.  If a_n >= 0 this is immediate.  Otherwise
+    # |a_n| d_{n-1} <= 2n(n - a)/b_{n-1} <= b_n/2, as
+    # b_{n-1} b_n - 4n(n - a) = (y + 2n)^2 - 1 - 4n(n - a) = y^2 + 4nx - 1
+    # is >= 0 once x >= 1/4; the same bound holds for |a_n|/c_{n-1}.  (Run
+    # unguarded for _MAX_ITER steps over a grid of the domain, the smallest
+    # of D_n/b_n and c_n/b_n is 0.52.)
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -135,13 +147,8 @@ def _upper_cf(a: float, x: float) -> float:
         n += 1
         an = -n * (n - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -423,14 +430,14 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     ``x = a + 1`` is used, except that a >= 20 with 0.2 a <= x <= 1.6 a
     takes Temme's uniform expansion, Gamma(a) Q(a, x), formed as
     ``math.gamma(a) * Q`` below a = 171 and as exp(ln Gamma(a) + ln Q)
-    above.  Smaller positive shapes with small x take a
-    regrouped series that avoids the ``Gamma(a) * (1 - P)`` cancellation.
-    For a <= 0 the continued fraction still applies
-    when x is not small; for small x the value is obtained by running the
-    recurrence ``Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a`` downward
-    from the shape in (-1/2, 1/2] that differs from a by an integer.  The
-    downward direction is stable there because the ``x^a e^{-x}`` term
-    dominates.
+    above.  For a < 1/2 the continued fraction applies when x >= 1.  For
+    x < 1 the regrouped series at the shape cur = a - round(a) in
+    [-1/2, 1/2] (E1 at cur = 0), which avoids the ``Gamma(a) * (1 - P)``
+    cancellation, gives Gamma(cur, x), and the recurrence
+    ``Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a`` runs downward from
+    it to a.  The downward direction is stable there because the
+    ``x^a e^{-x}`` term dominates.  ``round`` takes ties to even, so a
+    negative half-integer seeds at -1/2 or +1/2.
 
     At and above ``x = a + 1`` (the continued fraction, and Temme's
     expansion there) a value past the double range saturates to ``inf``;
@@ -463,23 +470,14 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         # cancellation the downward recurrence suffers at large x and the
         # Gamma(a) * (1 - P) cancellation for tiny positive shapes.
         return _upper_cf(a, x)
-    if a != 0.0 and abs(a) < 0.5:
-        # Covers tiny negative shapes too: the downward recurrence would
-        # finish by dividing a cancelled difference by the tiny a itself.
-        return _small_shape_series(a, x)
-
-    # Small x: recurrence downward from a shape in (-1/2, 1/2], seeded with
-    # E1 (integer a) or the series for that shape.  Seeding from the
-    # fractional part in (1/2, 1) instead would pass through a shape near 0
-    # when a lies just below an integer, and divide a cancelled difference
-    # by it (Gamma(-1 - 2^-52, 0.5) came out 67% off).
-    frac = a - math.floor(a)
-    if frac == 0.0:
-        g = _e1_series(x)
-        cur = 0.0
-    else:
-        cur = frac if frac <= 0.5 else frac - 1.0
-        g = upper_incomplete_gamma(cur, x)
+    # Small x: a shape near 0 takes the series at that shape, never the
+    # recurrence, whose last step would divide a cancelled difference by
+    # it.  Seeding from a - floor(a) in [0, 1) would also pass through a
+    # shape near 0 when a lies just below an integer (Gamma(-1 - 2^-52, 0.5)
+    # came out 67% off), and a - floor(a) rounds to 1.0 at a = -2^-60;
+    # a - round(a) is exact.
+    cur = a - round(a)
+    g = _e1_series(x) if cur == 0.0 else _small_shape_series(cur, x)
     emx = math.exp(-x)
     while cur > a:
         cur -= 1.0
@@ -536,17 +534,9 @@ def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     # test: each step's delta and h go to a buffer, and after the block an
     # entry takes h at its first step with |delta - 1| < _EPS.  Steps past
     # that point are discarded, so each answer is the scalar loop's, bit
-    # for bit.
-    #
-    # The scalar form's _TINY guards cannot fire on this kernel's domain,
-    # a >= 1/2 and x >= a + 1.  With b_n = x + 2n + 1 - a, a_n = -n(n - a)
-    # and D_n = a_n d_{n-1} + b_n (d_n = 1/D_n), induction gives
-    # D_n >= b_n/2 and c_n >= b_n/2 >= 1.  If a_n >= 0 this is immediate.
-    # Otherwise |a_n| d_{n-1} <= 2n(n - a)/b_{n-1} <= n - a, as
-    # b_{n-1} >= 2n, and b_n - (n - a) >= b_n/2 is x + a + 1 >= 0; the same
-    # bound holds for |a_n|/c_{n-1}.  (Over a grid of a in [1/2, 1e5] and
-    # x from a + 1 to 1e6 above it, the smallest of D_n/b_n and c_n/b_n in
-    # _MAX_ITER steps is 0.53.)
+    # for bit.  Its domain, a >= 1/2 and x >= a + 1, is part of the
+    # scalar one, so the proof at _upper_cf that no denominator nears zero
+    # covers it.
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _TINY)
     d = 1.0 / b
@@ -593,9 +583,8 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
     a block of rows (16, then doubling), and the fraction takes 16 Lentz
     steps per block; a block holds at most 65,536 entries, so long arrays
     take fewer rows a block, down to one, and memory stays linear in the
-    length.  The fraction has no convergence test within a block and no
-    ``_TINY`` guard, which its denominators, at least half of
-    b_n = x + 2n + 1 - a >= 2, never need.  An element's value is read at its first converged row, so its
+    length.  The fraction has no convergence test within a block.  An
+    element's value is read at its first converged row, so its
     terms, sums and Lentz steps are the scalar loop's, bit for bit; the
     prefactor, formed with numpy's exp and log, matches the scalar form to
     rounding.  Returns an array of the shape of ``x``; ``x = inf`` gives 0,

@@ -333,7 +333,6 @@ def gamma_calls(monkeypatch):
 
 def _clear_memos():
     blyth._posterior_memo[:] = None, None
-    ntg._upper_gamma0.cache_clear()
 
 
 def _mu_sqdist(ctx, obs, t):

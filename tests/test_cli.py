@@ -283,6 +283,13 @@ class TestRegress:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {says}") and err.count("\n") == 1
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("z,y\n1,2\n2,3\n3,\xe9\n".encode("latin-1"))
+        assert main(["regress", "--csv", str(path), "--response", "y"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
     def test_unsupported_dimension(self, tmp_path):
         assert main([
             "regress", "--csv", self._csv(tmp_path), "--response", "y",

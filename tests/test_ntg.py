@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -470,9 +471,7 @@ class TestGammaMemo:
             return upper_incomplete_gamma(a, x)
 
         monkeypatch.setattr(ntg, "upper_incomplete_gamma", counted)
-        ntg._upper_gamma0.cache_clear()
         yield calls
-        ntg._upper_gamma0.cache_clear()
 
     def test_one_truncation_gamma_per_run_of_draws(self, calls):
         post = posterior_update(self.prior, np.array([0.3, -0.8]), 17.0, 17)
@@ -493,16 +492,28 @@ class TestGammaMemo:
             rng = np.random.default_rng(9)
             draws = []
             for _ in range(4):
-                ntg._upper_gamma0.cache_clear()
-                draws.append(sample_prior(post, rng).lam)
+                draws.append(sample_prior(dataclasses.replace(post), rng).lam)
             fresh.append(draws)
-        ntg._upper_gamma0.cache_clear()
         rngs = [np.random.default_rng(9) for _ in posts]
         got = [[] for _ in posts]
         for _ in range(4):
             for i, post in enumerate(posts):
                 got[i].append(sample_prior(post, rngs[i]).lam)
         assert got == fresh
+
+    def test_alternating_draws_compute_each_gamma_once(self, calls):
+        # Two posteriors drawn from in turn keep one Gamma each, where a
+        # single shared memo entry would recompute it on every switch.
+        posts = [
+            posterior_update(self.prior, np.array([0.3, -0.8]), 17.0, m)
+            for m in (17, 18)
+        ]
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            for post in posts:
+                sample_prior(post, rng)
+        for post in posts:
+            assert calls.count((post.alpha0, post.beta0 * post.eps0)) == 1
 
     def test_overflow_raises_on_every_draw(self, calls):
         # m = 497: Gamma(alpha1, beta1 eps0) is past the double range.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,29 @@ class TestLoadCsv:
         path = self._write(tmp_path, "")
         with pytest.raises(CsvFormatError, match="empty file"):
             load_csv(path, "y")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n3,5\n")
+        data = load_csv(str(path), "y")
+        assert data.y.tolist() == [1.0, 3.0]
+        assert data.Z.tolist() == [[2.0], [5.0]]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self._write(tmp_path, "x,y\n1,2\n\n3,4\n5,6\n7,8\n\n")
+        data = load_csv(path, "y")
+        assert data.y.tolist() == [2.0, 4.0, 6.0, 8.0]
+
+    def test_rows_after_a_blank_line_keep_their_file_number(self, tmp_path):
+        path = self._write(tmp_path, "x,y\n1,2\n\n3,z\n")
+        with pytest.raises(CsvFormatError, match="row 4, column 'y'"):
+            load_csv(path, "y")
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n1,2\n3,\xe9\n".encode("latin-1"))
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(path))}: not UTF-8"):
+            load_csv(str(path), "y")
 
 
 class TestOlsFitValidation:

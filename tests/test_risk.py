@@ -25,6 +25,7 @@ from ntglab.risk import (
     risk_difference_z,
 )
 from ntglab.specfun import Tolerance, f_cdf
+from ntglab.verify import lemma_smoments_check
 
 from reference import inclusion, phi0, r_kappa, volume
 
@@ -1043,6 +1044,55 @@ class TestDefaultC:
     def test_validation(self):
         with pytest.raises(ValueError):
             default_c(2, 2, 1.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_matches_an_independent_quantile(self, p):
+        # scipy's fdtri (cdflib) shares no code with f_quantile.  The worst
+        # gap over this grid, 3.1e-13 at (1, 9997, 0.95), is the accuracy of
+        # f_cdf's incomplete-beta continued fraction.
+        for m in (1, 2, 3, 5, 17, 60, 497, 9997):
+            for level in (0.5, 0.9, 0.95, 0.99):
+                want = p * special.fdtri(p, m, level)
+                assert default_c(p, m, level) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p,m", [(1, 2), (2, 5)])
+    def test_the_quantile_oracle_against_mpmath(self, p, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(p) / 2, mpmath.mpf(m) / 2
+            y = mpmath.findroot(
+                lambda y: mpmath.betainc(a, b, 0, y, regularized=True) - 0.95, 0.5
+            )
+            want = float(m * y / (p * (1 - y)))
+        assert special.fdtri(p, m, 0.95) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# Two-sided 99.99% bounds of chi^2_399 / 399, the law of the sample variance
+# of 400 independent standard normal scores (scipy.stats.chi2.ppf at 5e-5 and
+# 1 - 5e-5, divided by 399).
+_Z_VAR_LO, _Z_VAR_HI = 0.748, 1.299
+
+
+class TestStandardErrorCalibration:
+    # z = (estimate - closed form) / SE over seeds 0..399 of 10^4 draws each
+    # is near standard normal only if the standard error is calibrated: an
+    # SE off by a factor of 2 either way puts the sample variance of z near
+    # 1/4 or 4.  The seeds are fixed, so the gate is deterministic.
+    @staticmethod
+    def _z_variance(runs) -> float:
+        z = [(est.value - closed) / est.error for est, closed in runs]
+        return float(np.var(z, ddof=1))
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (1, 5)])
+    def test_risk_difference_mc(self, p, m):
+        ctx = _ctx(p=p, m=m, c=default_c(p, m, 0.95), kappa=1.0)
+        closed = risk_difference_closed(ctx)
+        runs = [(risk_difference_mc(ctx, n=10_000, seed=seed), closed) for seed in range(400)]
+        assert _Z_VAR_LO <= self._z_variance(runs) <= _Z_VAR_HI
+
+    def test_lemma_smoments(self):
+        runs = [lemma_smoments_check(2, 2, 1.0, n=10_000, seed=seed) for seed in range(400)]
+        assert _Z_VAR_LO <= self._z_variance(runs) <= _Z_VAR_HI
 
 
 class TestBlythScaling:

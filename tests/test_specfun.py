@@ -98,6 +98,21 @@ class TestUpperIncompleteGamma:
                 want = float(mpmath.gammainc(a, x))
             assert upper_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("a", [
+        *(-0.5 - k for k in range(8)), -(2.0 ** -60), -1e-300,
+        *(math.nextafter(-k, d) for k in (1.0, 2.0, 5.0) for d in (-math.inf, math.inf)),
+    ])
+    def test_small_x_seed_shapes(self, a):
+        # The small-x path seeds at a - round(a) in [-1/2, 1/2].  Negative
+        # half-integers seed at an end of that interval, shapes an ulp off a
+        # negative integer seed next to 0, and at a = -2^-60 a - floor(a)
+        # would round to 1.
+        mpmath = pytest.importorskip("mpmath")
+        for x in (1e-8, 1e-4, 0.01, 0.3, 0.9):
+            with mpmath.workdps(40):
+                want = float(mpmath.gammainc(a, x))
+            assert upper_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
@@ -420,15 +435,21 @@ class TestArrayKernelsAgainstMaskedOracle:
         assert peak <= 8 * (16 * n + 4 * specfun._BLOCK_CELLS)
 
     def test_fraction_denominators_stay_above_half_of_b(self):
-        # The blocked fraction drops the _TINY guards on the claim that
+        # The fractions drop the _TINY guards on the claim that
         # D_n = a_n d_{n-1} + b_n and c_n = b_n + a_n / c_{n-1} stay at or
-        # above b_n / 2 >= 1 for a >= 1/2 and x >= a + 1, with
-        # b_n = x + 2n + 1 - a and a_n = -n (n - a).  Run the recurrences
-        # unguarded for the full term cap over a grid of both.
+        # above b_n / 2 for a >= 1/2 with x >= a + 1 and for a < 1/2 with
+        # x >= 1, with b_n = x + 2n + 1 - a and a_n = -n (n - a).  Run the
+        # recurrences unguarded for the full term cap over a grid of both.
         a = np.concatenate([np.geomspace(0.5, 1e5, 60), np.arange(1, 200) / 2.0])
         lift = np.concatenate([[0.0, 1e-12], np.geomspace(1e-9, 1e6, 40)])
         a, lift = (v.ravel() for v in np.meshgrid(a, lift))
         x = a + 1.0 + lift
+        low_a = np.concatenate([
+            np.linspace(-50.0, 0.5, 202)[:-1], [-1e-12, 0.0, -0.5, -7.5, 0.4999999999],
+        ])
+        low_x = np.array([1.0, 1.0 + 1e-12, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6])
+        low_a, low_x = (v.ravel() for v in np.meshgrid(low_a, low_x))
+        a, x = np.concatenate([a, low_a]), np.concatenate([x, low_x])
         b = x + 1.0 - a
         c = np.full(x.shape, 1.0 / specfun._TINY)
         d = 1.0 / b
