@@ -15,14 +15,14 @@ Everything here is available in closed form:
 kappa = 0 is allowed everywhere except in the diverging constant K.
 
 A grid of density values for one observation builds the posterior once
-(``posterior``'s memo), and so its normaliser's Gamma once (kept on the
-posterior, see ``ntg``).
+(kept on the observation, one per context, see ``posterior``), and so its
+normaliser's Gamma once (kept on the posterior, see ``ntg``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class Observation:
 
     x: np.ndarray
     s: float
+    # The posterior given this observation, by context; see ``posterior``.
+    _posteriors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _freeze_vector(self, "x")
@@ -100,13 +102,17 @@ def mu_kappa(x: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def beta_kappa(obs: Observation, kappa: float) -> float:
-    """(s + kappa/(1+kappa) * ||x||^2) / 2; equals s/2 at kappa = 0."""
+    """(s + kappa/(1+kappa) * ||x||^2) / 2; equals s/2 at kappa = 0.
+    Raises ValueError where it is not finite: s = inf, or x NaN or past ~1e154."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     sq = 0.0
     for v in obs.x.tolist():
         sq += v * v
-    return 0.5 * (obs.s + kappa / (1.0 + kappa) * sq)
+    bk = 0.5 * (obs.s + kappa / (1.0 + kappa) * sq)
+    if not bk < math.inf:  # bk >= 0, so this one test also rejects NaN
+        raise ValueError(f"beta_kappa = {bk} is not finite at s={obs.s}, ||x||^2={sq}")
+    return bk
 
 
 def big_K(ctx: BlythContext) -> float:
@@ -138,22 +144,19 @@ def _as_mu(mu, p: int) -> np.ndarray:
     return mu
 
 
-# (key, posterior) of the last observation; see ``posterior``.
-_posterior_memo: list = [None, None]
-
-
 def posterior(ctx: BlythContext, obs: Observation) -> NtGParams:
     """The posterior NtG(p, mu_kappa, 1 + kappa, m/2, beta_kappa, eps) of
     (mu, lambda) given (x, s): proper for every kappa >= 0, and for kappa > 0
-    ``ntg.posterior_update`` of the prior.  Memoised for the last (ctx, s, x).
+    ``ntg.posterior_update`` of the prior.  Built once per (observation,
+    context) and kept on the observation, so equal contexts share it.
     """
-    key = (ctx, obs.s, obs.x.tobytes())
-    if _posterior_memo[0] != key:
-        _posterior_memo[:] = key, NtGParams(
+    post = obs._posteriors.get(ctx)
+    if post is None:
+        post = obs._posteriors.setdefault(ctx, NtGParams(
             p=ctx.p, mu0=mu_kappa(obs.x, ctx.kappa), kappa0=1.0 + ctx.kappa,
             alpha0=0.5 * ctx.m, beta0=beta_kappa(obs, ctx.kappa), eps0=ctx.eps,
-        )
-    return _posterior_memo[1]
+        ))
+    return post
 
 
 def lambda_posterior_density(ctx: BlythContext, obs: Observation, lam: float) -> float:

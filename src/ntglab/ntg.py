@@ -41,15 +41,6 @@ __all__ = [
 ]
 
 
-def _upper_gamma0(a: float, x: float) -> float:
-    """Gamma(a, x) extended continuously to x = 0 for a > 0."""
-    if x == 0.0:
-        if a <= 0:
-            raise ValueError("Gamma(a, 0) diverges for a <= 0")
-        return math.exp(log_gamma(a))
-    return upper_incomplete_gamma(a, x)
-
-
 def _freeze_vector(obj, field: str) -> np.ndarray:
     # Replace a frozen dataclass's vector field by a read-only float copy,
     # so no caller's array aliases it; returns the copy.
@@ -111,7 +102,7 @@ class NtGParams:
     @functools.cached_property
     def _gamma0(self) -> float:
         # Gamma(alpha0, beta0 eps0), the normaliser's Gamma when beta0 > 0.
-        return _upper_gamma0(self.alpha0, self.beta0 * self.eps0)
+        return upper_incomplete_gamma(self.alpha0, self.beta0 * self.eps0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ def marginal_mu_density(params: NtGParams, mu: np.ndarray) -> float:
         return math.inf
     if not math.isfinite(b):
         return 0.0
-    return _mu_density(params, b, _upper_gamma0)
+    return _mu_density(params, b, upper_incomplete_gamma)
 
 
 def marginal_mu_density_sqdist(params: NtGParams, t) -> np.ndarray:
@@ -266,7 +257,7 @@ def marginal_obs_density(params: NtGParams, m: int, x: np.ndarray, s: float) -> 
         / (2.0 ** (0.5 * m) * math.exp(log_gamma(0.5 * m)))
         * (params.kappa0 / (1.0 + params.kappa0)) ** (0.5 * params.p)
         * s ** (0.5 * m - 1.0)
-        * _upper_gamma0(alpha1, params.eps0 * beta1)
+        * upper_incomplete_gamma(alpha1, params.eps0 * beta1)
         / beta1 ** alpha1
     )
 

@@ -23,7 +23,8 @@ The upper incomplete gamma function is
 
 .. math:: \\Gamma(a, x) = \\int_x^\\infty t^{a-1} e^{-t}\\,dt,
 
-which converges for every real ``a`` as long as ``x > 0``.
+which converges for every real ``a`` as long as ``x > 0``, and at ``x = 0``
+for ``a > 0``, where it is Gamma(a).
 """
 
 from __future__ import annotations
@@ -424,7 +425,8 @@ def _temme(a: float, x: float) -> float:
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Return Gamma(a, x) for real shape a and x > 0.
+    """Return Gamma(a, x) for real shape a and x > 0, and its limit
+    Gamma(a) at x = 0 for finite a > 0.
 
     For a >= 1/2 the standard series / continued-fraction split at
     ``x = a + 1`` is used, except that a >= 20 with 0.2 a <= x <= 1.6 a
@@ -442,16 +444,18 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     At and above ``x = a + 1`` (the continued fraction, and Temme's
     expansion there) a value past the double range saturates to ``inf``;
     below it (the series, and Temme's expansion there) ``Gamma(a)`` itself
-    must be finite, so ``upper_incomplete_gamma(172, 100)`` and
-    ``(5000, 4990)`` raise ``OverflowError``.  Results below the underflow
+    must be finite, so ``upper_incomplete_gamma(172, 100)``, ``(172, 0)``
+    and ``(5000, 4990)`` raise ``OverflowError``.  Results below the underflow
     threshold saturate to 0.0.
     """
     if x == math.inf:
         return 0.0
     if not (math.isfinite(x) and x > 0):
+        if x == 0.0 and 0 < a < math.inf:
+            return math.exp(log_gamma(a))
         raise ValueError(
-            f"upper_incomplete_gamma requires x > 0 (integral diverges at 0 "
-            f"for a <= 0), got x={x}"
+            f"upper_incomplete_gamma requires x > 0, or x = 0 with finite a > 0 "
+            f"(the integral diverges at 0 for a <= 0), got a={a}, x={x}"
         )
     if not math.isfinite(a):
         raise ValueError(f"shape must be finite, got a={a}")

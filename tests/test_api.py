@@ -2,8 +2,8 @@
 exported by two modules, every public name is reached from outside the
 tests, ``numint`` is the integration engine only, holds the one
 quadrature rule and lends no private name to another module, every
-parameter is read, the affinity mask is the one worker control, and no
-module imports scipy."""
+parameter is read, the affinity mask is the one worker control, no
+module imports scipy, and no module keeps mutable data at module level."""
 
 import ast
 import importlib
@@ -178,3 +178,30 @@ def test_one_quadrature_rule():
              for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "leggauss" in line]
     assert len(lines) == 1 and lines[0].startswith("numint.py:"), lines
+
+
+_MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_level(node):
+    # The statements and expressions of a module outside its functions and
+    # classes.
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_no_module_level_mutable_data():
+    # State lives on the object that owns it (a posterior on its
+    # observation, a Gamma on its distribution), never in a module-level
+    # list, dict or set that every caller shares; __all__ is the exception.
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, _MUTABLE):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [ast.unparse(t) for t in targets]
+                if names != ["__all__"]:
+                    found.append(f"{path.name}:{node.lineno} {' '.join(names)}")
+    assert found == []

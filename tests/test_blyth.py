@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ntglab import blyth, ntg
+from ntglab import blyth, ntg, risk
 from ntglab.blyth import (
     BlythContext,
     Observation,
@@ -317,8 +320,7 @@ class TestPosteriorParams:
 
 @pytest.fixture
 def gamma_calls(monkeypatch):
-    # Every Gamma(a, x) that the posterior densities evaluate (in ntg), from
-    # empty memos on.
+    # Every Gamma(a, x) that the posterior densities evaluate (in ntg).
     calls = []
 
     def counted(a, x):
@@ -326,13 +328,7 @@ def gamma_calls(monkeypatch):
         return upper_incomplete_gamma(a, x)
 
     monkeypatch.setattr(ntg, "upper_incomplete_gamma", counted)
-    _clear_memos()
-    yield calls
-    _clear_memos()
-
-
-def _clear_memos():
-    blyth._posterior_memo[:] = None, None
+    return calls
 
 
 def _mu_sqdist(ctx, obs, t):
@@ -346,19 +342,22 @@ class TestNormaliserMemo:
     obs = Observation(x=np.array([0.4, -1.1]), s=15.0)
 
     def test_lambda_grid_makes_one_gamma_call(self, gamma_calls):
+        obs = dataclasses.replace(self.obs)
         for lam in np.linspace(0.51, 2.5, 64):
-            lambda_posterior_density(self.ctx, self.obs, float(lam))
+            lambda_posterior_density(self.ctx, obs, float(lam))
         assert len(gamma_calls) == 1
 
     def test_mu_grid_makes_one_gamma_call_per_point_plus_one(self, gamma_calls):
-        center = mu_kappa(self.obs.x, self.ctx.kappa)
+        obs = dataclasses.replace(self.obs)
+        center = mu_kappa(obs.x, self.ctx.kappa)
         for t in np.linspace(0.0, 4.0, 64):
-            mu_posterior_density(self.ctx, self.obs, center + np.array([t, 0.0]))
+            mu_posterior_density(self.ctx, obs, center + np.array([t, 0.0]))
         assert len(gamma_calls) == 65
 
     def test_interleaved_values_equal_fresh_ones(self, gamma_calls):
         # Neighbours differ only in m, eps, kappa or s; at x = 0 the two
-        # kappas share beta_kappa, and so the memo entry, correctly.
+        # kappas share beta_kappa but not the posterior: each (observation,
+        # context) has its own entry.
         base = dict(p=2, m=17, c=2.0, kappa=0.5, eps=0.5)
         x = np.array([0.4, -1.1])
         cases = [
@@ -381,11 +380,7 @@ class TestNormaliserMemo:
                 + _mu_sqdist(ctx, obs, ts).tolist()
             )
 
-        fresh = []
-        for ctx, obs in cases:
-            _clear_memos()
-            fresh.append(values(ctx, obs))
-        _clear_memos()
+        fresh = [values(ctx, dataclasses.replace(obs)) for ctx, obs in cases]
         for _ in range(2):
             for (ctx, obs), want in zip(cases + cases[::-1], fresh + fresh[::-1]):
                 assert values(ctx, obs) == want
@@ -409,6 +404,87 @@ class TestNormaliserMemo:
     def test_mu_of_the_wrong_shape_raises(self, mu):
         with pytest.raises(ValueError, match="shape"):
             mu_posterior_density(self.ctx, self.obs, mu)
+
+
+class TestPosteriorOnItsObservation:
+    base = dict(p=1, m=4, c=2.0, kappa=0.5, eps=0.5)
+
+    def test_equal_contexts_share_one_posterior(self, gamma_calls):
+        obs = Observation(x=np.array([0.4]), s=2.0)
+        first = posterior(_ctx(**self.base), obs)
+        lambda_posterior_density(_ctx(**self.base), obs, 1.0)
+        assert posterior(_ctx(**self.base), obs) is first
+        assert posterior(_ctx(**self.base), dataclasses.replace(obs)) is not first
+        assert len(gamma_calls) == 1
+
+    def test_a_lookup_interrupted_by_another_returns_its_own(self):
+        # A context whose comparison looks up another observation's
+        # posterior, once, in the middle of this lookup.
+        mine = Observation(x=np.array([0.5]), s=2.0)
+        other = Observation(x=np.zeros(1), s=10.0)
+        base = self.base
+        pending = []
+
+        class Reentrant(BlythContext):
+            __hash__ = BlythContext.__hash__
+
+            def __eq__(self, o):
+                while pending:
+                    assert posterior(_ctx(**base), pending.pop()).beta0 == 5.0
+                return dataclasses.astuple(self) == dataclasses.astuple(o)
+
+        want = beta_kappa(mine, base["kappa"])
+        first = posterior(Reentrant(**base), mine)
+        pending.append(other)
+        again = posterior(Reentrant(**base), mine)
+        assert not pending
+        assert again is first and again.beta0 == want
+
+    def test_threads_get_their_own_posteriors(self):
+        # Threads share the observations, each with its own equal context,
+        # and take each observation for runs of calls; a tiny switch
+        # interval makes them interleave inside lookups.
+        ctx = _ctx(**self.base)
+        data = [Observation(x=np.array([0.3 * k]), s=1.0 + k) for k in range(4)]
+        want = [lambda_posterior_density(ctx, dataclasses.replace(obs), 1.3)
+                for obs in data]
+        wrong = []
+
+        def run(k):
+            mine = _ctx(**self.base)
+            for i in range(5000):
+                j = (i // 100 + k) % 4
+                if lambda_posterior_density(mine, data[j], 1.3) != want[j]:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+class TestBetaKappaFailsClosed:
+    @pytest.mark.parametrize("x, s", [([0.0], math.inf), ([math.nan], 1.0),
+                                      ([math.inf], 1.0), ([1e200], 1.0)])
+    @pytest.mark.parametrize("call", [
+        lambda ctx, obs: lambda_posterior_density(ctx, obs, 1.0),
+        lambda ctx, obs: mu_posterior_density(ctx, obs, np.zeros(1)),
+        q_obs,
+        lambda ctx, obs: risk.posterior_risk(risk.phi_kappa(ctx), ctx, obs),
+    ], ids=["lambda_density", "mu_density", "q_obs", "posterior_risk"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_raises(self, x, s, call, kappa):
+        ctx = _ctx(p=1, m=4, kappa=kappa, eps=0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            call(ctx, Observation(x=np.array(x), s=s))
 
 
 class TestMuPosteriorSqdist:

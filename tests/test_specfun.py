@@ -113,6 +113,26 @@ class TestUpperIncompleteGamma:
                 want = float(mpmath.gammainc(a, x))
             assert upper_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("a", [1e-300, 0.3, 0.5, 1.0, 2.5, 17.0, 48.5, 171.5])
+    def test_zero_x_is_the_complete_gamma(self, a):
+        # Gamma(a, 0) = Gamma(a) for a > 0, formed as exp(ln Gamma(a)).
+        assert upper_incomplete_gamma(a, 0.0) == math.exp(math.lgamma(a))
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 2.5, 17.0, 48.5, 171.5])
+    def test_zero_x_is_the_limit_from_above(self, a):
+        # Gamma(a) - Gamma(a, x) < x^a / a, below 1e-89 relative here.
+        assert upper_incomplete_gamma(a, 1e-300) == pytest.approx(
+            upper_incomplete_gamma(a, 0.0), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -math.inf, math.inf, math.nan])
+    def test_zero_x_diverges_for_nonpositive_shapes(self, a):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            upper_incomplete_gamma(a, 0.0)
+
+    def test_zero_x_overflows_past_the_double_range(self):
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma(172.0, 0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
