@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ntg
-from .ntg import NtGParams, _freeze_vector
+from .ntg import NtGParams, _freeze
 from .specfun import log_gamma, upper_incomplete_gamma
 
 __all__ = [
@@ -46,17 +46,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """The sufficient pair (x, s) of the location-scale model."""
 
     x: np.ndarray
     s: float
     # The posterior given this observation, by context; see ``posterior``.
-    _posteriors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _posteriors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _freeze_vector(self, "x")
+        if _freeze(self, "x").ndim != 1:
+            raise ValueError("x must be a vector")
         if not self.s > 0:
             raise ValueError(f"s must be positive, got {self.s}")
 
@@ -135,15 +136,6 @@ def big_K(ctx: BlythContext) -> float:
     return k
 
 
-def _as_mu(mu, p: int) -> np.ndarray:
-    # mu as a float vector of the model's dimension p; rejects any other
-    # shape rather than broadcasting it.
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (p,):
-        raise ValueError(f"mu must have shape ({p},), got {mu.shape}")
-    return mu
-
-
 def posterior(ctx: BlythContext, obs: Observation) -> NtGParams:
     """The posterior NtG(p, mu_kappa, 1 + kappa, m/2, beta_kappa, eps) of
     (mu, lambda) given (x, s): proper for every kappa >= 0, and for kappa > 0
@@ -178,7 +170,9 @@ def q_joint(ctx: BlythContext, mu: np.ndarray, lam: float) -> float:
 
     At kappa = 0 this is the sigma-finite limit, independent of mu.
     """
-    mu = _as_mu(mu, ctx.p)
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (ctx.p,):
+        raise ValueError(f"mu must have shape ({ctx.p},), got {mu.shape}")
     if lam <= ctx.eps:
         return 0.0
     return (

@@ -41,12 +41,12 @@ __all__ = [
 ]
 
 
-def _freeze_vector(obj, field: str) -> np.ndarray:
-    # Replace a frozen dataclass's vector field by a read-only float copy,
-    # so no caller's array aliases it; returns the copy.
+def _freeze(obj, field: str) -> np.ndarray:
+    # Replace an array field of a frozen dataclass by a read-only float64
+    # copy that no caller's array aliases; returns it for a shape check.
+    # The array value types compare by identity (eq=False), as a generated
+    # == or hash would take an array's truth value or hash, and raise.
     v = np.array(getattr(obj, field), dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{field} must be a vector")
     v.flags.writeable = False
     object.__setattr__(obj, field, v)
     return v
@@ -61,7 +61,7 @@ def _sqdist(u: np.ndarray, v: np.ndarray) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NtGParams:
     """Hyper-parameters (p, mu0, kappa0, alpha0, beta0, eps0) of an NtG prior.
 
@@ -69,6 +69,7 @@ class NtGParams:
       * eps0 = 0, alpha0 > 0, beta0 > 0   (plain normal-gamma),
       * eps0 > 0, beta0 > 0               (truncated normal-gamma),
       * eps0 > 0, alpha0 < 0, beta0 = 0   (Pareto-type tail).
+    Every hyper-parameter, and every entry of mu0, must be finite.
     """
 
     p: int
@@ -79,10 +80,14 @@ class NtGParams:
     eps0: float
 
     def __post_init__(self) -> None:
-        if _freeze_vector(self, "mu0").size != self.p:
+        mu0 = _freeze(self, "mu0")
+        if mu0.shape != (self.p,):
             raise ValueError(f"mu0 must be a length-{self.p} vector")
         if self.p < 1:
             raise ValueError(f"dimension must be >= 1, got {self.p}")
+        if not all(map(math.isfinite, (self.kappa0, self.alpha0, self.beta0,
+                                       self.eps0, *mu0.tolist()))):
+            raise ValueError(f"hyper-parameters must be finite, got {self}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if self.beta0 < 0 or self.eps0 < 0:
@@ -105,7 +110,7 @@ class NtGParams:
         return upper_incomplete_gamma(self.alpha0, self.beta0 * self.eps0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationScale:
     """A parameter point, mean vector and precision lambda = 1/sigma^2, or a
     stack of them: mu (..., p) and lam broadcasting against mu's leading axes."""
@@ -114,11 +119,8 @@ class LocationScale:
     lam: float
 
     def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float)
-        if mu.ndim < 1:
+        if _freeze(self, "mu").ndim < 1:
             raise ValueError("mu must be a vector or a stack of vectors")
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
         positive = self.lam > 0
         if positive is not True and not np.all(positive):  # a float gives a bool
             raise ValueError(f"precision must be positive, got {self.lam}")
@@ -169,11 +171,10 @@ def _update(params: NtGParams, x: np.ndarray, s: float, m: int) -> tuple:
         raise ValueError(f"m must be >= 1, got {m}")
     kap = params.kappa0
     alpha1 = params.alpha0 + 0.5 * (params.p + m)
-    beta1 = (
-        params.beta0
-        + 0.5 * s
-        + 0.5 * kap / (1.0 + kap) * _sqdist(x, params.mu0)
-    )
+    d2 = _sqdist(x, params.mu0)
+    beta1 = params.beta0 + 0.5 * s + 0.5 * kap / (1.0 + kap) * d2
+    if not beta1 < math.inf:  # beta1 > 0, so this one test also rejects NaN
+        raise ValueError(f"beta1 = {beta1} is not finite at s={s}, ||x - mu0||^2={d2}")
     return x, alpha1, beta1
 
 

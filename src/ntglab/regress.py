@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ntg import _freeze
 from .risk import default_c
 
 __all__ = [
@@ -43,7 +44,7 @@ class CsvFormatError(ValueError):
     """Malformed CSV input; carries the offending row/column location."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionData:
     """Design matrix (full column rank) and response vector."""
 
@@ -51,8 +52,8 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        Z = np.asarray(self.Z, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        Z = _freeze(self, "Z")
+        y = _freeze(self, "y")
         if Z.ndim != 2:
             raise ValueError("design matrix must be 2-D")
         n, d = Z.shape
@@ -60,8 +61,6 @@ class RegressionData:
             raise ValueError(f"response must have length {n}, got {y.shape}")
         if not (n > d >= 1):
             raise ValueError(f"need n > d >= 1, got n={n}, d={d}")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -72,7 +71,7 @@ class RegressionData:
         return self.Z.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsFit:
     """OLS estimates plus the pieces needed for the location-scale reduction."""
 
@@ -84,7 +83,8 @@ class OlsFit:
     def __post_init__(self) -> None:
         if not self.sigma2_hat > 0:
             raise ValueError(f"sigma2_hat must be positive, got {self.sigma2_hat}")
-        S = np.asarray(self.S_p, dtype=float)
+        _freeze(self, "beta_hat")
+        S = _freeze(self, "S_p")
         if not np.allclose(S, S.T, rtol=1e-10, atol=1e-12):
             raise ValueError("S_p must be symmetric")
         if np.linalg.eigvalsh(S).min() <= 0:
@@ -112,7 +112,7 @@ def ols(data: RegressionData, p: int) -> OlsFit:
 
 def _leading_block(fit: OlsFit, p: int) -> np.ndarray:
     # S_(p), the leading p x p block of the fit's (Z'Z)^{-1}.
-    S = np.asarray(fit.S_p, dtype=float)[:p, :p]
+    S = fit.S_p[:p, :p]
     if S.shape != (p, p):
         raise ValueError(f"fit holds only {fit.S_p.shape[0]} coefficients")
     return S
@@ -130,7 +130,7 @@ def reduce_to_location_scale(fit: OlsFit, p: int):
     return T @ fit.beta_hat[:p], fit.m * fit.sigma2_hat, fit.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardRegion:
     """Ellipsoidal confidence region for the first p coefficients.
 
@@ -141,6 +141,10 @@ class StandardRegion:
     shape: np.ndarray
     threshold: float
     level: float
+
+    def __post_init__(self) -> None:
+        _freeze(self, "center")
+        _freeze(self, "shape")
 
     def contains(self, b) -> bool:
         b = np.asarray(b, dtype=float)
@@ -159,10 +163,9 @@ class StandardRegion:
 def standard_region(fit: OlsFit, p: int, level: float) -> StandardRegion:
     """The standard joint confidence region at the given coverage level."""
     c = default_c(p, fit.m, level)
-    S = _leading_block(fit, p)
     return StandardRegion(
-        center=fit.beta_hat[:p].copy(),
-        shape=S,
+        center=fit.beta_hat[:p],
+        shape=_leading_block(fit, p),
         threshold=c * fit.sigma2_hat,
         level=level,
     )

@@ -1,5 +1,6 @@
 """Oracles that several test modules share.
 
+* ``as_mu``: mu as a float vector of the model's dimension, checked;
 * ``phi0``, ``inclusion`` and ``volume``: the standard procedure, the ball
   of squared radius c s / m about x, the weight with which a procedure
   includes mu, and a procedure's volume;
@@ -21,6 +22,15 @@ from ntglab import ntg, verify
 from ntglab.risk import Procedure, ball_volume
 
 LEMMA_D_DELTAS = (1e-1, 1e-2, 1e-3)  # decreasing towards the cone's limit
+
+
+def as_mu(mu, p):
+    """mu as a float vector of dimension p; rejects any other shape rather
+    than broadcasting it."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (p,):
+        raise ValueError(f"mu must have shape ({p},), got {mu.shape}")
+    return mu
 
 
 def phi0(ctx):

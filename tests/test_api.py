@@ -3,9 +3,12 @@ exported by two modules, every public name is reached from outside the
 tests, ``numint`` is the integration engine only, holds the one
 quadrature rule and lends no private name to another module, every
 parameter is read, the affinity mask is the one worker control, no
-module imports scipy, and no module keeps mutable data at module level."""
+module imports scipy, no module keeps mutable data at module level, and
+the dataclasses that hold arrays keep read-only copies and compare by
+identity."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -13,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 MODULES = ("specfun", "ntg", "blyth", "numint", "risk", "regress", "verify", "cli")
@@ -128,19 +132,17 @@ def _reads(node):
 
 def test_every_parameter_is_read():
     # A parameter the body never reads, or reads only to reject it, is a
-    # setting that changes nothing.  Two are allowed:
+    # setting that changes nothing.  One is allowed:
     # - posterior_risk's inner_grid sized the midpoint grid its radial rule
     #   replaced; it stays only because the benchmark's frozen call sites
     #   still pass it.  So does specfun.Tolerance.max_iter, a field that
     #   nothing in src/ reads since numint's rule has its own cap.
-    # - blyth._as_mu is a validator: its p is the shape it checks mu against.
     unread = []
     for node, where, params in _functions():
         body = node.body if isinstance(node.body, list) else [node.body]
         read = set().union(*map(_reads, body))
         unread += [f"{where}({p})" for p in params if p not in read]
-    assert [u.split(" ", 1)[1] for u in unread] == [
-        "_as_mu(p)", "posterior_risk(inner_grid)"], unread
+    assert [u.split(" ", 1)[1] for u in unread] == ["posterior_risk(inner_grid)"], unread
 
 
 def test_no_function_takes_workers():
@@ -205,3 +207,62 @@ def test_no_module_level_mutable_data():
                 if names != ["__all__"]:
                     found.append(f"{path.name}:{node.lineno} {' '.join(names)}")
     assert found == []
+
+
+def _array_value_types():
+    # The dataclasses defined in src/ntglab with a field annotated
+    # np.ndarray, each with the names of those fields.
+    found = {}
+    for name in MODULES:
+        mod = _module(name)
+        for obj in vars(mod).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == mod.__name__):
+                arrays = [f.name for f in dataclasses.fields(obj)
+                          if f.type in ("np.ndarray", np.ndarray)]
+                if arrays:
+                    found[obj] = arrays
+    return found
+
+
+def test_array_value_types_compare_by_identity():
+    # A generated == compares the arrays inside a tuple and takes the truth
+    # value of an array, and a generated hash hashes an array: both raise.
+    found = _array_value_types()
+    assert {cls.__name__ for cls in found} >= {
+        "NtGParams", "LocationScale", "Observation", "RegressionData", "OlsFit",
+        "StandardRegion"}
+    assert [cls.__qualname__ for cls in found
+            if cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__] == []
+
+
+def _value_type_args():
+    # Keyword arguments that build each array value type at p = 2 from
+    # arrays the caller owns.
+    S = np.array([[2.0, 0.5], [0.5, 1.0]])
+    v = np.array([1.0, -2.0])
+    return {
+        "NtGParams": dict(p=2, mu0=v, kappa0=1.0, alpha0=1.0, beta0=1.0, eps0=0.0),
+        "LocationScale": dict(mu=v, lam=1.0),
+        "Observation": dict(x=v, s=1.0),
+        "RegressionData": dict(Z=np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]),
+                               y=np.array([0.0, 1.0, 3.0])),
+        "OlsFit": dict(beta_hat=v, sigma2_hat=1.0, S_p=S, m=3),
+        "StandardRegion": dict(center=v, shape=S, threshold=1.0, level=0.95),
+    }
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls, arrays in _array_value_types().items() for field in arrays],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_array_value_type_keeps_a_frozen_copy(cls, field):
+    kwargs = _value_type_args()[cls.__name__]
+    a, b = cls(**kwargs), cls(**kwargs)
+    assert a == a and a != b and len({a, b}) == 2
+    kept = getattr(a, field)
+    first = (0,) * kept.ndim
+    assert kept.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        kept[first] = 99.0
+    kwargs[field][first] = 99.0
+    assert getattr(a, field)[first] != 99.0 and getattr(b, field)[first] != 99.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ntglab import blyth, ntg, risk
+from ntglab import ntg, risk
 from ntglab.blyth import (
     BlythContext,
     Observation,
@@ -24,7 +24,7 @@ from ntglab.blyth import (
 )
 from ntglab.specfun import Tolerance, f_cdf, upper_incomplete_gamma
 
-from reference import r_kappa
+from reference import as_mu, r_kappa
 
 _QTOL = Tolerance(rel=1e-10, abs=1e-13, max_iter=200)
 _QUAD_TOL = dict(epsabs=_QTOL.abs, epsrel=_QTOL.rel, limit=_QTOL.max_iter)
@@ -39,7 +39,7 @@ def _ctx(**kw):
 def cond_mu_density(ctx, obs, lam, mu):
     """Conditional density of mu given (x, s, lambda), the
     N(x/(1+kappa), I_p/((1+kappa) lambda)) density; mu must have shape (p,)."""
-    d2 = float(np.sum((blyth._as_mu(mu, ctx.p) - obs.x / (1.0 + ctx.kappa)) ** 2))
+    d2 = float(np.sum((as_mu(mu, ctx.p) - obs.x / (1.0 + ctx.kappa)) ** 2))
     return r_kappa(d2, lam, ctx)
 
 

@@ -73,6 +73,12 @@ class TestNtGParams:
         src[0] = 99.0
         assert params.mu0[0] == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["kappa0", "alpha0", "beta0", "eps0", "mu0"])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError):
+            _proper_params(**{name: np.array([bad]) if name == "mu0" else bad})
+
 
 class TestNormalizingConstant:
     def test_pareto_tail_example(self):
@@ -195,6 +201,18 @@ class TestPosteriorUpdate:
             posterior_update(params, np.zeros(1), 0.0, 1)
         with pytest.raises(ValueError):
             posterior_update(params, np.zeros(1), 1.0, 0)
+
+    @pytest.mark.parametrize("x, s", [([0.0], math.inf), ([math.nan], 1.0),
+                                      ([math.inf], 1.0), ([1e200], 1.0)])
+    @pytest.mark.parametrize("call", [
+        lambda params, x, s: posterior_update(params, x, s, 1),
+        lambda params, x, s: marginal_obs_density(params, 1, x, s),
+    ], ids=["posterior_update", "marginal_obs_density"])
+    def test_non_finite_beta1_rejected(self, call, x, s):
+        # beta1 = beta0 + s/2 + kappa0/(1+kappa0) ||x - mu0||^2 / 2 is inf
+        # or NaN for each of these observations.
+        with pytest.raises(ValueError, match="not finite"):
+            call(_proper_params(), np.array(x), s)
 
     def test_bayes_rule_against_quadrature(self):
         # The updated density equals likelihood * prior / evidence where the

@@ -279,6 +279,11 @@ class TestLoadCsv:
 
 
 class TestOlsFitValidation:
+    def test_fit_from_lists_keeps_arrays(self):
+        fit = OlsFit(beta_hat=[1.0, 2.0], sigma2_hat=1.0, S_p=[[2.0, 0.5], [0.5, 1.0]], m=3)
+        with pytest.raises(ValueError, match="fit holds only 2 coefficients"):
+            standard_region(fit, 3, 0.95)
+
     def test_rejects_bad_pieces(self):
         with pytest.raises(ValueError):
             OlsFit(beta_hat=np.zeros(1), sigma2_hat=0.0, S_p=np.eye(1), m=3)

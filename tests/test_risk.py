@@ -27,7 +27,7 @@ from ntglab.risk import (
 from ntglab.specfun import Tolerance, f_cdf
 from ntglab.verify import lemma_smoments_check
 
-from reference import inclusion, phi0, r_kappa, volume
+from reference import as_mu, inclusion, phi0, r_kappa, volume
 
 
 def _ctx(**kw):
@@ -39,7 +39,7 @@ def _ctx(**kw):
 def coverage(proc, mu, lam, ctx, n, seed):
     """MC estimate of the coverage probability E_{mu,lambda}[phi]; mu must
     have shape (p,)."""
-    mu = blyth._as_mu(mu, ctx.p)
+    mu = as_mu(mu, ctx.p)
     p, m = ctx.p, ctx.m
 
     def sampler(rng, size, ws):
@@ -53,7 +53,7 @@ def coverage(proc, mu, lam, ctx, n, seed):
 def loss(proc, ctx, x, s, mu, lam):
     """Pointwise loss: the set volume weighted by r_kappa at the ball
     threshold c s / m, minus the inclusion weight; mu must have shape (p,)."""
-    mu = blyth._as_mu(mu, ctx.p)
+    mu = as_mu(mu, ctx.p)
     x = np.asarray(x, dtype=float)
     w = r_kappa(ctx.c * s / ctx.m, lam, ctx)
     return w * float(volume(proc, x, s)) - float(inclusion(proc, x, s, mu))
