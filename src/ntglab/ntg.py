@@ -44,9 +44,12 @@ __all__ = [
 def _freeze(obj, field: str) -> np.ndarray:
     # Replace an array field of a frozen dataclass by a read-only float64
     # copy that no caller's array aliases; returns it for a shape check.
-    # The array value types compare by identity (eq=False), as a generated
-    # == or hash would take an array's truth value or hash, and raise.
+    # A NaN or infinite entry raises.  The array value types compare by
+    # identity (eq=False), as a generated == or hash would take an array's
+    # truth value or hash, and raise.
     v = np.array(getattr(obj, field), dtype=float)
+    if not all(map(math.isfinite, v.ravel().tolist())):
+        raise ValueError(f"{field} has an entry that is not finite")
     v.flags.writeable = False
     object.__setattr__(obj, field, v)
     return v
@@ -85,8 +88,7 @@ class NtGParams:
             raise ValueError(f"mu0 must be a length-{self.p} vector")
         if self.p < 1:
             raise ValueError(f"dimension must be >= 1, got {self.p}")
-        if not all(map(math.isfinite, (self.kappa0, self.alpha0, self.beta0,
-                                       self.eps0, *mu0.tolist()))):
+        if not all(map(math.isfinite, (self.kappa0, self.alpha0, self.beta0, self.eps0))):
             raise ValueError(f"hyper-parameters must be finite, got {self}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
@@ -113,7 +115,8 @@ class NtGParams:
 @dataclass(frozen=True, eq=False)
 class LocationScale:
     """A parameter point, mean vector and precision lambda = 1/sigma^2, or a
-    stack of them: mu (..., p) and lam broadcasting against mu's leading axes."""
+    stack of them: mu (..., p) and lam broadcasting against mu's leading axes.
+    Every entry must be finite and every precision positive."""
 
     mu: np.ndarray
     lam: float
@@ -121,9 +124,9 @@ class LocationScale:
     def __post_init__(self) -> None:
         if _freeze(self, "mu").ndim < 1:
             raise ValueError("mu must be a vector or a stack of vectors")
-        positive = self.lam > 0
-        if positive is not True and not np.all(positive):  # a float gives a bool
-            raise ValueError(f"precision must be positive, got {self.lam}")
+        ok = (self.lam > 0) & (self.lam < math.inf)
+        if ok is not True and not np.all(ok):  # a float gives a bool
+            raise ValueError(f"precision must be positive and finite, got {self.lam}")
 
 
 def normalizing_constant(params: NtGParams) -> float:
@@ -208,9 +211,11 @@ def marginal_mu_density(params: NtGParams, mu: np.ndarray) -> float:
     if mu.ndim != 1 or mu.size != params.p:
         raise ValueError(f"mu must have shape ({params.p},), got {mu.shape}")
     b = params.beta0 + 0.5 * params.kappa0 * _sqdist(mu, params.mu0)
+    if math.isnan(b):
+        raise ValueError(f"mu has an entry that is not a number: {mu.tolist()}")
     if b == 0.0:
         return math.inf
-    if not math.isfinite(b):
+    if b == math.inf:  # mu at infinity, or past about 1e154
         return 0.0
     return _mu_density(params, b, upper_incomplete_gamma)
 
@@ -234,8 +239,11 @@ def _mu_density(params: NtGParams, b, upper_gamma):
 
 
 def marginal_lambda_density(params: NtGParams, lam: float) -> float:
-    """Marginal prior density of the precision; zero for lambda <= eps0."""
-    if lam <= params.eps0:
+    """Marginal prior density of the precision; zero for lambda <= eps0 and
+    at lambda = inf."""
+    if math.isnan(lam):
+        raise ValueError("lam is not a number")
+    if lam <= params.eps0 or lam == math.inf:
         return 0.0
     return (
         _scaled_normaliser(params, 1.0)

@@ -81,10 +81,16 @@ class OlsFit:
     m: int
 
     def __post_init__(self) -> None:
-        if not self.sigma2_hat > 0:
-            raise ValueError(f"sigma2_hat must be positive, got {self.sigma2_hat}")
-        _freeze(self, "beta_hat")
+        if not 0 < self.sigma2_hat < math.inf:
+            raise ValueError(f"sigma2_hat must be positive and finite, got {self.sigma2_hat}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        beta = _freeze(self, "beta_hat")
         S = _freeze(self, "S_p")
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise ValueError(f"S_p must be a square matrix, got shape {S.shape}")
+        if beta.ndim != 1 or beta.size < S.shape[0]:
+            raise ValueError(f"beta_hat must hold >= {len(S)} coefficients, got {beta.shape}")
         if not np.allclose(S, S.T, rtol=1e-10, atol=1e-12):
             raise ValueError("S_p must be symmetric")
         if np.linalg.eigvalsh(S).min() <= 0:

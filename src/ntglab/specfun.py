@@ -3,19 +3,21 @@
 Provides the log-gamma function, the (non-regularized) upper incomplete
 gamma function for arbitrary real shape -- including the negative shapes
 that arise from priors with shape parameter ``-p/2`` -- and the CDF and
-quantile function of the F-distribution.  ``upper_incomplete_gamma_array``
-evaluates the same branches elementwise over a numpy array for shapes
-a >= 1/2, a block of series terms or continued-fraction steps at a time
-(at most 65,536 entries a block): running products and sums down the
-block give the series, and the fraction runs 16 Lentz steps with no
-per-step test.  Each element goes through the scalar loop's floating-point
-operations.  Neither fraction guards against zero denominators, which
-cannot occur on its domain (the proof is at ``_upper_cf``).
-At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the series and
-the continued fraction need O(sqrt(a)) terms, Temme's uniform expansion
-(Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives Gamma(a) Q(a, x) from
-one erfc, one exp and one Horner pass over a polynomial memoised per shape;
-the array form routes those elements through the same scalar code.
+quantile function of the F-distribution.  Below x = 1, one regrouped
+series gives Gamma at every shape in [-1/2, 1/2], E1 = Gamma(0, .)
+included.  ``upper_incomplete_gamma_array`` evaluates the same branches
+elementwise over a numpy array for shapes a >= 1/2: one blocked loop,
+``_blockwise``, runs the series and the continued fraction a block of rows
+at a time (at most 65,536 entries a block) and reads each element at its
+first converged row, so each element goes through the scalar loop's
+floating-point operations.  Neither fraction guards against zero
+denominators, which cannot occur on its domain (the proof is at
+``_upper_cf``).  At shapes a >= 20 with 0.2 a <= x <= 1.6 a, where the
+series and the continued fraction need O(sqrt(a)) terms, Temme's uniform
+expansion (Temme 1979; DiDonato & Morris 1986; DLMF 8.12) gives
+Gamma(a) Q(a, x) from one erfc, one exp and one Horner pass over a
+polynomial memoised per shape; the array form routes those elements
+through the same scalar code.
 The F quantile and the NtG precision sampler share one safeguarded Newton
 solver, ``_newton_root``.
 
@@ -165,7 +167,9 @@ def _upper_cf(a: float, x: float) -> float:
     )
 
 
-# zeta(k) - 1 for k = 2..40, for the accelerated log-gamma series below.
+# zeta(k) - 1 for k = 2..27, for the accelerated log-gamma series below.
+# It runs at |a| <= 1/2, where |ln Gamma(1 + a)| >= 0.24 |a|, so its term
+# k, at most (zeta(k) - 1) |a|^k / k, is below _EPS |ln Gamma(1 + a)| by k = 27.
 _ZETA_MINUS_1 = (
     0.6449340668482264365,
     0.2020569031595942854,
@@ -193,19 +197,6 @@ _ZETA_MINUS_1 = (
     2.980350351465228019e-8,
     1.490155482836504123e-8,
     7.450711789835429492e-9,
-    3.725334024788457055e-9,
-    1.862659723513049006e-9,
-    9.313274324196681829e-10,
-    4.656629065033784073e-10,
-    2.328311833676505492e-10,
-    1.164155017270051978e-10,
-    5.820772087902700889e-11,
-    2.910385044497099687e-11,
-    1.455192189104198424e-11,
-    7.275959835057481015e-12,
-    3.63797954737865119e-12,
-    1.818989650307065948e-12,
-    9.094947840263889283e-13,
 )
 
 
@@ -228,42 +219,34 @@ def _log_gamma_1p(a: float) -> float:
 
 
 def _small_shape_series(a: float, x: float) -> float:
-    # Gamma(a, x) for 0 < |a| < 1 and x < 1.  The textbook routes cancel
+    # Gamma(a, x) for |a| <= 1/2 and x < 1.  The textbook routes cancel
     # catastrophically near a = 0 (Gamma(a) * (1 - P(a, x)) for a > 0, the
     # downward recurrence's final division for a < 0); regroup the lower
     # series as
-    #   Gamma(a, x) = (expm1(lgamma(a+1)) - expm1(a ln x)) / a - x^a S,
-    #   S = sum_{k>=1} (-x)^k / ((a+k) k!),
-    # whose head tends to -euler_gamma - ln x as a -> 0.  For subnormal a
-    # the quotient keeps no digits; below 1e-200 the head's O(a) part is far
-    # under double resolution, so the limit is used.
+    #   Gamma(a, x) = (expm1(lgamma(a+1)) - expm1(a ln x)) / a
+    #                 - x^a sum_{k>=1} (-x)^k / ((a+k) k!),
+    # whose head tends to -euler_gamma - ln x as a -> 0, and add each term
+    # into the head.  For subnormal a the quotient keeps no digits; below
+    # 1e-200 the head's O(a) part is far under double resolution, so the
+    # limit is used.  At a = 0 this is the series of E1(x) = Gamma(0, x).
     if abs(a) < 1e-200:
-        head = -_EULER_GAMMA - math.log(x)
+        total = -_EULER_GAMMA - math.log(x)
     else:
-        head = (math.expm1(_log_gamma_1p(a)) - math.expm1(a * math.log(x))) / a
+        total = (math.expm1(_log_gamma_1p(a)) - math.expm1(a * math.log(x))) / a
+    xa = math.pow(x, a)
     term = 1.0
-    s = 0.0
     for k in range(1, _MAX_ITER):
         term *= -x / k
-        contrib = term / (a + k)
-        s += contrib
-        if abs(contrib) < abs(s) * _EPS + 1e-320:
-            break
-    return head - math.pow(x, a) * s
-
-
-def _e1_series(x: float) -> float:
-    # Exponential integral E1(x) = Gamma(0, x) for small x, by the
-    # convergent series E1(x) = -euler_gamma - ln x + sum (-1)^{k+1} x^k/(k k!).
-    total = -_EULER_GAMMA - math.log(x)
-    term = 1.0
-    for k in range(1, 200):
-        term *= -x / k
-        contrib = -term / k
+        contrib = -xa * term / (a + k)
         total += contrib
         if abs(contrib) < abs(total) * _EPS + 1e-320:
             break
     return total
+
+
+def _e1_series(x: float) -> float:
+    # E1(x) = Gamma(0, x), x < 1; named for the benchmark's region test.
+    return _small_shape_series(0.0, x)
 
 
 # Temme's uniform expansion (DLMF 8.12.8-8.12.10) serves a >= _TEMME_MIN_A
@@ -489,69 +472,62 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return g
 
 
-def _take_converged(done: np.ndarray, values: np.ndarray, out: np.ndarray, active):
-    # Each column of a block that converged gives out[active[column]] its
-    # value at the first converged row; returns the mask of the others.
-    cols = np.arange(done.shape[1])
-    first = done.argmax(axis=0)
-    hit = done[first, cols]
-    out[active[hit]] = values[first, cols][hit]
-    return ~hit
-
-
-def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # _lower_series elementwise, a block of terms at a time.  Down each
-    # column, running products of x/(a+n) form term *= x/(a+n) and running
-    # sums total += term, both strictly top to bottom (ufunc.accumulate),
-    # so every term and total is the scalar loop's, bit for bit; an entry's
-    # answer is its total at the first term below total * _EPS.  Blocks
-    # start at _BLOCK rows and double, within _BLOCK_CELLS; only
-    # unconverged entries enter the next one.
-    out = np.empty(x.shape)
-    active = np.arange(x.size)
-    xa = x
-    term = total = np.full(x.shape, 1.0 / a)
+def _blockwise(state, block, grow: bool) -> np.ndarray:
+    # An array iteration, a block of rows at a time.  ``state`` holds
+    # per-entry arrays, the partial result last; ``block(n, k, *state)``
+    # takes them after n terms and returns, for k more, a (k, entries) mask
+    # of converged rows, the value at each row and the state after the last.
+    # Each entry takes its value at its first converged row; only the others
+    # enter the next block.  Blocks have _BLOCK rows, doubling if ``grow``,
+    # at most _MAX_ITER in all and at most _BLOCK_CELLS entries.
+    out = np.empty(state[0].shape)
+    active = np.arange(out.size)
     n, rows = 0, _BLOCK
     while active.size and n < _MAX_ITER:
         k = min(rows, _MAX_ITER - n, max(1, _BLOCK_CELLS // active.size))
+        done, values, state = block(n, k, *state)
+        n, rows = n + k, 2 * rows if grow else rows
+        cols = np.arange(active.size)
+        first = done.argmax(axis=0)
+        hit = done[first, cols]
+        out[active[hit]] = values[first, cols][hit]
+        keep = ~hit
+        active, state = active[keep], [v[keep] for v in state]
+    if active.size:
+        raise ConvergenceError(f"array iteration did not converge at {active.size} "
+                               f"points within {_MAX_ITER} terms", partial=state[-1])
+    return out
+
+
+def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    # _lower_series elementwise.  Down each column of a block, running
+    # products of x/(a+n) form term *= x/(a+n) and running sums total +=
+    # term, both strictly top to bottom (ufunc.accumulate), so every term
+    # and total is the scalar loop's, bit for bit; an entry's answer is its
+    # total at the first term below total * _EPS.
+    def block(n, k, xa, term, total):
         terms = xa / (a + np.arange(n + 1, n + k + 1, dtype=float))[:, None]
         terms[0] *= term
         np.multiply.accumulate(terms, axis=0, out=terms)
         totals = terms.copy()
         totals[0] += total
         np.add.accumulate(totals, axis=0, out=totals)
-        n, rows = n + k, 2 * rows
-        done = terms < totals * _EPS
-        keep = _take_converged(done, totals, out, active)
-        active, xa, term, total = active[keep], xa[keep], terms[-1, keep], totals[-1, keep]
-    if active.size:
-        raise ConvergenceError(
-            f"incomplete-gamma series did not converge for a={a} at "
-            f"{active.size} points", partial=total,
-        )
+        return terms < totals * _EPS, totals, (xa, terms[-1], totals[-1])
+
+    start = np.full(x.shape, 1.0 / a)
+    out = _blockwise((x, start, start), block, grow=True)
     return out * np.exp(-x + a * np.log(x) - math.lgamma(a))
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # _upper_cf elementwise (modified Lentz on the Legendre fraction), in
-    # blocks of _BLOCK steps (fewer within _BLOCK_CELLS) with no per-step
-    # test: each step's delta and h go to a buffer, and after the block an
-    # entry takes h at its first step with |delta - 1| < _EPS.  Steps past
-    # that point are discarded, so each answer is the scalar loop's, bit
-    # for bit.  Its domain, a >= 1/2 and x >= a + 1, is part of the
-    # scalar one, so the proof at _upper_cf that no denominator nears zero
-    # covers it.
-    b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d
-    out = np.empty(x.shape)
-    active = np.arange(x.size)
-    n = 0
-    while active.size and n < _MAX_ITER:
-        k = min(_BLOCK, _MAX_ITER - n, max(1, _BLOCK_CELLS // active.size))
-        deltas = np.empty((k, active.size))
-        hs = np.empty((k, active.size))
+    # _upper_cf elementwise (modified Lentz on the Legendre fraction) with
+    # no per-step test: each step's delta and h go to a block's buffers, so
+    # each answer is the scalar loop's, bit for bit.  Its domain, a >= 1/2
+    # and x >= a + 1, is part of the scalar one, so the proof at _upper_cf
+    # that no denominator nears zero covers it.
+    def block(n, k, b, c, d, h):
+        deltas = np.empty((k, h.size))
+        hs = np.empty((k, h.size))
         for row in range(k):
             n += 1
             an = -n * (n - a)
@@ -560,14 +536,11 @@ def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
             c = b + an / c
             delta = np.multiply(d, c, out=deltas[row])
             h = np.multiply(h, delta, out=hs[row])
-        done = np.abs(deltas - 1.0) < _EPS
-        keep = _take_converged(done, hs, out, active)
-        active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
-    if active.size:
-        raise ConvergenceError(
-            f"incomplete-gamma continued fraction did not converge for a={a} "
-            f"at {active.size} points", partial=h,
-        )
+        return np.abs(deltas - 1.0) < _EPS, hs, (b, c, d, h)
+
+    b = x + 1.0 - a
+    d = 1.0 / b
+    out = _blockwise((b, np.full(x.shape, 1.0 / _TINY), d, d), block, grow=False)
     log_pref = -x + a * np.log(x)
     big = log_pref > 700.0
     if big.any():  # as in _upper_cf, on the masked entries only
@@ -582,17 +555,14 @@ def upper_incomplete_gamma_array(a: float, x) -> np.ndarray:
 
     Runs the same series / continued-fraction split at ``x = a + 1`` as
     ``upper_incomplete_gamma``; the elements in Temme's window go through
-    the scalar branch itself.  The series and the fraction run over blocks:
-    the series' terms and partial sums are running products and sums down
-    a block of rows (16, then doubling), and the fraction takes 16 Lentz
-    steps per block; a block holds at most 65,536 entries, so long arrays
-    take fewer rows a block, down to one, and memory stays linear in the
-    length.  The fraction has no convergence test within a block.  An
-    element's value is read at its first converged row, so its
-    terms, sums and Lentz steps are the scalar loop's, bit for bit; the
-    prefactor, formed with numpy's exp and log, matches the scalar form to
-    rounding.  Returns an array of the shape of ``x``; ``x = inf`` gives 0,
-    and overflow behaves as in the scalar form.
+    the scalar branch itself.  The series and the fraction run in blocks
+    of rows (``_blockwise``: 16 rows, doubling for the series, and at most
+    65,536 entries a block, so memory stays linear in the length).  An
+    element's value is read at its first converged row, so its terms, sums
+    and Lentz steps are the scalar loop's, bit for bit; the prefactor,
+    formed with numpy's exp and log, matches the scalar form to rounding.
+    Returns an array of the shape of ``x``; ``x = inf`` gives 0, and
+    overflow behaves as in the scalar form.
     """
     if not (math.isfinite(a) and a >= 0.5):
         raise ValueError(f"the array form needs a finite shape a >= 1/2, got a={a}")

@@ -266,3 +266,13 @@ def test_array_value_type_keeps_a_frozen_copy(cls, field):
         kept[first] = 99.0
     kwargs[field][first] = 99.0
     assert getattr(a, field)[first] != 99.0 and getattr(b, field)[first] != 99.0
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls, arrays in _array_value_types().items() for field in arrays],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_array_value_type_rejects_a_non_finite_entry(cls, field):
+    kwargs = _value_type_args()[cls.__name__]
+    kwargs[field][(0,) * kwargs[field].ndim] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        cls(**kwargs)

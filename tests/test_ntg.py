@@ -155,6 +155,11 @@ class TestPriorDensity:
         with pytest.raises(ValueError):
             LocationScale(mu=mu, lam=lam)
 
+    @pytest.mark.parametrize("lam", [math.inf, np.array([1.0, math.inf])])
+    def test_precision_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LocationScale(mu=np.zeros((2, 1)), lam=lam)
+
     def test_rotation_invariance(self):
         # The density depends on mu only through ||mu - mu0||.
         params = NtGParams(2, np.array([0.3, -0.2]), 1.3, -1.0, 1.5, 0.4)
@@ -304,6 +309,26 @@ class TestMarginals:
     def test_mu_marginal_singularity_flagged(self):
         params = _proper_params(alpha0=-0.5, beta0=0.0, eps0=1.0)
         assert marginal_mu_density(params, params.mu0) == math.inf
+
+    @pytest.mark.parametrize("mu", [[math.nan], [math.inf, math.nan]])
+    def test_mu_marginal_rejects_nan(self, mu):
+        params = _proper_params(p=len(mu), mu0=np.zeros(len(mu)))
+        with pytest.raises(ValueError, match="not a number"):
+            marginal_mu_density(params, mu)
+
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, 1e200])
+    def test_mu_marginal_is_zero_at_infinity(self, mu):
+        for kw in (dict(beta0=1.0), dict(alpha0=-0.5, beta0=0.0, eps0=1.0)):
+            assert marginal_mu_density(_proper_params(**kw), [mu]) == 0.0
+
+    def test_lambda_marginal_rejects_nan(self):
+        with pytest.raises(ValueError, match="not a number"):
+            marginal_lambda_density(_proper_params(), math.nan)
+
+    @pytest.mark.parametrize("kw", [dict(alpha0=2.5), dict(alpha0=-0.5, beta0=0.0)])
+    def test_lambda_marginal_is_zero_at_infinity(self, kw):
+        # inf^(alpha0 - 1) e^{-inf beta0} is inf * 0 or inf^-1.5 e^{nan}.
+        assert marginal_lambda_density(_proper_params(**kw), math.inf) == 0.0
 
     def test_lambda_marginal_matches_quadrature(self):
         params = _proper_params(kappa0=1.1, alpha0=0.7, beta0=0.9, eps0=0.3)

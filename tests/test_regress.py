@@ -301,3 +301,25 @@ class TestOlsFitValidation:
                 S_p=-np.eye(2),
                 m=3,
             )
+
+    @pytest.mark.parametrize("S", [np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))])
+    def test_rejects_a_non_square_block(self, S):
+        with pytest.raises(ValueError, match="S_p must be a square matrix"):
+            OlsFit(beta_hat=np.zeros(2), sigma2_hat=1.0, S_p=S, m=3)
+
+    @pytest.mark.parametrize("beta", [[1.0], np.zeros((2, 1)), 1.0])
+    def test_rejects_too_few_coefficients(self, beta):
+        # With one coefficient, the region's centre broadcast against b and
+        # contained [0, 0]; a column or a scalar is no vector of them.
+        with pytest.raises(ValueError, match="beta_hat must hold >= 2 coefficients"):
+            OlsFit(beta_hat=beta, sigma2_hat=1.0, S_p=np.eye(2), m=3)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_no_residual_degrees_of_freedom(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            OlsFit(beta_hat=np.zeros(2), sigma2_hat=1.0, S_p=np.eye(2), m=m)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_non_finite_or_nonpositive_variance(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2_hat must be positive and finite"):
+            OlsFit(beta_hat=np.zeros(2), sigma2_hat=sigma2, S_p=np.eye(2), m=3)

@@ -78,12 +78,38 @@ class TestUpperIncompleteGamma:
 
     @pytest.mark.parametrize("a", [5e-324, -5e-324, 1e-310])
     def test_subnormal_shape_is_the_zero_shape(self, a):
-        # Gamma(a, x) is continuous in a, and at |a| < 1e-300 it equals
-        # Gamma(0, x) = E1(x) to double resolution.
+        # Gamma(a, x) is continuous in a.  One series serves every shape in
+        # [-1/2, 1/2]; below |a| = 1e-200 its head is the a = 0 limit and
+        # x^a rounds to 1, so every step is the zero shape's, E1(x).
         from scipy.special import exp1
 
-        for x in (0.01, 0.75):
-            assert upper_incomplete_gamma(a, x) == pytest.approx(float(exp1(x)), rel=1e-14)
+        for x in (1e-300, 1e-8, 0.01, 0.3, 0.75, 0.999):
+            assert upper_incomplete_gamma(a, x) == upper_incomplete_gamma(0.0, x)
+            assert upper_incomplete_gamma(0.0, x) == pytest.approx(float(exp1(x)), rel=1e-14)
+
+    def test_small_shapes_against_mpmath(self):
+        # The small-x series at |a| <= 1/2 (and a = 1/2, the series branch),
+        # where each term goes into the head as it is formed.
+        mpmath = pytest.importorskip("mpmath")
+        shapes = [*np.linspace(-0.5, 0.5, 41).tolist(),
+                  1e-300, -1e-300, 1e-8, -1e-8, 2.0 ** -60, -(2.0 ** -60)]
+        worst = 0.0
+        for a in shapes:
+            for x in np.geomspace(1e-10, 0.999, 21).tolist():
+                with mpmath.workdps(40):
+                    want = mpmath.gammainc(a, x)
+                    err = abs(mpmath.mpf(upper_incomplete_gamma(a, x)) / want - 1)
+                worst = max(worst, float(err))
+        assert worst <= 6e-15
+
+    def test_zeta_table_ends_past_the_last_term_used(self, monkeypatch):
+        # _log_gamma_1p runs at |a| <= 1/2, where its series stops by
+        # k = 27, the table's last entry: a NaN appended after it is never
+        # read.
+        grid = np.linspace(-0.5, 0.5, 2001).tolist()
+        want = [specfun._log_gamma_1p(a) for a in grid]
+        monkeypatch.setattr(specfun, "_ZETA_MINUS_1", (*specfun._ZETA_MINUS_1, math.nan))
+        assert [specfun._log_gamma_1p(a) for a in grid] == want
 
     @pytest.mark.parametrize(
         "a", [-1.0 - 2.0 ** -52, -1.0 - 1e-7, -1.00390625, -2.0 - 1e-10, -3.0 - 2.0 ** -51]
